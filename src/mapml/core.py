@@ -210,9 +210,10 @@ def pairwise_mahalanobis_sq(metric: Metric, A, B=None) -> np.ndarray:
 def triplet_universe(latent_labels) -> np.ndarray:
     """All valid (o, p, q) rows: label(p) = label(o), p != o, label(q) != label(o).
 
-    Enumeration is in ascending (o, p, q) order. The universe is cubic in
-    the number of latents; callers at scale should prefer
-    :func:`full_loss_all`, which never materializes it.
+    Enumeration is in ascending (o, p, q) order. The universe holds
+    O(m^3) rows for m latents, so it serves as a test oracle; the trainer
+    calls :func:`full_loss_all`, which never materializes it and runs in
+    O(m^2 log m) time.
     """
     labels = np.asarray(latent_labels)
     m = labels.shape[0]
@@ -265,27 +266,104 @@ def full_loss(metric: Metric, latent_model, triplets) -> float:
     return float(np.sum(args[args > 0.0]))
 
 
-def full_loss_all(metric: Metric, latent_model) -> float:
-    """Hinge loss over the full triplet universe, without materializing it.
+class HingeBlock(NamedTuple):
+    """One class's slice of the latent-triplet hinge, rows sorted for search.
 
-    Equivalent to ``full_loss(metric, latent_model,
-    triplet_universe(latent_model.latent_labels))`` but runs anchor by
-    anchor off the pairwise latent distance matrix.
+    same         (m_r,) latent indices of the class; row i is anchor same[i]
+    diff         (n,) latent indices of every other class, ascending
+    partner_dist (m_r, m_r - 1) E[o, p] for each anchor's same-class
+                 partners p != o, in the order of :func:`partner_columns`
+    b_sorted     (m_r, n) E[o, diff], each row sorted ascending
+    thresholds   (m_r, m_r - 1) t_p = (1 + margin(o)) + E[o, p]
+    below        (m_r, m_r - 1) number of b in the row strictly below t_p,
+                 i.e. the count of q with a positive loss hinge t_p - E[o, q]
     """
-    E = pairwise_mahalanobis_sq(metric, latent_model.latents)
-    if not np.isfinite(E).all():
-        return float("nan")
-    labels = latent_model.latent_labels
-    margins = latent_model.cluster_margins
-    total = 0.0
+
+    same: np.ndarray
+    diff: np.ndarray
+    partner_dist: np.ndarray
+    b_sorted: np.ndarray
+    thresholds: np.ndarray
+    below: np.ndarray
+
+
+def partner_columns(m_r: int) -> np.ndarray:
+    """(m_r, m_r - 1) local partner index of each anchor: all j != i, ascending."""
+    j = np.arange(m_r - 1)
+    return j[None, :] + (j[None, :] >= np.arange(m_r)[:, None])
+
+
+def hinge_blocks(E: np.ndarray, labels, margins):
+    """Yield a :class:`HingeBlock` per class, one class at a time.
+
+    ``E`` is the pairwise latent distance matrix. Classes with fewer than
+    two latents or no other class contribute no triplet and are skipped.
+    Each anchor sorts its other-class distances once, and every
+    same-class partner finds its hinge boundary by binary search, so a
+    block costs O(m_r m log m) time and O(m_r m) memory.
+    """
+    labels = np.asarray(labels)
     for r in np.unique(labels):
         same = np.nonzero(labels == r)[0]
         diff = np.nonzero(labels != r)[0]
         if same.size < 2 or diff.size == 0:
             continue
-        for o in same:
-            a = E[o, same[same != o]]
-            b = E[o, diff]
-            h = (1.0 + margins[o]) + a[:, None] - b[None, :]
-            total += float(np.sum(h[h > 0.0]))
+        Es = E[np.ix_(same, same)]
+        partner_dist = np.take_along_axis(Es, partner_columns(same.size), axis=1)
+        b_sorted = np.sort(E[np.ix_(same, diff)], axis=1)
+        thresholds = (1.0 + margins[same])[:, None] + partner_dist
+        below = np.stack([np.searchsorted(b, t, side="left")
+                          for b, t in zip(b_sorted, thresholds)])
+        yield HingeBlock(same, diff, partner_dist, b_sorted, thresholds, below)
+
+
+def _violator_boundary(b, a, c, k) -> int:
+    """Exact prefix length of sorted ``b`` with fl(b - a) < c, starting near k."""
+    n = b.size
+    while k < n and b[k] - a < c:
+        k = int(np.searchsorted(b, b[k], side="right"))
+    while k > 0 and not (b[k - 1] - a < c):
+        k = int(np.searchsorted(b, b[k - 1], side="left"))
+    return k
+
+
+def violator_counts(block: HingeBlock, margins) -> np.ndarray:
+    """(m_r, m_r - 1) count of q with fl(E[o, q] - E[o, p]) < 1 + margin(o).
+
+    This is the active set's violation test. It is monotone in E[o, q],
+    so the violators of (o, p) are a prefix of the sorted row; the loss
+    boundary ``block.below`` can differ from it by rounding, so each
+    count is checked against the exact test at its boundary and moved
+    (a whole run of tied distances at a time) where it disagrees.
+    """
+    b, a, k = block.b_sorted, block.partner_dist, block.below.copy()
+    c = (1.0 + margins[block.same])[:, None]
+    n = b.shape[1]
+    rows = np.arange(b.shape[0])[:, None]
+    grow = (k < n) & (b[rows, np.minimum(k, n - 1)] - a < c)
+    shrink = (k > 0) & ~(b[rows, np.maximum(k - 1, 0)] - a < c)
+    for i, j in zip(*np.nonzero(grow | shrink)):
+        k[i, j] = _violator_boundary(b[i], a[i, j], c[i, 0], int(k[i, j]))
+    return k
+
+
+def full_loss_all(metric: Metric, latent_model) -> float:
+    """Hinge loss over the full triplet universe, without materializing it.
+
+    Equals ``full_loss(metric, latent_model,
+    triplet_universe(latent_model.latent_labels))`` up to summation order.
+    For anchor o and partner p with threshold t_p and k_p other-class
+    distances below it, the hinges sum to k_p t_p - (sum of the k_p
+    smallest), read off prefix sums of the sorted row: O(m^2 log m) time
+    over one class block at a time (see :func:`hinge_blocks`).
+    """
+    E = pairwise_mahalanobis_sq(metric, latent_model.latents)
+    if not np.isfinite(E).all():
+        return float("nan")
+    total = 0.0
+    for blk in hinge_blocks(E, latent_model.latent_labels, latent_model.cluster_margins):
+        prefix = np.zeros((blk.b_sorted.shape[0], blk.b_sorted.shape[1] + 1))
+        np.cumsum(blk.b_sorted, axis=1, out=prefix[:, 1:])
+        below_sum = np.take_along_axis(prefix, blk.below, axis=1)
+        total += float(np.sum(blk.below * blk.thresholds - below_sum))
     return total

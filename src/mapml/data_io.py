@@ -253,15 +253,20 @@ def load_model(path) -> ModelFile:
 
     config = None
     loss_trace = None
+    sidecar = str(path) + ".meta"
     try:
-        with open(str(path) + ".meta", "r", encoding="utf-8") as f:
+        with open(sidecar, "r", encoding="utf-8") as f:
             meta = json.load(f)
+        if not isinstance(meta, dict):
+            raise TypeError(f"expected a JSON object, got {type(meta).__name__}")
         if meta.get("config") is not None:
             config = TrainConfig(**meta["config"])
         if meta.get("loss_trace") is not None:
             loss_trace = np.asarray(meta["loss_trace"], dtype=np.float64)
     except FileNotFoundError:
         pass
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed model sidecar {sidecar}: {exc}") from None
     return ModelFile(
         format_version=version,
         metric=Metric(matrix.copy()),

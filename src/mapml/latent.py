@@ -63,9 +63,6 @@ class LatentModel:
     def d(self) -> int:
         return self.latents.shape[1]
 
-    def members_of(self, o: int) -> np.ndarray:
-        return np.nonzero(self.membership == o)[0]
-
     def replace(self, **kwargs) -> "LatentModel":
         """Copy with some fields swapped out."""
         fields = dict(
@@ -97,11 +94,13 @@ def _farthest_point_indices(X: np.ndarray, k: int, rng: np.random.Generator) -> 
     n = X.shape[0]
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
-    d2 = np.einsum("ij,ij->i", X - X[chosen[0]], X - X[chosen[0]])
+    diff = np.subtract(X, X[chosen[0]])
+    d2 = np.einsum("ij,ij->i", diff, diff)
     for i in range(1, k):
         nxt = int(np.argmax(d2))
         chosen[i] = nxt
-        np.minimum(d2, np.einsum("ij,ij->i", X - X[nxt], X - X[nxt]), out=d2)
+        np.subtract(X, X[nxt], out=diff)
+        np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
     return chosen
 
 

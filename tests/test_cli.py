@@ -121,6 +121,21 @@ class TestEval:
         assert exc.value.code == 2
 
 
+    def test_malformed_sidecar_clean_error(self, tmp_path, synth_csv, capsys):
+        model_path = str(tmp_path / "model.mapml")
+        main(["train", "--data", synth_csv, "--outer-iters", "1",
+              "--inner-iters", "200", "--out", model_path])
+        with open(model_path + ".meta", "w") as f:
+            f.write('{"config": {"tau": 10.0, "not_a_field": 1}}')
+        capsys.readouterr()
+        rc = main(["eval", "--model", model_path, "--test", synth_csv,
+                   "--refs", "latent"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "not_a_field" in err
+
+
 class TestBench:
     def test_euclid_only_zero_stddev(self, tmp_path, synth_csv, capsys):
         out_csv = str(tmp_path / "bench.csv")

@@ -257,3 +257,20 @@ class TestModelPersistence:
         loaded = load_model(path)
         assert loaded.config is None
         np.testing.assert_array_equal(loaded.metric.matrix, result.metric.matrix)
+
+    @pytest.mark.parametrize("sidecar", [
+        '{"config": {"tau": 10.0, "not_a_field": 1}}',
+        '{"config": ["tau", 10.0]}',
+        '{"config": {"tau": "ten"}}',
+        '{"loss_trace": [{"k": 1}]}',
+        '[1, 2, 3]',
+        '"just a string"',
+        '{"config": ',
+    ])
+    def test_malformed_sidecar_is_value_error(self, tmp_path, sidecar):
+        rng = np.random.default_rng(4)
+        path = str(tmp_path / "model.mapml")
+        save_model(path, small_result(rng))
+        (tmp_path / "model.mapml.meta").write_text(sidecar)
+        with pytest.raises(ValueError, match="model.mapml.meta"):
+            load_model(path)
