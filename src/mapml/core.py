@@ -347,6 +347,30 @@ def violator_counts(block: HingeBlock, margins) -> np.ndarray:
     return k
 
 
+def decode_ranks(E: np.ndarray, same, diff, counts, ranks):
+    """Map violator ranks of one class block to (o, p, q) latent indices.
+
+    ``counts`` is the block's (m_r, m_r - 1) :func:`violator_counts` and
+    ``ranks`` are ascending ints in [0, counts.sum()), enumerating the
+    violators anchor by anchor, partner by partner (in the order of
+    :func:`partner_columns`), and for each (o, p) by ascending E[o, q].
+    Since the violators of (o, p) are the first counts[o, p] entries of
+    the sorted row, rank j within (o, p) is the row's j-th smallest
+    distance. Which of several tied distances comes first is up to
+    ``np.argsort``; the set of violators, and so the uniformity of a
+    sample of ranks, does not depend on it. One argsort of the m_r x n
+    block, recomputed here rather than kept from :func:`hinge_blocks`.
+    """
+    counts = counts.ravel()
+    ends = np.cumsum(counts)
+    pair = np.searchsorted(ends, ranks, side="right")
+    j = ranks - (ends[pair] - counts[pair])
+    i, pp = np.divmod(pair, same.size - 1)
+    p = same[partner_columns(same.size)[i, pp]]
+    q = diff[np.argsort(E[np.ix_(same, diff)], axis=1)[i, j]]
+    return same[i], p, q
+
+
 def full_loss_all(metric: Metric, latent_model) -> float:
     """Hinge loss over the full triplet universe, without materializing it.
 

@@ -70,15 +70,15 @@ def build_active_set(model: LatentModel, metric_prev: Metric, cap: int, seed: in
     order. An empty result is legal.
 
     Violators are counted per (o, p) off each anchor's sorted
-    other-class distances (:func:`core.violator_counts`); a retained rank
-    decodes to (o, p, the j-th violator by distance) from the counts
-    alone. Time is O(m^2 log m + retained), one class block at a time.
+    other-class distances (:func:`core.violator_counts`), and the retained
+    ranks decode to rows with :func:`core.decode_ranks`. Time is
+    O(m^2 log m + retained), one class block at a time.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     E = pairwise_mahalanobis_sq(metric_prev, model.latents)
     margins = model.cluster_margins
-    blocks = [(blk.same, blk.diff, core.violator_counts(blk, margins).ravel())
+    blocks = [(blk.same, blk.diff, core.violator_counts(blk, margins))
               for blk in core.hinge_blocks(E, model.latent_labels, margins)]
     total = sum(int(counts.sum()) for _, _, counts in blocks)
     if total == 0:
@@ -89,31 +89,15 @@ def build_active_set(model: LatentModel, metric_prev: Metric, cap: int, seed: in
     keys = []
     base = 0
     for same, diff, counts in blocks:
-        ends = np.cumsum(counts)
-        lo, hi = np.searchsorted(ranks, [base, base + ends[-1]])
-        local = ranks[lo:hi] - base
-        base += int(ends[-1])
-        if local.size == 0:
-            continue
-        # rank -> (anchor row i, partner column pp, j-th violator by distance)
-        pair = np.searchsorted(ends, local, side="right")
-        j = local - (ends[pair] - counts[pair])
-        i, pp = np.divmod(pair, same.size - 1)
-        p = same[core.partner_columns(same.size)[i, pp]]
-        q = diff[_distance_order(E[np.ix_(same, diff)])[i, j]]
-        keys.append((same[i] * m + p) * m + q)
+        size = int(counts.sum())
+        lo, hi = np.searchsorted(ranks, [base, base + size])
+        if hi > lo:
+            o, p, q = core.decode_ranks(E, same, diff, counts, ranks[lo:hi] - base)
+            keys.append((o * m + p) * m + q)
+        base += size
     # one int64 key per row sorts the rows into ascending (o, p, q)
     o, pq = np.divmod(np.sort(np.concatenate(keys)), m * m)
     return ActiveSet(np.column_stack([o, *np.divmod(pq, m)]), margins.copy())
-
-
-def _distance_order(block: np.ndarray) -> np.ndarray:
-    """Row-wise argsort of ``block``, tied distances in ascending column order."""
-    order = np.argsort(block, axis=1)
-    ranked = np.take_along_axis(block, order, axis=1)
-    if (ranked[:, 1:] == ranked[:, :-1]).any():
-        order = np.argsort(block, axis=1, kind="stable")
-    return order
 
 
 def hinge_subgradient(metric: Metric, metric_prev: Metric, triplet,

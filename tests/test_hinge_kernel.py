@@ -134,6 +134,30 @@ class TestHingeKernel:
 
     @KERNEL
     @given(instances)
+    def test_decode_ranks_enumerates_violators_by_distance(self, inst):
+        # all ranks of a block: each (o, p) in partner order, then its
+        # violators by ascending E[o, q], each violator exactly once
+        model, metric = inst
+        E = core.pairwise_mahalanobis_sq(metric, model.latents)
+        margins = model.cluster_margins
+        want = Counter(oracle_list(model, metric))
+        got = []
+        for blk in core.hinge_blocks(E, model.latent_labels, margins):
+            counts = core.violator_counts(blk, margins)
+            o, p, q = core.decode_ranks(E, blk.same, blk.diff, counts,
+                                        np.arange(counts.sum()))
+            partner = blk.same[core.partner_columns(blk.same.size)]
+            pairs = [(a, b) for a, row in zip(blk.same, partner) for b in row]
+            assert list(zip(o, p)) == [pr for pr, c in zip(pairs, counts.ravel())
+                                       for _ in range(c)]
+            for a, b in set(zip(o, p)):
+                sel = (o == a) & (p == b)
+                assert np.all(np.diff(E[a, q[sel]]) >= 0)
+            got += [(int(a), int(b), int(c)) for a, b, c in zip(o, p, q)]
+        assert Counter(got) == want
+
+    @KERNEL
+    @given(instances)
     def test_under_cap_equals_oracle_list(self, inst):
         model, metric = inst
         want = oracle_list(model, metric)
