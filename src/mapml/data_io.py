@@ -73,8 +73,9 @@ def load_csv(path, label_column="label") -> Dataset:
 
     ``label_column`` is a header name or a 0-based column index. A header
     row is auto-detected when the first row fails numeric parsing; a named
-    label column requires one. All cells must be numeric; ragged rows and
-    non-numeric cells are hard errors naming the (1-based) row.
+    label column requires one. All cells must be numeric; ragged rows,
+    non-numeric cells and non-finite labels are hard errors naming the
+    (1-based) row.
     """
     import csv as _csv
 
@@ -118,6 +119,11 @@ def load_csv(path, label_column="label") -> Dataset:
                 f"{path}: ragged row {i + 1}: expected {width} cells, got {len(rows[i])}")
         data[i - start] = parse_row(rows[i], i + 1)
     labels = data[:, label_idx]
+    bad = np.flatnonzero(~np.isfinite(labels))
+    if bad.size:
+        row = int(bad[0]) + start
+        raise ValueError(f"{path}: non-finite label {rows[row][label_idx]!r} "
+                         f"at row {row + 1}")
     features = np.delete(data, label_idx, axis=1)
     if features.shape[1] == 0:
         raise ValueError(f"{path}: no feature columns besides the label")
@@ -229,7 +235,13 @@ def save_model(path, result) -> None:
 
 
 def load_model(path) -> ModelFile:
-    """Read a model written by :func:`save_model`; bit-exact round trip."""
+    """Read a model written by :func:`save_model`; bit-exact round trip.
+
+    Raises ``ValueError`` for a bad header, a short payload, bytes after
+    the payload, and a sidecar that is not a JSON object of known fields
+    or whose ``dim`` or ``m`` disagrees with the header. A missing
+    sidecar is tolerated.
+    """
     with open(path, "rb") as f:
         magic = _read_exact(f, 8, "model header")
         if magic != MODEL_MAGIC:
@@ -244,6 +256,9 @@ def load_model(path) -> ModelFile:
         if len(payload) != need:
             raise ValueError(
                 f"unexpected end of payload: expected {need} bytes, got {len(payload)}")
+        extra = len(f.read())
+        if extra:
+            raise ValueError(f"{extra} trailing byte(s) after the model payload")
     off = 0
     matrix = np.frombuffer(payload, dtype="<f8", count=d * d, offset=off).reshape(d, d)
     off += d * d * 8
@@ -259,6 +274,10 @@ def load_model(path) -> ModelFile:
             meta = json.load(f)
         if not isinstance(meta, dict):
             raise TypeError(f"expected a JSON object, got {type(meta).__name__}")
+        for key, value in (("dim", d), ("m", m)):
+            if key in meta and (type(meta[key]) is not int or meta[key] != value):
+                raise ValueError(
+                    f"{key} is {meta[key]!r} but the model header says {value}")
         if meta.get("config") is not None:
             config = TrainConfig(**meta["config"])
         if meta.get("loss_trace") is not None:

@@ -52,7 +52,8 @@ def train_mapml(data: Dataset, cfg: TrainConfig, log_sink=None) -> TrainResult:
 
     ``log_sink``, when given, receives one dict per outer iteration with
     keys k, loss, active_set_size, latent_seconds, metric_seconds,
-    active_set_seconds.
+    active_set_seconds, active_steps (SGD steps whose hinge was active)
+    and ball_clips (SGD steps the Frobenius ball rescaled).
     """
     seeds = _seed_streams(cfg.rng_seed, 1 + cfg.outer_iters)
     metric = Metric.identity(data.d)
@@ -104,6 +105,8 @@ def train_mapml(data: Dataset, cfg: TrainConfig, log_sink=None) -> TrainResult:
                 "latent_seconds": t_latent,
                 "metric_seconds": t_metric,
                 "active_set_seconds": stats.get("active_set_seconds", 0.0),
+                "active_steps": stats.get("active_steps", 0),
+                "ball_clips": stats.get("ball_clips", 0),
             })
     if cfg.outer_iters == 0:
         metric = psd_project(metric.matrix)

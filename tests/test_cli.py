@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 
 import pytest
@@ -134,6 +135,26 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "not_a_field" in err
+
+    @pytest.mark.parametrize("corrupt", ["trailing_bytes", "sidecar_dim"])
+    def test_inconsistent_model_clean_error(self, tmp_path, synth_csv, capsys, corrupt):
+        model_path = str(tmp_path / "model.mapml")
+        main(["train", "--data", synth_csv, "--outer-iters", "1",
+              "--inner-iters", "200", "--out", model_path])
+        if corrupt == "trailing_bytes":
+            with open(model_path, "ab") as f:
+                f.write(b"junk")
+        else:
+            with open(model_path + ".meta") as f:
+                meta = json.load(f)
+            meta["dim"] += 1
+            with open(model_path + ".meta", "w") as f:
+                json.dump(meta, f)
+        capsys.readouterr()
+        rc = main(["eval", "--model", model_path, "--test", synth_csv,
+                   "--refs", "latent"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestBench:

@@ -1,4 +1,5 @@
 import gzip
+import json
 import struct
 
 import numpy as np
@@ -133,6 +134,13 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="row 2"):
             load_csv(str(p), label_column=2)
 
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_label(self, tmp_path, label):
+        p = tmp_path / "d.csv"
+        p.write_text(f"x,y,label\n1.0,2.0,0\n3.0,4.0,1\n5.0,6.0,{label}\n")
+        with pytest.raises(ValueError, match="non-finite label .* row 4"):
+            load_csv(str(p), label_column="label")
+
 
 class TestGenerateSynthetic:
     def test_noiseless_equals_latents(self):
@@ -235,6 +243,28 @@ class TestModelPersistence:
         raw = open(path, "rb").read()
         open(path, "wb").write(raw[:-5])
         with pytest.raises(ValueError, match="unexpected end of payload"):
+            load_model(path)
+
+    def test_trailing_bytes_refused(self, tmp_path):
+        rng = np.random.default_rng(5)
+        path = str(tmp_path / "model.mapml")
+        save_model(path, small_result(rng))
+        with open(path, "ab") as f:
+            f.write(b"\x00")
+        with pytest.raises(ValueError, match="1 trailing byte"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key,value", [("dim", 3), ("m", 2), ("dim", "2"),
+                                           ("m", None)])
+    def test_sidecar_disagreeing_with_header(self, tmp_path, key, value):
+        rng = np.random.default_rng(6)
+        path = str(tmp_path / "model.mapml")
+        save_model(path, small_result(rng))
+        meta_path = tmp_path / "model.mapml.meta"
+        meta = json.loads(meta_path.read_text())
+        meta[key] = value
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"model.mapml.meta.*{key}"):
             load_model(path)
 
     def test_future_version_refused(self, tmp_path):

@@ -96,7 +96,22 @@ class TestTrainMapml:
         assert [r["k"] for r in records] == [1, 2, 3, 4]
         for r in records:
             assert {"k", "loss", "active_set_size", "latent_seconds",
-                    "metric_seconds", "active_set_seconds"} <= set(r)
+                    "metric_seconds", "active_set_seconds", "active_steps",
+                    "ball_clips"} <= set(r)
+            if r["active_set_size"] == 0:
+                assert r["active_steps"] == r["ball_clips"] == 0
+
+    def test_log_sink_counts_sgd_steps(self):
+        # overlapping classes keep the active set non-empty, so SGD runs
+        rng = np.random.default_rng(13)
+        data = make_blobs(rng, 15, [[0.0, 0.0], [0.5, 0.5]], 0.8)
+        cfg = TrainConfig(tau=20.0, outer_iters=2, inner_iters=200, delta=1.0, rng_seed=3)
+        records = []
+        train_mapml(data, cfg, log_sink=records.append)
+        for r in records:
+            assert r["active_set_size"] > 0
+            assert 0 < r["active_steps"] <= cfg.inner_iters
+            assert 0 <= r["ball_clips"] <= cfg.inner_iters
 
     def test_non_finite_loss_raises(self):
         feats = np.array([[0.0, 0.0]] * 4 + [[1e200, 1e200]] * 4)

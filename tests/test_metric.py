@@ -310,6 +310,8 @@ class TestRunMetricStage:
         run_metric_stage(model, Metric.identity(2), cfg, stats=stats)
         assert stats["active_set_size"] >= 0
         assert stats["active_set_seconds"] >= 0.0
+        assert 0 < stats["active_steps"] <= cfg.inner_iters
+        assert 0 <= stats["ball_clips"] <= cfg.inner_iters
 
     def test_zero_steps_returns_projected_prev(self):
         rng = np.random.default_rng(25)

@@ -1,0 +1,114 @@
+"""The blocked SGD kernel against a naive loop over the checked pieces.
+
+``proximal_hinge_sgd`` never forms an iterate: it keeps M = a*W + b*M_prev
+and applies each block's rank-2 updates as one GEMM. The oracle here runs
+the textbook loop, one step at a time, from ``hinge_subgradient``,
+``frobenius_project`` and ``alpha_suffix_average``. The two differ in
+rounding only, so they must agree to 1e-9 relative.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mapml import Metric, alpha_suffix_average, frobenius_project, hinge_subgradient
+from mapml.metric import SGD_BLOCK, proximal_hinge_sgd
+
+from conftest import make_latent_model, random_psd
+
+RTOL = 1e-9
+
+
+def oracle_sgd(points, triplets, margins, M_prev, lam, delta):
+    """Per-step projected SGD with stored iterates and an explicit suffix mean."""
+    model = make_latent_model(points, [len(points)], margins=margins)
+    prev = Metric(M_prev)
+    M = prev.matrix.copy()
+    iterates = []
+    for s, t in enumerate(triplets, start=1):
+        g = hinge_subgradient(Metric(M), prev, t, model, lam)
+        M = frobenius_project(M - g / (lam * s), delta)
+        iterates.append(M)
+    return alpha_suffix_average(iterates, len(triplets))
+
+
+def assert_matches_oracle(points, triplets, margins, M_prev, lam, delta):
+    stats = {}
+    got = proximal_hinge_sgd(points, triplets, margins, M_prev, lam, delta, stats=stats)
+    want = oracle_sgd(points, triplets, margins, M_prev, lam, delta)
+    rel = np.linalg.norm(got - want) / np.linalg.norm(want)
+    assert rel <= RTOL, rel
+    return stats
+
+
+def instance(seed, n, d, S, margin_lo=0.0, margin_hi=0.5, prev_norm=1.0):
+    """Gaussian points, triplets of distinct rows, PSD M_prev of the given norm."""
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, d))
+    triplets = np.array([rng.choice(n, 3, replace=False) for _ in range(S)])
+    margins = rng.uniform(margin_lo, margin_hi, size=n)
+    Mp = random_psd(rng, d)
+    return points, triplets, margins, Mp * (prev_norm / np.linalg.norm(Mp))
+
+
+class TestBlockedSgd:
+    def test_no_clipping(self):
+        pts, trip, marg, Mp = instance(0, n=50, d=10, S=300)
+        stats = assert_matches_oracle(pts, trip, marg, Mp, lam=1.0, delta=100.0)
+        assert stats["ball_clips"] == 0
+        assert stats["active_steps"] > 0
+
+    def test_clipping_on_some_steps(self):
+        pts, trip, marg, Mp = instance(1, n=50, d=10, S=300)
+        stats = assert_matches_oracle(pts, trip, marg, Mp, lam=1.0, delta=3.0)
+        assert 0 < stats["ball_clips"] < 300 // 4
+
+    def test_clipping_on_every_step(self):
+        # the ball is so small that each update leaves it, and the clips
+        # shrink the scale of W by orders of magnitude within one block
+        pts, trip, marg, Mp = instance(2, n=40, d=100, S=200, margin_lo=100.0,
+                                       margin_hi=110.0, prev_norm=0.025)
+        stats = assert_matches_oracle(pts, trip, marg, Mp, lam=0.1, delta=0.05)
+        assert stats["active_steps"] == stats["ball_clips"] == 200
+
+    @pytest.mark.parametrize("S", [2, 40, SGD_BLOCK, 2 * SGD_BLOCK + 22])
+    def test_step_counts_around_the_block(self, S):
+        pts, trip, marg, Mp = instance(3 + S, n=12, d=6, S=S)
+        assert_matches_oracle(pts, trip, marg, Mp, lam=1.0, delta=10.0)
+
+    def test_inactive_heavy_stream(self):
+        # four far-apart clusters (row i in cluster i % 4); q comes from
+        # another cluster than o on nine steps in ten, whose hinges are inactive
+        pts, _, marg, Mp = instance(4, n=40, d=8, S=0)
+        rng = np.random.default_rng(4)
+        pts += 10.0 * rng.normal(size=(4, 8))[np.arange(40) % 4]
+        o = rng.integers(0, 40, size=300)
+        p = (o + 4 * rng.integers(1, 10, size=300)) % 40
+        q = (o + rng.integers(1, 4, size=300)) % 40
+        q[::10] = (o[::10] + 4 * rng.integers(1, 10, size=30)) % 40
+        stats = assert_matches_oracle(pts, np.column_stack([o, p, q]), marg, Mp,
+                                      lam=1.0, delta=10.0)
+        assert 0 < stats["active_steps"] <= 30
+
+    def test_baseline_shaped_input(self):
+        # the random-triplet baseline: many rows, few steps, zero margins,
+        # anchored at the identity
+        rng = np.random.default_rng(5)
+        pts = rng.normal(size=(2000, 30))
+        trip = rng.integers(0, 2000, size=(200, 3))
+        assert_matches_oracle(pts, trip, np.zeros(2000), np.eye(30), lam=10.0, delta=10.0)
+
+    def test_debug_checks_hold_when_every_step_clips(self, debug_checks):
+        pts, trip, marg, Mp = instance(2, n=40, d=100, S=200, margin_lo=100.0,
+                                       margin_hi=110.0, prev_norm=0.025)
+        proximal_hinge_sgd(pts, trip, marg, Mp, 0.1, 0.05)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 30), d=st.integers(1, 12),
+           half=st.integers(1, 100), lam=st.floats(0.1, 10.0),
+           delta=st.floats(0.05, 20.0), prev_norm=st.floats(0.01, 2.0))
+    def test_matches_oracle_property(self, seed, n, d, half, lam, delta, prev_norm):
+        pts, trip, marg, Mp = instance(seed, n, d, 2 * half,
+                                       prev_norm=min(prev_norm, delta))
+        assert_matches_oracle(pts, trip, marg, Mp, lam, delta)
