@@ -7,9 +7,8 @@ data-dependent margins, and the two alternate until the triplet hinge
 loss converges.
 """
 
-from .core import (Dataset, Metric, TrainConfig, TripletConstraint,
-                   full_loss, full_loss_all, mahalanobis_sq,
-                   pairwise_mahalanobis_sq, triplet_universe)
+from .core import (Dataset, Metric, TrainConfig, full_loss_all,
+                   pairwise_mahalanobis_sq)
 from .latent import (LatentModel, assign_membership, compute_margins,
                      init_latents, run_latent_stage, update_latents)
 from .metric import (ActiveSet, alpha_suffix_average, build_active_set,

@@ -171,37 +171,64 @@ def cmd_synth(args, parser) -> int:
     return 0
 
 
-def _train_method(method, train_data, cfg):
-    """Train one bench method; returns (metric, refs_x, refs_y, result-or-None)."""
+def _train_method(method, train_data, cfg, log_sink=None):
+    """Train one method; None for euclid. mapml and mapml-o train alike."""
     if method == "euclid":
-        return Metric.identity(train_data.d), train_data.features, train_data.labels, None
+        return None
     if method == "random-triplet":
-        res = train_random_triplet_baseline(train_data, cfg)
-        return res.metric, train_data.features, train_data.labels, res
-    res = train_mapml(train_data, cfg)
-    if method == "mapml":
-        return res.metric, res.latent_model.latents, res.latent_model.latent_labels, res
-    return res.metric, train_data.features, train_data.labels, res  # mapml-o
+        return train_random_triplet_baseline(train_data, cfg)
+    return train_mapml(train_data, cfg, log_sink=log_sink)
 
 
-def _format_table(header, rows):
-    widths = [max(len(str(r[i])) for r in [header] + rows) for i in range(len(header))]
-    lines = ["  ".join(str(c).ljust(w) for c, w in zip(r, widths))
-             for r in [header] + rows]
-    return "\n".join(lines)
+def _error_pct(method, res, train_data, test, k) -> float:
+    """Test-set kNN error in percent of one method's trained result."""
+    if method == "euclid":
+        metric = Metric.identity(train_data.d)
+        refs_x, refs_y = train_data.features, train_data.labels
+    elif method == "mapml":
+        metric = res.metric
+        refs_x, refs_y = res.latent_model.latents, res.latent_model.latent_labels
+    else:
+        metric, refs_x, refs_y = res.metric, train_data.features, train_data.labels
+    report = evaluate(test, refs_x, refs_y, metric, k=k,
+                      reference_mode="latent" if method == "mapml" else "original",
+                      refs_label_names=train_data.label_names)
+    return report.error_rate * 100.0
 
 
-def cmd_bench(args, parser) -> int:
+def _sweep_inputs(args, parser):
+    """Validated (methods, train data, test data, trial seeds) of bench and noise-sweep."""
     _require_data(args, parser)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        parser.error("--methods names no method")
     for m in methods:
         if m not in KNOWN_METHODS:
             parser.error(f"unknown method {m!r} (choose from {', '.join(KNOWN_METHODS)})")
+    if args.trials < 1:
+        parser.error(f"--trials must be >= 1, got {args.trials}")
     train_data = _load_dataset(args)
     test = load_csv(resolve_path(args.test), args.label_column) if args.test \
         else train_data
+    return methods, train_data, test, _trial_seeds(args.seed, args.trials)
+
+
+def _write_table(header, rows, csv_out):
+    """Print the rows as an aligned table and, if asked, write them as CSV."""
+    widths = [max(len(str(r[i])) for r in [header] + rows) for i in range(len(header))]
+    for r in [header] + rows:
+        print("  ".join(str(c).ljust(w) for c, w in zip(r, widths)))
+    if csv_out:
+        with open(csv_out, "w", newline="", encoding="utf-8") as f:
+            w = csv.writer(f)
+            w.writerow(header)
+            w.writerows(rows)
+        print(f"wrote {csv_out}")
+
+
+def cmd_bench(args, parser) -> int:
+    methods, train_data, test, seeds = _sweep_inputs(args, parser)
     taus = [float(t) for t in args.tau_sweep.split(",")] if args.tau_sweep else [args.tau]
-    seeds = _trial_seeds(args.seed, args.trials)
 
     header = ["method", "tau", "trials", "mean_error_pct", "std_error_pct",
               "train_seconds", "latent_stage_seconds", "active_set_seconds",
@@ -210,43 +237,20 @@ def cmd_bench(args, parser) -> int:
     for tau in taus:
         # one training run per (trial, trainer); mapml and mapml-o share it
         cache = {}
-
-        def trained(method, trial, seed):
-            key = ("mapml" if method in ("mapml", "mapml-o") else method, trial)
-            if key not in cache:
-                cfg = _config_from_args(args, seed=seed)
-                cfg.tau = tau
-                active_total = [0.0]
-                t0 = time.perf_counter()
-                if key[0] == "mapml":
-                    res = train_mapml(
-                        train_data, cfg,
-                        log_sink=lambda rec: active_total.__setitem__(
-                            0, active_total[0] + rec["active_set_seconds"]))
-                elif method == "random-triplet":
-                    res = train_random_triplet_baseline(train_data, cfg)
-                else:
-                    res = None
-                cache[key] = (res, time.perf_counter() - t0, active_total[0])
-            return cache[key]
-
         for method in methods:
             errs, t_train, t_latent, t_active, t_metric = [], [], [], [], []
             for trial, seed in enumerate(seeds):
-                res, seconds, active_seconds = trained(method, trial, seed)
-                if method == "euclid":
-                    metric = Metric.identity(train_data.d)
-                    refs_x, refs_y = train_data.features, train_data.labels
-                elif method == "mapml":
-                    metric = res.metric
-                    refs_x, refs_y = res.latent_model.latents, res.latent_model.latent_labels
-                else:
-                    metric = res.metric
-                    refs_x, refs_y = train_data.features, train_data.labels
-                report = evaluate(test, refs_x, refs_y, metric, k=args.k,
-                                  reference_mode="latent" if method == "mapml" else "original",
-                                  refs_label_names=train_data.label_names)
-                errs.append(report.error_rate * 100.0)
+                key = ("mapml" if method == "mapml-o" else method, trial)
+                if key not in cache:
+                    cfg = _config_from_args(args, seed=seed)
+                    cfg.tau = tau
+                    active = []  # active-set build seconds per outer iteration
+                    t0 = time.perf_counter()
+                    res = _train_method(method, train_data, cfg,
+                                        lambda rec: active.append(rec["active_set_seconds"]))
+                    cache[key] = (res, time.perf_counter() - t0, sum(active))
+                res, seconds, active_seconds = cache[key]
+                errs.append(_error_pct(method, res, train_data, test, args.k))
                 t_train.append(seconds)
                 if res is not None and res.wall_times.size:
                     t_latent.append(float(res.wall_times[:, 0].sum()))
@@ -261,57 +265,35 @@ def cmd_bench(args, parser) -> int:
                 f"{np.mean(t_train):.4f}", f"{np.mean(t_latent):.4f}",
                 f"{np.mean(t_active):.4f}", f"{np.mean(t_metric):.4f}",
             ])
-    print(_format_table(header, rows))
-    if args.csv_out:
-        with open(args.csv_out, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(header)
-            w.writerows(rows)
-        print(f"wrote {args.csv_out}")
+    _write_table(header, rows, args.csv_out)
     return 0
 
 
 def _parse_sigma(token: str) -> float:
     if "/" in token:
         num, den = token.split("/", 1)
+        if float(den) == 0.0:
+            raise ValueError(f"sigma {token!r} divides by zero")
         return float(num) / float(den)
     return float(token)
 
 
 def cmd_noise_sweep(args, parser) -> int:
-    _require_data(args, parser)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in KNOWN_METHODS:
-            parser.error(f"unknown method {m!r} (choose from {', '.join(KNOWN_METHODS)})")
-    train_data = _load_dataset(args)
-    test = load_csv(resolve_path(args.test), args.label_column) if args.test \
-        else train_data
+    methods, train_data, test, seeds = _sweep_inputs(args, parser)
     sigmas = [_parse_sigma(t) for t in args.sigmas.split(",")]
-    seeds = _trial_seeds(args.seed, args.trials)
 
     header = ["sigma", "method", "trials", "mean_error_pct", "std_error_pct"]
     rows = []
     for sigma in sigmas:
         for method in methods:
             errs = []
-            for trial, seed in enumerate(seeds):
+            for seed in seeds:
                 noisy = add_gaussian_noise(train_data, sigma, seed=seed + 1)
-                cfg = _config_from_args(args, seed=seed)
-                metric, refs_x, refs_y, _ = _train_method(method, noisy, cfg)
-                report = evaluate(test, refs_x, refs_y, metric, k=args.k,
-                                  reference_mode="latent" if method == "mapml" else "original",
-                                  refs_label_names=noisy.label_names)
-                errs.append(report.error_rate * 100.0)
+                res = _train_method(method, noisy, _config_from_args(args, seed=seed))
+                errs.append(_error_pct(method, res, noisy, test, args.k))
             rows.append([f"{sigma:.6f}", method, len(seeds),
                          f"{np.mean(errs):.4f}", f"{np.std(errs):.4f}"])
-    print(_format_table(header, rows))
-    if args.csv_out:
-        with open(args.csv_out, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(header)
-            w.writerows(rows)
-        print(f"wrote {args.csv_out}")
+    _write_table(header, rows, args.csv_out)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Core types and the squared Mahalanobis distance kernel.
+"""Core types, the pairwise squared Mahalanobis kernel and the triplet hinge.
 
 Everything downstream (latent estimation, metric SGD, kNN evaluation)
 works in terms of the types defined here. All distance computations are
@@ -106,14 +106,6 @@ class Metric:
         return f"Metric(dim={self.dim})"
 
 
-class TripletConstraint(NamedTuple):
-    """Latent-index triple: anchor ``o``, same-class ``p``, other-class ``q``."""
-
-    o: int
-    p: int
-    q: int
-
-
 @dataclass
 class TrainConfig:
     """Hyperparameters for the alternating trainer.
@@ -164,30 +156,13 @@ class TrainConfig:
             raise ValueError(f"tie_tolerance must be >= 0, got {self.tie_tolerance}")
 
 
-def mahalanobis_sq(metric: Metric, a, b) -> float:
-    """Squared Mahalanobis distance (a - b)^T M (a - b).
-
-    Tiny negative results (rounding noise above NEG_CLAMP) are clamped to
-    zero; larger negatives are returned as-is since they signal an
-    indefinite M, which is legal mid-optimization.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    d = metric.dim
-    if a.shape != (d,) or b.shape != (d,):
-        raise ValueError(f"expected vectors of dim {d}, got {a.shape} and {b.shape}")
-    diff = a - b
-    val = float(diff @ metric.matrix @ diff)
-    if NEG_CLAMP < val < 0.0:
-        return 0.0
-    return val
-
-
 def pairwise_mahalanobis_sq(metric: Metric, A, B=None) -> np.ndarray:
     """All squared Mahalanobis distances between rows of A and rows of B.
 
-    Uses the expansion a^T M a + b^T M b - 2 a^T M b (M symmetric), with
-    the same tiny-negative clamping as :func:`mahalanobis_sq`.
+    Uses the expansion a^T M a + b^T M b - 2 a^T M b (M symmetric).
+    Tiny negative results (rounding noise above NEG_CLAMP) are clamped to
+    zero; larger negatives are returned as-is since they signal an
+    indefinite M, which is legal mid-optimization.
     """
     A = np.asarray(A, dtype=np.float64)
     B = A if B is None else np.asarray(B, dtype=np.float64)
@@ -205,65 +180,6 @@ def pairwise_mahalanobis_sq(metric: Metric, A, B=None) -> np.ndarray:
     out = qa[:, None] + qb[None, :] - 2.0 * (AM @ B.T)
     np.copyto(out, 0.0, where=(out > NEG_CLAMP) & (out < 0.0))
     return out
-
-
-def triplet_universe(latent_labels) -> np.ndarray:
-    """All valid (o, p, q) rows: label(p) = label(o), p != o, label(q) != label(o).
-
-    Enumeration is in ascending (o, p, q) order. The universe holds
-    O(m^3) rows for m latents, so it serves as a test oracle; the trainer
-    calls :func:`full_loss_all`, which never materializes it and runs in
-    O(m^2 log m) time.
-    """
-    labels = np.asarray(latent_labels)
-    m = labels.shape[0]
-    rows = []
-    for o in range(m):
-        same = np.nonzero(labels == labels[o])[0]
-        same = same[same != o]
-        diff = np.nonzero(labels != labels[o])[0]
-        if same.size == 0 or diff.size == 0:
-            continue
-        p = np.repeat(same, diff.size)
-        q = np.tile(diff, same.size)
-        rows.append(np.column_stack([np.full(p.size, o, dtype=np.int64), p, q]))
-    if not rows:
-        return np.empty((0, 3), dtype=np.int64)
-    return np.concatenate(rows, axis=0)
-
-
-def hinge_arguments(metric: Metric, latent_model, triplets) -> np.ndarray:
-    """Per-triplet hinge arguments 1 + margin(o) - (D^2(o,q) - D^2(o,p))."""
-    t = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
-    if t.size == 0:
-        return np.zeros(0)
-    m = latent_model.m
-    if t.min() < 0 or t.max() >= m:
-        raise IndexError(f"triplet index out of range [0, {m})")
-    z = latent_model.latents
-    M = metric.matrix
-    dop = z[t[:, 0]] - z[t[:, 1]]
-    doq = z[t[:, 0]] - z[t[:, 2]]
-    dp = np.einsum("ij,ij->i", dop @ M, dop)
-    dq = np.einsum("ij,ij->i", doq @ M, doq)
-    np.copyto(dp, 0.0, where=(dp > NEG_CLAMP) & (dp < 0.0))
-    np.copyto(dq, 0.0, where=(dq > NEG_CLAMP) & (dq < 0.0))
-    return (1.0 + latent_model.cluster_margins[t[:, 0]]) - (dq - dp)
-
-
-def full_loss(metric: Metric, latent_model, triplets) -> float:
-    """Total hinge loss of the given triplet constraints.
-
-    Margins come from ``latent_model.cluster_margins`` and must have been
-    computed under the metric of the current outer iterate (the driver
-    maintains this).
-    """
-    args = hinge_arguments(metric, latent_model, triplets)
-    if args.size == 0:
-        return 0.0
-    if not np.isfinite(args).all():
-        return float("nan")
-    return float(np.sum(args[args > 0.0]))
 
 
 class HingeBlock(NamedTuple):
@@ -374,8 +290,8 @@ def decode_ranks(E: np.ndarray, same, diff, counts, ranks):
 def full_loss_all(metric: Metric, latent_model) -> float:
     """Hinge loss over the full triplet universe, without materializing it.
 
-    Equals ``full_loss(metric, latent_model,
-    triplet_universe(latent_model.latent_labels))`` up to summation order.
+    Its reference is ``tests/conftest.oracle_full_loss``, a loop over every
+    (o, p, q); the two agree up to summation order.
     For anchor o and partner p with threshold t_p and k_p other-class
     distances below it, the hinges sum to k_p t_p - (sum of the k_p
     smallest), read off prefix sums of the sorted row: O(m^2 log m) time

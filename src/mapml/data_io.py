@@ -9,6 +9,7 @@ sidecar.
 import gzip
 import json
 import struct
+import zlib
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -30,7 +31,10 @@ def _open_binary(path):
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise ValueError(f"{path}: corrupt gzip data ({exc})") from exc
     return io.BytesIO(raw)
 
 

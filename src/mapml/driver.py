@@ -129,20 +129,17 @@ def _trivial_latent_model(data: Dataset) -> LatentModel:
     )
 
 
-def train_random_triplet_baseline(data: Dataset, cfg: TrainConfig,
-                                  steps=None) -> TrainResult:
+def train_random_triplet_baseline(data: Dataset, cfg: TrainConfig) -> TrainResult:
     """Random-triplet SGD baseline over the original examples.
 
-    Samples ``steps`` (default cfg.inner_iters) triplets (x_i, x_j, x_k)
-    with y_i = y_j != y_k uniformly from the data, runs the same proximal
+    Samples cfg.inner_iters triplets (x_i, x_j, x_k) with
+    y_i = y_j != y_k uniformly from the data, runs the same proximal
     hinge SGD as the metric stage with a fixed margin of 1 anchored at the
     identity, and PSD-projects once at the end. With zero steps the
     identity metric is returned. The returned latent model is the trivial
     identity assignment.
     """
-    S = cfg.inner_iters if steps is None else int(steps)
-    if S % 2 != 0:
-        raise ValueError(f"steps must be even, got {S}")
+    S = cfg.inner_iters
     counts = np.bincount(data.labels, minlength=data.n_classes)
     if (counts < 2).any():
         bad = int(np.argmin(counts))

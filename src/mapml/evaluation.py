@@ -110,18 +110,14 @@ def evaluate(test: Dataset, refs_features, refs_labels, metric: Metric,
     )
 
 
-def add_gaussian_noise(data: Dataset, sigma: float, seed: int,
-                       clamp: bool = False) -> Dataset:
+def add_gaussian_noise(data: Dataset, sigma: float, seed: int) -> Dataset:
     """Perturb every feature entry by an independent N(0, sigma^2) draw.
 
-    No clamping by default: clipping would bias the noise mean and break
-    the zero-mean latent-example assumption. ``clamp=True`` clips to
-    [0, 1] for strict pixel ranges. Labels are unchanged.
+    No clamping: clipping would bias the noise mean and break the
+    zero-mean latent-example assumption. Labels are unchanged.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     rng = np.random.default_rng(seed)
     noisy = data.features + rng.normal(0.0, sigma, size=data.features.shape)
-    if clamp:
-        np.clip(noisy, 0.0, 1.0, out=noisy)
     return Dataset(noisy, data.label_names[data.labels])

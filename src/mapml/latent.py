@@ -11,8 +11,6 @@ import numpy as np
 
 from .core import Dataset, Metric, TrainConfig
 
-DEFAULT_TIE_TOLERANCE = 1e-12
-
 
 class LatentModel:
     """Latent examples for every class, plus memberships and margins.
@@ -27,7 +25,7 @@ class LatentModel:
     """
 
     def __init__(self, latents, latent_labels, membership, cluster_margins,
-                 per_class_counts, data_labels=None):
+                 per_class_counts):
         self.latents = np.array(latents, dtype=np.float64, order="C")
         self.latent_labels = np.array(latent_labels, dtype=np.int64)
         self.membership = np.array(membership, dtype=np.int64)
@@ -47,10 +45,6 @@ class LatentModel:
             raise ValueError("cluster margins must be nonnegative")
         if self.membership.min(initial=0) < 0 or self.membership.max(initial=-1) >= m:
             raise IndexError("membership index out of range")
-        if data_labels is not None:
-            if not np.array_equal(self.latent_labels[self.membership],
-                                  np.asarray(data_labels)):
-                raise ValueError("membership crosses class boundaries")
         for arr in (self.latents, self.latent_labels, self.membership,
                     self.cluster_margins, self.per_class_counts):
             arr.flags.writeable = False
@@ -129,7 +123,7 @@ def _assign(data: Dataset, model: LatentModel, XM: np.ndarray, qx: np.ndarray,
 
 
 def assign_membership(data: Dataset, model: LatentModel, metric: Metric,
-                      tie_tolerance: float = DEFAULT_TIE_TOLERANCE) -> LatentModel:
+                      tie_tolerance: float = TrainConfig.tie_tolerance) -> LatentModel:
     """Assign each example to its nearest same-class latent under ``metric``.
 
     Ties within ``tie_tolerance`` on the squared distance go to the

@@ -325,21 +325,3 @@ def run_metric_stage(model: LatentModel, metric_prev: Metric, cfg: TrainConfig,
                              aset.margins_snapshot, metric_prev.matrix,
                              cfg.lam, cfg.delta, stats=stats)
     return psd_project(avg)
-
-
-def stage_objective(metric: Metric, metric_prev: Metric, aset: ActiveSet,
-                    model: LatentModel, lam: float) -> float:
-    """Exact stage objective over an active set (for tests and diagnostics)."""
-    diff = metric.matrix - metric_prev.matrix
-    val = 0.5 * lam * float(np.dot(diff.ravel(), diff.ravel()))
-    if len(aset) == 0:
-        return val
-    t = aset.triplets
-    z = model.latents
-    M = metric.matrix
-    dop = z[t[:, 0]] - z[t[:, 1]]
-    doq = z[t[:, 0]] - z[t[:, 2]]
-    dp = np.einsum("ij,ij->i", dop @ M, dop)
-    dq = np.einsum("ij,ij->i", doq @ M, doq)
-    args = (1.0 + aset.margins_snapshot[t[:, 0]]) - (dq - dp)
-    return val + float(np.sum(args[args > 0.0]))

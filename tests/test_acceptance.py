@@ -19,9 +19,9 @@ from scipy.optimize import linear_sum_assignment
 import mapml.cli
 from mapml import (Dataset, Metric, SyntheticSpec, TrainConfig,
                    build_active_set, evaluate, frobenius_project,
-                   full_loss, generate_synthetic, hinge_subgradient,
+                   full_loss_all, generate_synthetic, hinge_subgradient,
                    psd_project, train_mapml, train_random_triplet_baseline,
-                   triplet_universe, update_latents)
+                   update_latents)
 
 from conftest import (build_desk_surrogate, make_latent_model,
                       oracle_active_triplets, oracle_full_loss,
@@ -146,10 +146,9 @@ class TestCriterion4BruteForceEquivalence:
                 margins = rng.uniform(0, 1.5, size=m)
                 model = make_latent_model(z, counts, margins=margins)
                 metric = Metric(random_symmetric(rng, d))
-                universe = triplet_universe(model.latent_labels)
                 want_loss = oracle_full_loss(metric.matrix, z,
                                              model.latent_labels, margins)
-                got_loss = full_loss(metric, model, universe)
+                got_loss = full_loss_all(metric, model)
                 assert got_loss == pytest.approx(want_loss, rel=1e-9, abs=1e-9)
                 aset = build_active_set(model, metric, cap=100_000, seed=0)
                 want_active = oracle_active_triplets(metric.matrix, z,

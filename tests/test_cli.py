@@ -1,6 +1,8 @@
 import csv
+import gzip
 import json
 import os
+import struct
 
 import pytest
 
@@ -76,6 +78,16 @@ class TestTrain:
                    "--out", str(tmp_path / "m.mapml")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_corrupt_gzip_idx_clean_error(self, tmp_path, capsys):
+        images, labels = tmp_path / "imgs.gz", tmp_path / "labs.gz"
+        images.write_bytes(gzip.compress(struct.pack(">IIII", 0x803, 2, 1, 1) + b"\0\0")[:-12])
+        labels.write_bytes(gzip.compress(struct.pack(">II", 0x801, 2) + b"\0\1"))
+        rc = main(["train", "--idx-images", str(images), "--idx-labels", str(labels),
+                   "--out", str(tmp_path / "m.mapml")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "imgs.gz" in err
 
     def test_baseline_flag(self, tmp_path, synth_csv):
         model_path = str(tmp_path / "b.mapml")
@@ -197,6 +209,12 @@ class TestBench:
             main(["bench", "--data", synth_csv, "--methods", "svm"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags", [["--trials", "0"], ["--methods", ","]])
+    def test_empty_sweep_usage_error(self, synth_csv, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--data", synth_csv, "--methods", "euclid"] + flags)
+        assert exc.value.code == 2
+
     def test_tau_sweep_rows(self, tmp_path, synth_csv):
         out_csv = str(tmp_path / "sweep.csv")
         rc = main(["bench", "--data", synth_csv, "--methods", "mapml",
@@ -219,6 +237,18 @@ class TestNoiseSweep:
         assert len(rows) == 5
         sigmas = {r[0] for r in rows[1:]}
         assert f"{50/255:.6f}" in sigmas and f"{0.5:.6f}" in sigmas
+
+    @pytest.mark.parametrize("flags", [["--trials", "0"], ["--methods", ","]])
+    def test_empty_sweep_usage_error(self, synth_csv, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["noise-sweep", "--data", synth_csv, "--methods", "euclid"] + flags)
+        assert exc.value.code == 2
+
+    def test_zero_denominator_sigma_clean_error(self, synth_csv, capsys):
+        rc = main(["noise-sweep", "--data", synth_csv, "--methods", "euclid",
+                   "--trials", "1", "--sigmas", "1/0"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestDataDirEnv:

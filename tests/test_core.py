@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from mapml import (Dataset, Metric, TrainConfig, TripletConstraint, full_loss,
-                   full_loss_all, mahalanobis_sq, pairwise_mahalanobis_sq,
-                   triplet_universe)
+from mapml import (Dataset, Metric, TrainConfig, build_active_set,
+                   full_loss_all, pairwise_mahalanobis_sq)
 
 from conftest import (make_latent_model, oracle_full_loss, oracle_mahalanobis,
                       oracle_valid_triplets, random_psd, random_symmetric)
+
+
+def pair_distance(metric, a, b):
+    """One squared distance through the shipped pairwise kernel (1 x 1)."""
+    return float(pairwise_mahalanobis_sq(metric, np.atleast_2d(a), np.atleast_2d(b))[0, 0])
 
 
 class TestDataset:
@@ -82,28 +86,14 @@ class TestTrainConfig:
 
 class TestMahalanobisSq:
     def test_identity_unit_offset(self):
-        assert mahalanobis_sq(Metric.identity(2), (1.0, 0.0), (0.0, 0.0)) == 1.0
-
-    def test_zero_difference(self):
-        rng = np.random.default_rng(0)
-        M = Metric(random_symmetric(rng, 4))
-        a = rng.normal(size=4)
-        assert mahalanobis_sq(M, a, a) == 0.0
+        assert pair_distance(Metric.identity(2), (1.0, 0.0), (0.0, 0.0)) == 1.0
 
     def test_dense_matvec_oracle(self):
         M = [[2.0, 1.0], [1.0, 2.0]]
         a, b = np.array([1.5, 2.0]), np.array([0.5, 1.0])  # a - b = (1, 1)
         expected = oracle_mahalanobis(M, a, b)
         assert expected == pytest.approx(6.0, abs=1e-12)
-        assert mahalanobis_sq(Metric(M), a, b) == pytest.approx(6.0, rel=1e-12)
-
-    def test_symmetry_exact(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            d = int(rng.integers(1, 6))
-            M = Metric(random_symmetric(rng, d))
-            a, b = rng.normal(size=d), rng.normal(size=d)
-            assert mahalanobis_sq(M, a, b) == mahalanobis_sq(M, b, a)
+        assert pair_distance(Metric(M), a, b) == pytest.approx(6.0, rel=1e-12)
 
     def test_nonnegative_under_psd(self):
         rng = np.random.default_rng(2)
@@ -111,71 +101,72 @@ class TestMahalanobisSq:
             d = int(rng.integers(1, 6))
             M = Metric(random_psd(rng, d))
             a, b = rng.normal(size=d), rng.normal(size=d)
-            assert mahalanobis_sq(M, a, b) >= 0.0
+            assert pair_distance(M, a, b) >= 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            mahalanobis_sq(Metric.identity(2), (1.0, 2.0, 3.0), (0.0, 0.0, 0.0))
+            pair_distance(Metric.identity(2), (1.0, 2.0, 3.0), (0.0, 0.0, 0.0))
 
     def test_clamps_tiny_negative(self):
         M = Metric(np.diag([1.0, -1e-12]))
-        assert mahalanobis_sq(M, (0.0, 1.0), (0.0, 0.0)) == 0.0
+        assert pair_distance(M, (0.0, 1.0), (0.0, 0.0)) == 0.0
 
     def test_propagates_real_negative(self):
         M = Metric(np.diag([1.0, -1.0]))
-        assert mahalanobis_sq(M, (0.0, 1.0), (0.0, 0.0)) == -1.0
+        assert pair_distance(M, (0.0, 1.0), (0.0, 0.0)) == -1.0
 
     def test_pairwise_matches_scalar(self):
         rng = np.random.default_rng(3)
-        M = Metric(random_symmetric(rng, 3))
+        M = random_symmetric(rng, 3)
         A = rng.normal(size=(5, 3))
         B = rng.normal(size=(4, 3))
-        got = pairwise_mahalanobis_sq(M, A, B)
+        got = pairwise_mahalanobis_sq(Metric(M), A, B)
         for i in range(5):
             for j in range(4):
                 assert got[i, j] == pytest.approx(
-                    mahalanobis_sq(M, A[i], B[j]), rel=1e-9, abs=1e-9)
+                    oracle_mahalanobis(M, A[i], B[j]), rel=1e-9, abs=1e-9)
 
 
 class TestTripletUniverse:
     def test_counts(self):
-        labels = [0, 0, 0, 1, 1, 2]
-        t = triplet_universe(labels)
+        # a margin too large to satisfy makes every valid triplet active
+        counts = [3, 2, 1]
+        model = make_latent_model(np.arange(6.0)[:, None], counts,
+                                  margins=np.full(6, 100.0))
+        t = build_active_set(model, Metric.identity(1), cap=1000, seed=0).triplets
         # per anchor: (m_r - 1) same-class partners x (m - m_r) other-class
         expected = 3 * (2 * 3) + 2 * (1 * 4) + 0
         assert t.shape == (expected, 3)
-        assert [tuple(r) for r in t] == oracle_valid_triplets(labels)
+        assert [tuple(r) for r in t] == oracle_valid_triplets(model.latent_labels)
 
     def test_single_class_empty(self):
-        assert triplet_universe([0, 0, 0]).shape == (0, 3)
+        model = make_latent_model(np.arange(3.0)[:, None], [3],
+                                  margins=np.full(3, 100.0))
+        assert full_loss_all(Metric.identity(1), model) == 0.0
+        assert len(build_active_set(model, Metric.identity(1), cap=10, seed=0)) == 0
 
 
 class TestFullLoss:
     def test_empty_triplets(self):
+        # one latent per class: no same-class partner, so no triplet
         model = make_latent_model(np.zeros((2, 1)), [1, 1])
-        assert full_loss(Metric.identity(1), model, []) == 0.0
+        assert full_loss_all(Metric.identity(1), model) == 0.0
 
     def test_satisfied_constraint_inactive(self):
-        # D2(o,q) - D2(o,p) = 1 + margin + 0.5 -> hinge exactly zero
-        z = np.array([[0.0], [1.0], [np.sqrt(2.5)]])
+        # (0, 1, 2): D2(o,q) - D2(o,p) = 2 - 1 = 1 + margin -> hinge exactly
+        # zero; (1, 0, 2): 5 - 1 > 1 -> satisfied
+        z = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, -1.0]])
         model = make_latent_model(z, [2, 1])
-        t = [TripletConstraint(0, 1, 2)]
-        assert full_loss(Metric.identity(1), model, t) == 0.0
+        assert full_loss_all(Metric.identity(2), model) == 0.0
 
     def test_exhaustive_hand_enumeration(self):
         z = np.array([[0.0], [1.0], [1.5]])
         model = make_latent_model(z, [2, 1])
-        t = triplet_universe(model.latent_labels)
         expected = oracle_full_loss(np.eye(1), z, model.latent_labels,
                                     np.zeros(3))
-        assert full_loss(Metric.identity(1), model, t) == pytest.approx(expected, rel=1e-12)
+        assert full_loss_all(Metric.identity(1), model) == pytest.approx(expected, rel=1e-12)
         # hand check: only (1, 0, 2) is violated, hinge = 1 - (0.25 - 1) = 1.75
         assert expected == pytest.approx(1.75)
-
-    def test_out_of_range_raises(self):
-        model = make_latent_model(np.zeros((2, 1)), [1, 1])
-        with pytest.raises(IndexError):
-            full_loss(Metric.identity(1), model, [(0, 1, 5)])
 
     def test_brute_force_property(self):
         rng = np.random.default_rng(4)
@@ -189,8 +180,6 @@ class TestFullLoss:
             margins = rng.uniform(0, 2, size=m)
             M_arr = random_symmetric(rng, d)
             model = make_latent_model(z, counts, margins=margins)
-            metric = Metric(M_arr)
-            t = triplet_universe(model.latent_labels)
             expected = oracle_full_loss(M_arr, z, model.latent_labels, margins)
-            assert full_loss(metric, model, t) == pytest.approx(expected, rel=1e-9, abs=1e-9)
-            assert full_loss_all(metric, model) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+            assert full_loss_all(Metric(M_arr), model) == pytest.approx(
+                expected, rel=1e-9, abs=1e-9)

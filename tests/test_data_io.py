@@ -67,6 +67,21 @@ class TestLoadIdx:
         with pytest.raises(ValueError, match="images payload truncated"):
             load_idx(ip, lp)
 
+    def test_truncated_gzip(self, tmp_path):
+        ip, lp = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1], gz=True)
+        raw = open(ip, "rb").read()
+        open(ip, "wb").write(raw[:-12])
+        with pytest.raises(ValueError, match="imgs.gz"):
+            load_idx(ip, lp)
+
+    def test_corrupt_deflate(self, tmp_path):
+        ip, lp = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1], gz=True)
+        raw = open(lp, "rb").read()
+        # first deflate byte after the 10-byte gzip header: reserved block type
+        open(lp, "wb").write(raw[:10] + b"\xff" + raw[11:])
+        with pytest.raises(ValueError, match="labs.gz"):
+            load_idx(ip, lp)
+
     def test_count_mismatch(self, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()

@@ -134,8 +134,8 @@ class TestRandomTripletBaseline:
     def test_zero_steps_identity(self):
         rng = np.random.default_rng(8)
         data = make_blobs(rng, 5, [[0.0], [3.0]], 0.3)
-        cfg = TrainConfig(inner_iters=100)
-        res = train_random_triplet_baseline(data, cfg, steps=0)
+        cfg = TrainConfig(inner_iters=0)
+        res = train_random_triplet_baseline(data, cfg)
         np.testing.assert_array_equal(res.metric.matrix, np.eye(1))
         assert res.loss_trace.size == 0
 

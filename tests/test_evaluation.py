@@ -160,12 +160,6 @@ class TestAddGaussianNoise:
         noisy = add_gaussian_noise(data, 1.0, seed=4)
         assert (noisy.features < 0).any()
 
-    def test_clamp_flag(self):
-        data = Dataset(np.zeros((50, 20)), np.r_[np.zeros(25), np.ones(25)])
-        noisy = add_gaussian_noise(data, 1.0, seed=5, clamp=True)
-        assert noisy.features.min() >= 0.0
-        assert noisy.features.max() <= 1.0
-
     def test_deterministic(self):
         data = Dataset(np.zeros((10, 5)), np.r_[np.zeros(5), np.ones(5)])
         a = add_gaussian_noise(data, 0.5, seed=6)
