@@ -285,14 +285,19 @@ def cmd_noise_sweep(args, parser) -> int:
     header = ["sigma", "method", "trials", "mean_error_pct", "std_error_pct"]
     rows = []
     for sigma in sigmas:
-        for method in methods:
-            errs = []
-            for seed in seeds:
-                noisy = add_gaussian_noise(train_data, sigma, seed=seed + 1)
-                res = _train_method(method, noisy, _config_from_args(args, seed=seed))
-                errs.append(_error_pct(method, res, noisy, test, args.k))
+        errs = [[] for _ in methods]
+        for seed in seeds:
+            noisy = add_gaussian_noise(train_data, sigma, seed=seed + 1)
+            trained = {}  # mapml and mapml-o share one training run
+            for i, method in enumerate(methods):
+                trainer = "mapml" if method == "mapml-o" else method
+                if trainer not in trained:
+                    trained[trainer] = _train_method(method, noisy,
+                                                     _config_from_args(args, seed=seed))
+                errs[i].append(_error_pct(method, trained[trainer], noisy, test, args.k))
+        for method, e in zip(methods, errs):
             rows.append([f"{sigma:.6f}", method, len(seeds),
-                         f"{np.mean(errs):.4f}", f"{np.std(errs):.4f}"])
+                         f"{np.mean(e):.4f}", f"{np.std(e):.4f}"])
     _write_table(header, rows, args.csv_out)
     return 0
 

@@ -6,7 +6,7 @@ import struct
 
 import pytest
 
-from mapml import load_csv, load_model
+from mapml import cli, load_csv, load_model
 from mapml.cli import main
 
 
@@ -237,6 +237,21 @@ class TestNoiseSweep:
         assert len(rows) == 5
         sigmas = {r[0] for r in rows[1:]}
         assert f"{50/255:.6f}" in sigmas and f"{0.5:.6f}" in sigmas
+
+    def test_mapml_and_mapml_o_share_training(self, synth_csv, monkeypatch):
+        calls = []
+        train = cli.train_mapml
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train_mapml", counted)
+        rc = main(["noise-sweep", "--data", synth_csv, "--sigmas", "0.1",
+                   "--methods", "mapml,mapml-o", "--trials", "2",
+                   "--outer-iters", "1", "--inner-iters", "200"])
+        assert rc == 0
+        assert len(calls) == 2  # one per trial
 
     @pytest.mark.parametrize("flags", [["--trials", "0"], ["--methods", ","]])
     def test_empty_sweep_usage_error(self, synth_csv, flags):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mapml import Dataset, Metric, add_gaussian_noise, evaluate, knn_predict
+from mapml import Dataset, Metric, add_gaussian_noise, evaluate, evaluation, knn_predict
 
 from conftest import oracle_knn_euclidean, random_psd
 
@@ -126,6 +128,93 @@ class TestEvaluate:
         big = evaluate(test, refs, labels, M, k=3)
         small = evaluate(test, refs[:200], labels[:200], M, k=3)
         assert small.mean_query_time < big.mean_query_time
+
+
+
+def agrees_row_by_row(queries, want, refs, labels, metric, k):
+    """True when ``evaluate`` predicts ``want[i]`` for every row i.
+
+    The test set is labelled with ``want``; ``refs_label_names`` maps each
+    raw reference label to itself, so any disagreement counts as an error.
+    """
+    test = Dataset(queries, want)
+    report = evaluate(test, refs, labels, metric, k=k,
+                      refs_label_names=np.arange(max(labels) + 1))
+    return report.error_rate == 0.0
+
+
+class TestTieRules:
+    @pytest.mark.parametrize("refs, labels, k, want", [
+        # squared distances 4, 4, 1, 1: argpartition alone keeps index 3
+        ([2.0, -2.0, 1.0, -1.0], [0, 0, 5, 6], 1, 5),
+        # 4, 0, 4, 0, 1, 1: argpartition alone keeps index 5, not 4
+        ([2.0, 0.0, -2.0, 0.0, 1.0, -1.0], [2, 0, 2, 1, 1, 0], 3, 1),
+    ])
+    def test_tie_at_kth_distance_keeps_smaller_index(self, refs, labels, k, want):
+        refs = np.array(refs)[:, None]
+        M = Metric.identity(1)
+        assert oracle_knn_euclidean([0.0], refs, labels, k) == want
+        assert knn_predict([0.0], refs, labels, M, k) == want
+        assert agrees_row_by_row([[0.0]], [want], refs, labels, M, k)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_integer_grid_matches_oracle_for_every_k(self, data):
+        # small integer coordinates: exact scores, dense ties at every rank
+        n = data.draw(st.integers(1, 10))
+        d = data.draw(st.integers(1, 3))
+        q = data.draw(st.integers(1, 6))
+        coords = st.integers(-2, 2).map(float)
+        refs = np.array(data.draw(st.lists(coords, min_size=n * d, max_size=n * d)))
+        queries = np.array(data.draw(st.lists(coords, min_size=q * d, max_size=q * d)))
+        refs, queries = refs.reshape(n, d), queries.reshape(q, d)
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        M = Metric.identity(d)
+        for k in range(1, n + 1):
+            want = [oracle_knn_euclidean(x, refs, labels, k) for x in queries]
+            assert [knn_predict(x, refs, labels, M, k) for x in queries] == want
+            assert agrees_row_by_row(queries, want, refs, labels, M, k)
+
+    def test_ragged_blocks_match_knn_predict(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        refs = rng.integers(-2, 3, size=(20, 2)).astype(float)
+        labels = rng.integers(0, 3, size=20)
+        queries = rng.integers(-2, 3, size=(23, 2)).astype(float)
+        M = Metric(np.array([[2.0, 1.0], [1.0, 3.0]]))
+        want = [knn_predict(x, refs, labels, M, k=4) for x in queries]
+        blocks = []
+        rank = evaluation._knn_labels
+
+        def spy(X, *args):
+            blocks.append(X.shape[0])
+            return rank(X, *args)
+
+        monkeypatch.setattr(evaluation, "BLOCK_SCORES", 5 * 20)
+        monkeypatch.setattr(evaluation, "_knn_labels", spy)
+        assert agrees_row_by_row(queries, want, refs, labels, M, k=4)
+        assert blocks == [5, 5, 5, 5, 3]
+
+
+class TestReferenceValidation:
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [0], [[0], [1]]])
+    def test_labels_not_one_per_reference(self, labels):
+        refs = [[1.0], [2.0]]
+        with pytest.raises(ValueError, match="one label per reference"):
+            knn_predict([0.0], refs, labels, Metric.identity(1), k=1)
+        with pytest.raises(ValueError, match="one label per reference"):
+            evaluate(Dataset([[0.0]], [0]), refs, labels, Metric.identity(1), k=1)
+
+    def test_reference_width_not_metric_dim(self):
+        with pytest.raises(ValueError, match="dimension 1"):
+            knn_predict([0.0], [[1.0, 2.0]], [0], Metric.identity(1), k=1)
+        with pytest.raises(ValueError, match="dimension 1"):
+            evaluate(Dataset([[0.0]], [0]), [[1.0, 2.0]], [0], Metric.identity(1), k=1)
+
+    def test_query_width_not_metric_dim(self):
+        with pytest.raises(ValueError, match="query must have shape"):
+            knn_predict([0.0, 0.0], [[1.0]], [0], Metric.identity(1), k=1)
+        with pytest.raises(ValueError, match="dimension 1"):
+            evaluate(Dataset([[0.0, 0.0]], [0]), [[1.0]], [0], Metric.identity(1), k=1)
 
 
 class TestAddGaussianNoise:
