@@ -5,6 +5,13 @@ proximal term that anchors the cluster centers to their previous outer
 iterate: alternating sweeps of nearest-latent assignment and a closed-form
 center update, followed by per-cluster margin computation (the empirical
 mean squared distance of members to their latent example).
+
+Cost, for n rows of dimension d, m latents and m_r latents per class: a
+latent stage makes one n*d^2 product (X M, skipped when M is exactly the
+identity) plus O(sweeps * (n*m_r*d + m*d^2)); its margins come from the
+final assignment's distances. Init makes no d x d product: farthest-point
+picks take one GEMV per pick, and assignment and margins under the
+identity use X and the differences directly.
 """
 
 import numpy as np
@@ -84,42 +91,92 @@ def _farthest_point_indices(X: np.ndarray, k: int, rng: np.random.Generator) -> 
 
     The first point is drawn from ``rng``; every further point maximizes
     the distance to the points already chosen (ties to the smaller index).
+    Distances take the expanded form |x|^2 + |x_j|^2 - 2 x.x_j from row
+    norms computed once, so each pick costs one GEMV, O(n*d).
     """
     n = X.shape[0]
+    rn = np.einsum("ij,ij->i", X, X)
+
+    def sq_dists(j):
+        return (rn + rn[j]) - 2.0 * (X @ X[j])
+
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
-    diff = np.subtract(X, X[chosen[0]])
-    d2 = np.einsum("ij,ij->i", diff, diff)
+    d2 = sq_dists(chosen[0])
     for i in range(1, k):
         nxt = int(np.argmax(d2))
         chosen[i] = nxt
-        np.subtract(X, X[nxt], out=diff)
-        np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
+        np.minimum(d2, sq_dists(nxt), out=d2)
     return chosen
 
 
-def _class_offsets(per_class_counts: np.ndarray) -> np.ndarray:
-    """Start index of each class's latent block."""
-    return np.concatenate([[0], np.cumsum(per_class_counts)[:-1]])
+def _rows(A: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """A[idx] for ascending ``idx``, as a view when the rows are one contiguous run.
+
+    Data sorted by class, as ``generate_synthetic`` writes it, then needs no
+    n x d copy per stage or per update.
+    """
+    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+        return A[idx[0]:idx[-1] + 1]
+    return A[idx]
 
 
-def _assign(data: Dataset, model: LatentModel, XM: np.ndarray, qx: np.ndarray,
-            metric: Metric, tie_tolerance: float) -> np.ndarray:
-    """Membership under ``metric`` given precomputed XM = X @ M and row forms qx."""
-    membership = np.empty(data.n, dtype=np.int64)
-    offsets = _class_offsets(model.per_class_counts)
+def _class_blocks(data: Dataset, M) -> list:
+    """Per class r: its row indices, X_r M and the row forms x^T M x.
+
+    ``M`` None stands for the identity: X serves as X M. Otherwise this is
+    the one n*d^2 product, made once for all rows: per-class products of
+    n_r x d by d x d ran up to ten times slower under two OpenBLAS threads.
+    """
+    XM = data.features if M is None else data.features @ M
+    qx = np.einsum("ij,ij->i", XM, data.features)
+    blocks = []
     for r in range(data.n_classes):
         idx = data.class_indices(r)
-        lo = offsets[r]
+        blocks.append((idx, _rows(XM, idx), qx[idx]))
+    return blocks
+
+
+def _assign(model: LatentModel, blocks: list, M, tie_tolerance: float):
+    """Membership, and each row's clamped D^2 to its latent, given ``_class_blocks``.
+
+    Ties within ``tie_tolerance`` go to the smaller latent index. Costs
+    O(n*m_r*d + m*d^2): Z M is formed once for all m latents.
+    """
+    Z = model.latents
+    qz = np.einsum("ij,ij->i", Z if M is None else Z @ M, Z)
+    n = sum(idx.size for idx, _, _ in blocks)
+    membership = np.empty(n, dtype=np.int64)
+    dist = np.empty(n)
+    lo = 0
+    for r, (idx, XM_r, qx_r) in enumerate(blocks):
         hi = lo + model.per_class_counts[r]
-        Z = model.latents[lo:hi]
-        qz = np.einsum("ij,ij->i", Z @ metric.matrix, Z)
-        d2 = qx[idx, None] + qz[None, :] - 2.0 * (XM[idx] @ Z.T)
+        # (-2 Z) is exact, and P + (qx + qz) rounds as (qx + qz) - 2 P
+        d2 = XM_r @ (-2.0 * Z[lo:hi]).T
+        d2 += qx_r[:, None] + qz[None, lo:hi]
         best = d2.min(axis=1)
         # first index within tie_tolerance of the minimum
         local = (d2 <= best[:, None] + tie_tolerance).argmax(axis=1)
         membership[idx] = lo + local
-    return membership
+        dist[idx] = d2[np.arange(idx.size), local]
+        lo = hi
+    np.maximum(dist, 0.0, out=dist)
+    return membership, dist
+
+
+def _cluster_means(membership: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
+    """Per-cluster mean of ``vals`` over members; 0 for an empty cluster."""
+    counts = np.bincount(membership, minlength=m).astype(np.float64)
+    sums = np.bincount(membership, weights=vals, minlength=m)
+    return np.divide(sums, counts, out=np.zeros(m), where=counts > 0)
+
+
+def _metric_or_none(metric: Metric):
+    """``metric.matrix``, or None when it is exactly I: then X I is X, bit for bit."""
+    M = metric.matrix
+    if (M.diagonal() == 1.0).all() and np.count_nonzero(M) == M.shape[0]:
+        return None
+    return M
 
 
 def assign_membership(data: Dataset, model: LatentModel, metric: Metric,
@@ -130,9 +187,8 @@ def assign_membership(data: Dataset, model: LatentModel, metric: Metric,
     smaller latent index. Margins are carried over unchanged; call
     :func:`compute_margins` to refresh them.
     """
-    XM = data.features @ metric.matrix
-    qx = np.einsum("ij,ij->i", XM, data.features)
-    membership = _assign(data, model, XM, qx, metric, tie_tolerance)
+    M = _metric_or_none(metric)
+    membership, _ = _assign(model, _class_blocks(data, M), M, tie_tolerance)
     return model.replace(membership=membership)
 
 
@@ -144,6 +200,9 @@ def update_latents(data: Dataset, model: LatentModel, z_prev: np.ndarray,
     row) / (member count + gamma). ``z_prev`` is the anchor from the
     previous outer iteration, not the previous sweep. An empty cluster
     with gamma = 0 keeps its anchor row.
+
+    Member sums take one m_r x n_r one-hot product per latent class, a
+    fixed summation order for a fixed input: O(n*m_r*d) in all.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
@@ -152,15 +211,15 @@ def update_latents(data: Dataset, model: LatentModel, z_prev: np.ndarray,
         raise ValueError(f"z_prev shape {z_prev.shape} != latents shape {model.latents.shape}")
     m = model.m
     counts = np.bincount(model.membership, minlength=m).astype(np.float64)
-    # segment sums in a deterministic order (stable sort by cluster)
-    order = np.argsort(model.membership, kind="stable")
-    sorted_members = model.membership[order]
-    starts = np.searchsorted(sorted_members, np.arange(m))
     sums = np.zeros((m, data.d))
-    nonempty = counts > 0
-    if nonempty.any():
-        seg = np.add.reduceat(data.features[order], starts[nonempty], axis=0)
-        sums[nonempty] = seg
+    owner = model.latent_labels[model.membership]  # class of each row's latent
+    lo = 0
+    for r, m_r in enumerate(model.per_class_counts):
+        rows = np.flatnonzero(owner == r)
+        if rows.size:
+            onehot = np.arange(lo, lo + m_r)[:, None] == model.membership[rows]
+            sums[lo:lo + m_r] = onehot.astype(np.float64) @ _rows(data.features, rows)
+        lo += m_r
     denom = counts + gamma
     z_new = np.where((denom > 0)[:, None],
                      (sums + gamma * z_prev) / np.where(denom > 0, denom, 1.0)[:, None],
@@ -169,15 +228,16 @@ def update_latents(data: Dataset, model: LatentModel, z_prev: np.ndarray,
 
 
 def compute_margins(data: Dataset, model: LatentModel, metric: Metric) -> LatentModel:
-    """Per-cluster empirical mean of D^2(x_i, z_o) over members; 0 if empty."""
+    """Per-cluster empirical mean of D^2(x_i, z_o) over members; 0 if empty.
+
+    The reference form: one (X - Z[membership]) M product, O(n*d^2), or
+    O(n*d) when M is exactly the identity.
+    """
     diffs = data.features - model.latents[model.membership]
-    vals = np.einsum("ij,ij->i", diffs @ metric.matrix, diffs)
+    M = _metric_or_none(metric)
+    vals = np.einsum("ij,ij->i", diffs if M is None else diffs @ M, diffs)
     np.maximum(vals, 0.0, out=vals)
-    m = model.m
-    counts = np.bincount(model.membership, minlength=m).astype(np.float64)
-    sums = np.bincount(model.membership, weights=vals, minlength=m)
-    margins = np.divide(sums, counts, out=np.zeros(m), where=counts > 0)
-    return model.replace(cluster_margins=margins)
+    return model.replace(cluster_margins=_cluster_means(model.membership, vals, model.m))
 
 
 def init_latents(data: Dataset, tau: float, seed: int) -> LatentModel:
@@ -185,7 +245,7 @@ def init_latents(data: Dataset, tau: float, seed: int) -> LatentModel:
 
     Each class r gets max(1, round(tau/100 * n_r)) latents chosen greedily
     under Euclidean distance; membership and margins are then computed
-    under the identity metric.
+    under the identity metric. No d x d product: O(n*m_r*d) in all.
     """
     if not 0.0 < tau <= 100.0:
         raise ValueError(f"tau must be in (0, 100], got {tau}")
@@ -246,16 +306,19 @@ def run_latent_stage(data: Dataset, prev: LatentModel, metric: Metric,
     every sweep), alternates assignment and closed-form update
     ``cfg.latent_em_iters`` times, then refreshes membership once more so
     the returned margins (computed under ``metric``) match the final
-    latents.
+    latents. The margins are the per-cluster means of the final
+    assignment's clamped distances, equal to :func:`compute_margins` up to
+    rounding. Cost: one n*d^2 product, X M, none when M is exactly the
+    identity; then O(sweeps * (n*m_r*d + m*d^2)).
     """
     z_anchor = prev.latents
-    XM = data.features @ metric.matrix
-    qx = np.einsum("ij,ij->i", XM, data.features)
+    M = _metric_or_none(metric)
+    blocks = _class_blocks(data, M)
     model = prev
     for _ in range(cfg.latent_em_iters):
-        membership = _assign(data, model, XM, qx, metric, cfg.tie_tolerance)
+        membership, _ = _assign(model, blocks, M, cfg.tie_tolerance)
         model = model.replace(membership=membership)
         model = update_latents(data, model, z_anchor, cfg.gamma)
-    membership = _assign(data, model, XM, qx, metric, cfg.tie_tolerance)
-    model = model.replace(membership=membership)
-    return compute_margins(data, model, metric)
+    membership, dist = _assign(model, blocks, M, cfg.tie_tolerance)
+    return model.replace(membership=membership,
+                         cluster_margins=_cluster_means(membership, dist, model.m))

@@ -8,9 +8,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import mapml
 from mapml import Dataset, LatentModel
+
+# One profile for every property test: examples derived from the test
+# function (reproducible runs) and no per-example deadline.
+settings.register_profile("mapml", deadline=None, derandomize=True)
+settings.load_profile("mapml")
 
 
 # ---------------------------------------------------------------- oracles
@@ -79,6 +85,50 @@ def oracle_knn_euclidean(query, refs, labels, k):
         if counts[lab] == best:
             return lab
     raise AssertionError("unreachable")
+
+
+def oracle_farthest_points(X, first, k):
+    """Greedy farthest-point picks by explicit loops, from a given first pick.
+
+    Each further pick maximizes the squared distance to the nearest point
+    already chosen, ties to the smaller index. Also returns the smallest
+    lead of a pick's distance over the runner-up's, so a caller can tell
+    a near-tied instance.
+    """
+    rows = [[float(v) for v in row] for row in np.asarray(X)]
+
+    def sq(a, b):
+        return sum((u - v) ** 2 for u, v in zip(a, b))
+
+    chosen = [int(first)]
+    lead = np.inf
+    while len(chosen) < k:
+        dist = [min(sq(x, rows[c]) for c in chosen) for x in rows]
+        order = sorted(range(len(rows)), key=lambda i: (-dist[i], i))
+        chosen.append(order[0])
+        if len(order) > 1:
+            lead = min(lead, dist[order[0]] - dist[order[1]])
+    return chosen, lead
+
+
+def oracle_latent_update(X, membership, z_prev, gamma):
+    """Proximal centroids by explicit loops.
+
+    Row o is (sum of members + gamma * z_prev[o]) / (member count + gamma);
+    an empty cluster with gamma = 0 keeps z_prev[o].
+    """
+    z_prev = np.asarray(z_prev, dtype=np.float64)
+    out = z_prev.copy()
+    for o in range(z_prev.shape[0]):
+        members = [i for i in range(len(membership)) if membership[i] == o]
+        if not members and gamma == 0:
+            continue
+        for t in range(z_prev.shape[1]):
+            total = gamma * z_prev[o, t]
+            for i in members:
+                total += float(X[i][t])
+            out[o, t] = total / (len(members) + gamma)
+    return out
 
 
 # ---------------------------------------------------------------- builders

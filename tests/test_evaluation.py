@@ -157,7 +157,7 @@ class TestTieRules:
         assert knn_predict([0.0], refs, labels, M, k) == want
         assert agrees_row_by_row([[0.0]], [want], refs, labels, M, k)
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150)
     @given(st.data())
     def test_integer_grid_matches_oracle_for_every_k(self, data):
         # small integer coordinates: exact scores, dense ties at every rank
@@ -215,6 +215,26 @@ class TestReferenceValidation:
             knn_predict([0.0, 0.0], [[1.0]], [0], Metric.identity(1), k=1)
         with pytest.raises(ValueError, match="dimension 1"):
             evaluate(Dataset([[0.0, 0.0]], [0]), [[1.0]], [0], Metric.identity(1), k=1)
+
+    @pytest.mark.parametrize("labels", [[0.7, 1.9], [0.0, np.nan], [0.0, np.inf]])
+    def test_non_integer_labels(self, labels):
+        refs = [[1.0], [2.0]]
+        with pytest.raises(ValueError, match="integer"):
+            knn_predict([0.0], refs, labels, Metric.identity(1), k=1)
+        with pytest.raises(ValueError, match="integer"):
+            evaluate(Dataset([[0.0]], [0]), refs, labels, Metric.identity(1), k=1)
+
+    def test_integral_float_labels_accepted(self):
+        refs = [[1.0], [2.0]]
+        assert knn_predict([2.1], refs, [0.0, 1.0], Metric.identity(1), k=1) == 1
+        rep = evaluate(Dataset([[2.1]], [1]), refs, [0.0, 1.0], Metric.identity(1), k=1,
+                       refs_label_names=[0, 1])
+        assert rep.error_rate == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            knn_predict([bad], [[1.0], [2.0]], [0, 1], Metric.identity(1), k=1)
 
 
 class TestAddGaussianNoise:

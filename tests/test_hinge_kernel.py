@@ -20,7 +20,7 @@ from mapml import Metric, build_active_set, core, full_loss_all
 from conftest import (make_latent_model, oracle_active_triplets,
                       oracle_full_loss, random_symmetric)
 
-KERNEL = settings(max_examples=150, deadline=None, derandomize=True)
+KERNEL = settings(max_examples=150)
 
 
 def class_counts(m, c):

@@ -1,12 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog, minimize
 
 from mapml import Dataset, Metric, TrainConfig, assign_membership, \
-    compute_margins, init_latents, run_latent_stage, update_latents
+    compute_margins, init_latents, latent, run_latent_stage, update_latents
 from mapml.latent import latents_per_class, surrogate_objective
 
-from conftest import make_blobs, make_latent_model, random_psd
+from conftest import (make_blobs, make_latent_model, oracle_farthest_points,
+                      oracle_latent_update, random_instance, random_psd)
 
 
 def numerical_latent_minimizer(X, membership, M, z_prev, gamma):
@@ -270,7 +275,10 @@ class TestRunLatentStage:
         model = compute_margins(data, model, M)
         np.testing.assert_array_equal(got.latents, model.latents)
         np.testing.assert_array_equal(got.membership, model.membership)
-        np.testing.assert_array_equal(got.cluster_margins, model.cluster_margins)
+        # the stage's margins come from the expanded-form assignment
+        # distances, compute_margins' from the differences: equal to rounding
+        np.testing.assert_allclose(got.cluster_margins, model.cluster_margins,
+                                   rtol=1e-9, atol=1e-12)
 
     def test_convex_hull_containment_gamma_zero(self):
         # with gamma=0 each latent is its members' centroid, hence inside
@@ -289,3 +297,91 @@ class TestRunLatentStage:
             res = linprog(np.zeros(members.shape[0]), A_eq=A_eq, b_eq=b_eq,
                           bounds=(0, None), method="highs")
             assert res.success, f"latent {o} outside its members' convex hull"
+
+
+def stage_instance(seed, tau, gamma, sweeps):
+    """Blob data, a farthest-point init and a random positive definite metric."""
+    rng = np.random.default_rng(seed)
+    data = random_instance(rng)
+    cfg = TrainConfig(tau=tau, gamma=gamma, latent_em_iters=sweeps)
+    prev = init_latents(data, tau, seed=int(rng.integers(1000)))
+    M = Metric(random_psd(rng, data.d) + 0.1 * np.eye(data.d))
+    return data, cfg, prev, M
+
+
+seeds = st.integers(0, 2**32 - 1)
+taus = st.sampled_from([5.0, 20.0, 50.0, 100.0])
+gammas = st.sampled_from([0.0, 0.5, 1e9]) | st.floats(0.01, 10.0)
+
+
+class TestLatentKernelProperties:
+    """The latent kernels against naive oracles and the reference forms."""
+
+    @settings(max_examples=100)
+    @given(seed=seeds, n=st.integers(1, 25), d=st.integers(1, 5), data=st.data())
+    def test_farthest_points_match_greedy_oracle(self, seed, n, d, data):
+        X = np.random.default_rng(seed).normal(0.0, 3.0, size=(n, d))
+        k = data.draw(st.integers(1, n))
+        first = int(np.random.default_rng(seed).integers(n))
+        want, lead = oracle_farthest_points(X, first, k)
+        # tie-free: every pick leads its runner-up by far more than rounding
+        assume(lead > 1e-8 * (1.0 + np.einsum("ij,ij->i", X, X).max()))
+        got = latent._farthest_point_indices(X, k, np.random.default_rng(seed))
+        assert got.tolist() == want
+
+    @settings(max_examples=60)
+    @given(seed=seeds, tau=taus, gamma=gammas, sweeps=st.integers(1, 4))
+    def test_stage_margins_match_compute_margins(self, seed, tau, gamma, sweeps):
+        data, cfg, prev, M = stage_instance(seed, tau, gamma, sweeps)
+        got = run_latent_stage(data, prev, M, cfg)
+        ref = compute_margins(data, assign_membership(data, got, M, cfg.tie_tolerance), M)
+        np.testing.assert_array_equal(got.membership, ref.membership)
+        np.testing.assert_allclose(got.cluster_margins, ref.cluster_margins,
+                                   rtol=1e-9, atol=1e-10)
+
+    @settings(max_examples=100)
+    @given(seed=seeds, n=st.integers(1, 30), d=st.integers(1, 4),
+           sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3), gamma=gammas)
+    def test_update_matches_naive_mean(self, seed, n, d, sizes, gamma):
+        rng = np.random.default_rng(seed)
+        m = sum(sizes)
+        X = rng.normal(size=(n, d))
+        # members of at most half the latents: empty clusters are common
+        membership = rng.choice(m, size=max(1, m // 2), replace=False)[rng.integers(
+            0, max(1, m // 2), size=n)]
+        z_prev = rng.normal(size=(m, d))
+        model = make_latent_model(rng.normal(size=(m, d)), sizes, membership=membership)
+        got = update_latents(Dataset(X, rng.integers(0, 2, size=n)), model, z_prev, gamma)
+        want = oracle_latent_update(X, membership, z_prev, gamma)
+        np.testing.assert_allclose(got.latents, want, rtol=1e-12, atol=1e-14)
+
+    @settings(max_examples=40)
+    @given(seed=seeds, tau=taus, gamma=gammas, sweeps=st.integers(1, 3))
+    def test_identity_path_bitwise_equals_generic(self, seed, tau, gamma, sweeps):
+        data, cfg, prev, _ = stage_instance(seed, tau, gamma, sweeps)
+        identity = Metric.identity(data.d)
+
+        def outputs():
+            stage = run_latent_stage(data, prev, identity, cfg)
+            assigned = assign_membership(data, prev, identity, cfg.tie_tolerance)
+            return [stage.latents, stage.membership, stage.cluster_margins,
+                    assigned.membership,
+                    compute_margins(data, assigned, identity).cluster_margins,
+                    init_latents(data, tau, seed=seed % 1000).cluster_margins]
+
+        fast = outputs()
+        with mock.patch.object(latent, "_metric_or_none", lambda metric: metric.matrix):
+            generic = outputs()
+        for a, b in zip(fast, generic):
+            np.testing.assert_array_equal(a, b)
+
+    def test_stage_never_calls_compute_margins(self, monkeypatch):
+        data, cfg, prev, M = stage_instance(3, 20.0, 0.5, 3)
+
+        def refuse(*args):
+            raise AssertionError("run_latent_stage called compute_margins")
+
+        monkeypatch.setattr(latent, "compute_margins", refuse)
+        for metric in (M, Metric.identity(data.d)):
+            got = run_latent_stage(data, prev, metric, cfg)
+            assert got.m == prev.m

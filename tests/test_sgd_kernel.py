@@ -104,7 +104,7 @@ class TestBlockedSgd:
                                        margin_hi=110.0, prev_norm=0.025)
         proximal_hinge_sgd(pts, trip, marg, Mp, 0.1, 0.05)
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 30), d=st.integers(1, 12),
            half=st.integers(1, 100), lam=st.floats(0.1, 10.0),
            delta=st.floats(0.05, 20.0), prev_norm=st.floats(0.01, 2.0))
