@@ -106,6 +106,17 @@ class Metric:
         return f"Metric(dim={self.dim})"
 
 
+def is_identity(matrix: np.ndarray) -> bool:
+    """True when ``matrix`` is exactly the d x d identity: unit diagonal, d nonzeros.
+
+    Read from the value, so a caller needs no flag: X @ I equals X bit for
+    bit, and callers use this to skip that product.
+    """
+    return (matrix.ndim == 2 and matrix.shape[0] == matrix.shape[1]
+            and bool((matrix.diagonal() == 1.0).all())
+            and np.count_nonzero(matrix) == matrix.shape[0])
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters for the alternating trainer.

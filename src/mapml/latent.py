@@ -16,7 +16,7 @@ identity use X and the differences directly.
 
 import numpy as np
 
-from .core import Dataset, Metric, TrainConfig
+from .core import Dataset, Metric, TrainConfig, is_identity
 
 
 class LatentModel:
@@ -174,9 +174,7 @@ def _cluster_means(membership: np.ndarray, vals: np.ndarray, m: int) -> np.ndarr
 def _metric_or_none(metric: Metric):
     """``metric.matrix``, or None when it is exactly I: then X I is X, bit for bit."""
     M = metric.matrix
-    if (M.diagonal() == 1.0).all() and np.count_nonzero(M) == M.shape[0]:
-        return None
-    return M
+    return None if is_identity(M) else M
 
 
 def assign_membership(data: Dataset, model: LatentModel, metric: Metric,

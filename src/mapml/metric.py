@@ -17,6 +17,14 @@ are scalar updates, and it applies the rank-2 hinge updates of every
 ``SGD_BLOCK`` steps to W as one GEMM. A stage of S steps costs
 O(S*B*d) scalar work plus O(S*d^2) flops in GEMMs of width 2B, where
 the per-step loop made ~14 memory passes over a d x d matrix each step.
+When M_prev is exactly the identity, as in every run's first stage and in
+the random-triplet baseline, the forms under M_prev are the row norms of
+the difference vectors, and the kernel makes no X M_prev product.
+
+The terminal projection first tries to certify that the average is
+already positive definite with one Cholesky factorization (O(d^3/3)) and
+returns it unchanged if so; only an average that fails the certificate
+pays for an eigendecomposition.
 """
 
 import math
@@ -149,9 +157,30 @@ def frobenius_project(M: np.ndarray, delta: float) -> np.ndarray:
 
 
 def psd_project(M: np.ndarray) -> Metric:
-    """Nearest PSD matrix: symmetrize, clamp negative eigenvalues to zero."""
+    """Nearest PSD matrix: symmetrize, clamp negative eigenvalues to zero.
+
+    The symmetrized input S is certified first: if the Cholesky
+    factorization of S - tau*I succeeds, with tau = d * eps * ||S||_F,
+    then lambda_min(S) >= 0 up to Cholesky's backward error, S is its own
+    nearest PSD matrix, and S is returned bit for bit. Otherwise (and for
+    non-finite input) the eigenvalues of S are clamped at zero through a
+    full ``eigh``. At d=784 on one BLAS thread the certificate costs about
+    0.013 s against 0.11-0.15 s for ``eigh``, and an input that fails it
+    pays at most that one factorization on top of ``eigh``.
+    """
     M = np.asarray(M, dtype=np.float64)
     sym = 0.5 * (M + M.T)
+    d = sym.shape[0]
+    tau = d * np.finfo(np.float64).eps * np.linalg.norm(sym)
+    if math.isfinite(tau):
+        shifted = sym.copy()
+        shifted.flat[::d + 1] -= tau
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return Metric(sym)
     w, V = np.linalg.eigh(sym)
     np.maximum(w, 0.0, out=w)
     out = (V * w) @ V.T
@@ -198,10 +227,23 @@ def proximal_hinge_sgd(points: np.ndarray, step_triplets: np.ndarray,
     exactly. Cost: O(S*B*d) scalar work plus O(S*d^2) flops in GEMMs of
     width 2B, against ~14 memory passes over a d x d matrix per step for
     the per-step loop. The arithmetic differs from that loop in rounding
-    only; the test suite holds the two to 1e-9 relative.
+    only; the test suite holds the two to 1e-9 relative. When ``M_prev`` is
+    exactly the identity (:func:`core.is_identity`), the forms under it are
+    the row norms of X and the kernel makes no X M_prev product; X I is X
+    bit for bit, so the output is the same.
+
+    Raises ``ValueError`` unless S is even and positive (the suffix
+    average covers the last S/2 iterates), lam > 0 and delta > 0.
     """
     S = step_triplets.shape[0]
+    if S <= 0 or S % 2 != 0:
+        raise ValueError(f"S must be even and > 0, got {S}")
+    if not lam > 0:
+        raise ValueError(f"lam must be > 0, got {lam}")
+    if not delta > 0:
+        raise ValueError(f"delta must be > 0, got {delta}")
     P = M_prev
+    identity = core.is_identity(P)
     W = np.zeros_like(P)
     R = np.zeros_like(P)        # sum of a_s W_s over the suffix iterates
     buf = np.empty_like(P)
@@ -221,7 +263,7 @@ def proximal_hinge_sgd(points: np.ndarray, step_triplets: np.ndarray,
         np.subtract(points[o], points[p], out=X[0::2])
         np.subtract(points[o], points[q], out=X[1::2])
         form_w = np.einsum("ij,ij->i", X @ W, X).tolist()
-        form_p = np.einsum("ij,ij->i", X @ P, X).tolist()
+        form_p = np.einsum("ij,ij->i", X if identity else X @ P, X).tolist()
         gram2 = np.square(X @ X.T)
         # ||v v^T - u u^T||_F^2 of each step
         rank2_norm2 = (gram2.diagonal()[0::2] + gram2.diagonal()[1::2]

@@ -131,6 +131,13 @@ def oracle_latent_update(X, membership, z_prev, gamma):
     return out
 
 
+def oracle_psd_clamp(M):
+    """Nearest PSD matrix by a full eigendecomposition of the symmetric part."""
+    M = np.asarray(M, dtype=np.float64)
+    w, V = np.linalg.eigh(0.5 * (M + M.T))
+    return (V * np.maximum(w, 0.0)) @ V.T
+
+
 # ---------------------------------------------------------------- builders
 
 def random_psd(rng, d, scale=1.0):

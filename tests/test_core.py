@@ -3,6 +3,7 @@ import pytest
 
 from mapml import (Dataset, Metric, TrainConfig, build_active_set,
                    full_loss_all, pairwise_mahalanobis_sq)
+from mapml.core import is_identity
 
 from conftest import (make_latent_model, oracle_full_loss, oracle_mahalanobis,
                       oracle_valid_triplets, random_psd, random_symmetric)
@@ -64,6 +65,28 @@ class TestMetric:
     def test_min_eigenvalue(self):
         m = Metric(np.diag([2.0, -1.0]))
         assert m.min_eigenvalue() == pytest.approx(-1.0)
+
+
+def near_identity(d, index, value):
+    M = np.eye(d)
+    M[index] = value
+    return M
+
+
+class TestIsIdentity:
+    @pytest.mark.parametrize("d", [1, 7])
+    def test_eye(self, d):
+        assert is_identity(np.eye(d))
+
+    @pytest.mark.parametrize("M", [
+        near_identity(4, (1, 3), 1e-300),
+        near_identity(4, (2, 2), np.nextafter(1.0, 2.0)),
+        near_identity(4, (0, 0), np.nan),
+        np.zeros((3, 3)),
+        np.eye(2, 3),
+    ], ids=["tiny_offdiagonal", "ulp_diagonal", "nan_diagonal", "zeros", "non_square"])
+    def test_not_identity(self, M):
+        assert not is_identity(M)
 
 
 class TestTrainConfig:

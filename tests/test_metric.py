@@ -1,3 +1,6 @@
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from mapml import Metric, TrainConfig, alpha_suffix_average, build_active_set, \
     frobenius_project, hinge_subgradient, psd_project, run_metric_stage
 
 from conftest import (make_latent_model, oracle_active_triplets, oracle_full_loss,
-                      random_psd, random_symmetric)
+                      oracle_psd_clamp, random_psd, random_symmetric)
 
 
 def stage_value(metric, metric_prev, aset, model, lam):
@@ -217,6 +220,63 @@ class TestPsdProject:
                                    atol=1e-12)
 
 
+def spectrum_instance(rng, d, eigenvalues):
+    """V diag(w) V^T for a random orthogonal V, plus an antisymmetric part."""
+    V, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    A = rng.normal(size=(d, d))
+    return (V * eigenvalues) @ V.T + 1e-3 * (A - A.T)
+
+
+class TestPsdProjectPaths:
+    """A certified positive definite input is returned as is; others go to eigh."""
+
+    @pytest.mark.parametrize("d", [1, 6, 50])
+    def test_pd_input_returned_bitwise(self, d):
+        # an eigh round trip is off by ~7e-15 at d=6, so this pins the certified path
+        rng = np.random.default_rng(40 + d)
+        for _ in range(5):
+            M = random_psd(rng, d) + 0.05 * np.eye(d) + 1e-3 * rng.normal(size=(d, d))
+            np.testing.assert_array_equal(psd_project(M).matrix, 0.5 * (M + M.T))
+
+    @pytest.mark.parametrize("kind", ["indefinite", "singular", "barely_negative"])
+    @pytest.mark.parametrize("d", [2, 6, 30])
+    def test_matches_eigh_clamp(self, kind, d):
+        rng = np.random.default_rng(d)
+        for _ in range(5):
+            w = rng.uniform(0.1, 2.0, size=d)
+            if kind == "indefinite":
+                w[: (d + 1) // 2] *= -1.0
+            elif kind == "singular":
+                w[: d // 2 + 1] = 0.0
+            else:
+                w[0] = -1e-13 * np.linalg.norm(w)
+            M = spectrum_instance(rng, d, w)
+            got = psd_project(M)
+            np.testing.assert_allclose(got.matrix, oracle_psd_clamp(M), rtol=0, atol=1e-10)
+            assert got.min_eigenvalue() >= -1e-9
+
+    @pytest.mark.parametrize("a, b, c", [
+        (1.3915619037691382, 1.4844634964591994, 1.5835672608966855),
+        (1.4399938570064368, 0.9413825554634352, 0.6154200668419284),
+        (1.2780283141191189, 1.3469967352690717, 1.4196870169313214),
+    ])
+    def test_exactly_indefinite_input_is_not_certified(self, a, b, c):
+        # det < 0 in exact arithmetic, yet an unshifted Cholesky accepts it
+        M = np.array([[a, b], [b, c]])
+        assert Fraction(a) * Fraction(c) < Fraction(b) ** 2
+        np.linalg.cholesky(M)
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            psd_project(M)
+        assert eigh.call_count == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, bad):
+        M = np.eye(3)
+        M[1, 2] = bad
+        with pytest.raises(ValueError, match="metric matrix contains non-finite entries"):
+            psd_project(M)
+
+
 class TestAlphaSuffixAverage:
     def test_constant_sequence(self):
         mats = [np.full((2, 2), 3.0)] * 6
@@ -255,6 +315,16 @@ class TestRunMetricStage:
         cfg = TrainConfig(inner_iters=100, lam=1.0, delta=10.0)
         got = run_metric_stage(model, Mp, cfg)
         np.testing.assert_allclose(got.matrix, psd_project(Mp.matrix).matrix, atol=1e-12)
+
+    def test_empty_active_set_returns_pd_prev_bitwise(self):
+        # an eigh round trip would round M_prev; the certified path returns it as is
+        rng = np.random.default_rng(27)
+        model = make_latent_model([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [100.0, 0.0, 0.0]],
+                                  [2, 1])
+        Mp = Metric(random_psd(rng, 3) + 0.5 * np.eye(3))
+        cfg = TrainConfig(inner_iters=100, lam=1.0, delta=10.0)
+        assert len(build_active_set(model, Mp, cap=cfg.active_set_cap, seed=0)) == 0
+        np.testing.assert_array_equal(run_metric_stage(model, Mp, cfg).matrix, Mp.matrix)
 
     def test_single_triplet_descends(self):
         # exactly one violated triplet: anchor 0 sees the other class at

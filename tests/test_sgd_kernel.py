@@ -7,12 +7,14 @@ the textbook loop, one step at a time, from ``hinge_subgradient``,
 rounding only, so they must agree to 1e-9 relative.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapml import Metric, alpha_suffix_average, frobenius_project, hinge_subgradient
+from mapml import Metric, alpha_suffix_average, core, frobenius_project, hinge_subgradient
 from mapml.metric import SGD_BLOCK, proximal_hinge_sgd
 
 from conftest import make_latent_model, random_psd
@@ -112,3 +114,46 @@ class TestBlockedSgd:
         pts, trip, marg, Mp = instance(seed, n, d, 2 * half,
                                        prev_norm=min(prev_norm, delta))
         assert_matches_oracle(pts, trip, marg, Mp, lam, delta)
+
+
+class TestIdentityAnchor:
+    """With M_prev = I the kernel skips X M_prev; X I is X, so nothing else moves."""
+
+    @pytest.mark.parametrize("d, delta", [(30, 100.0), (30, 3.0), (200, 100.0), (200, 2.0)])
+    def test_bitwise_equals_generic_path(self, d, delta):
+        pts, trip, marg, _ = instance(60 + d, n=60, d=d, S=2 * SGD_BLOCK + 22)
+        pts /= np.sqrt(d)
+        args = (pts, trip, marg, np.eye(d), 1.0, delta)
+        fast_stats, generic_stats = {}, {}
+        fast = proximal_hinge_sgd(*args, stats=fast_stats)
+        with mock.patch.object(core, "is_identity", lambda matrix: False):
+            generic = proximal_hinge_sgd(*args, stats=generic_stats)
+        np.testing.assert_array_equal(fast, generic)
+        assert fast_stats == generic_stats
+        assert fast_stats["active_steps"] > 0
+
+
+class TestArguments:
+    """Bad step counts and weights raise instead of returning a wrong average."""
+
+    def three_points(self, S):
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.5]])
+        return points, np.tile([0, 1, 2], (S, 1)), np.zeros(3), np.eye(2)
+
+    @pytest.mark.parametrize("S", [0, 1, 3, 2 * SGD_BLOCK + 1])
+    def test_odd_or_zero_steps_raise(self, S):
+        pts, trip, marg, Mp = self.three_points(S)
+        with pytest.raises(ValueError, match="S must be even and > 0"):
+            proximal_hinge_sgd(pts, trip, marg, Mp, lam=1.0, delta=10.0)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_non_positive_lam_raises(self, lam):
+        pts, trip, marg, Mp = self.three_points(4)
+        with pytest.raises(ValueError, match="lam must be > 0"):
+            proximal_hinge_sgd(pts, trip, marg, Mp, lam=lam, delta=10.0)
+
+    @pytest.mark.parametrize("delta", [0.0, -2.0])
+    def test_non_positive_delta_raises(self, delta):
+        pts, trip, marg, Mp = self.three_points(4)
+        with pytest.raises(ValueError, match="delta must be > 0"):
+            proximal_hinge_sgd(pts, trip, marg, Mp, lam=1.0, delta=delta)
