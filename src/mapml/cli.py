@@ -7,6 +7,7 @@ data paths that do not exist are also tried under $MAPML_DATA_DIR.
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 import time
@@ -171,13 +172,13 @@ def cmd_synth(args, parser) -> int:
     return 0
 
 
-def _train_method(method, train_data, cfg, log_sink=None):
+def _train_method(method, train_data, cfg):
     """Train one method; None for euclid. mapml and mapml-o train alike."""
     if method == "euclid":
         return None
     if method == "random-triplet":
         return train_random_triplet_baseline(train_data, cfg)
-    return train_mapml(train_data, cfg, log_sink=log_sink)
+    return train_mapml(train_data, cfg)
 
 
 def _error_pct(method, res, train_data, test, k) -> float:
@@ -229,12 +230,14 @@ def _write_table(header, rows, csv_out):
 def cmd_bench(args, parser) -> int:
     methods, train_data, test, seeds = _sweep_inputs(args, parser)
     taus = [float(t) for t in args.tau_sweep.split(",")] if args.tau_sweep else [args.tau]
+    # every swept config is checked before the first training run
+    configs = [dataclasses.replace(_config_from_args(args), tau=tau) for tau in taus]
 
     header = ["method", "tau", "trials", "mean_error_pct", "std_error_pct",
               "train_seconds", "latent_stage_seconds", "active_set_seconds",
               "metric_stage_seconds"]
     rows = []
-    for tau in taus:
+    for base in configs:
         # one training run per (trial, trainer); mapml and mapml-o share it
         cache = {}
         for method in methods:
@@ -242,25 +245,19 @@ def cmd_bench(args, parser) -> int:
             for trial, seed in enumerate(seeds):
                 key = ("mapml" if method == "mapml-o" else method, trial)
                 if key not in cache:
-                    cfg = _config_from_args(args, seed=seed)
-                    cfg.tau = tau
-                    active = []  # active-set build seconds per outer iteration
                     t0 = time.perf_counter()
-                    res = _train_method(method, train_data, cfg,
-                                        lambda rec: active.append(rec["active_set_seconds"]))
-                    cache[key] = (res, time.perf_counter() - t0, sum(active))
-                res, seconds, active_seconds = cache[key]
+                    res = _train_method(method, train_data,
+                                        dataclasses.replace(base, rng_seed=seed))
+                    cache[key] = (res, time.perf_counter() - t0)
+                res, seconds = cache[key]
+                history = [] if res is None else res.history
                 errs.append(_error_pct(method, res, train_data, test, args.k))
                 t_train.append(seconds)
-                if res is not None and res.wall_times.size:
-                    t_latent.append(float(res.wall_times[:, 0].sum()))
-                    t_metric.append(float(res.wall_times[:, 1].sum()))
-                else:
-                    t_latent.append(0.0)
-                    t_metric.append(0.0)
-                t_active.append(active_seconds)
+                t_latent.append(sum(rec["latent_seconds"] for rec in history))
+                t_active.append(sum(rec["active_set_seconds"] for rec in history))
+                t_metric.append(sum(rec["metric_seconds"] for rec in history))
             rows.append([
-                method, f"{tau:g}", len(seeds),
+                method, f"{base.tau:g}", len(seeds),
                 f"{np.mean(errs):.4f}", f"{np.std(errs):.4f}",
                 f"{np.mean(t_train):.4f}", f"{np.mean(t_latent):.4f}",
                 f"{np.mean(t_active):.4f}", f"{np.mean(t_metric):.4f}",
@@ -274,12 +271,17 @@ def _parse_sigma(token: str) -> float:
         num, den = token.split("/", 1)
         if float(den) == 0.0:
             raise ValueError(f"sigma {token!r} divides by zero")
-        return float(num) / float(den)
-    return float(token)
+        sigma = float(num) / float(den)
+    else:
+        sigma = float(token)
+    if not sigma >= 0:
+        raise ValueError(f"sigma must be >= 0, got {token!r}")
+    return sigma
 
 
 def cmd_noise_sweep(args, parser) -> int:
     methods, train_data, test, seeds = _sweep_inputs(args, parser)
+    # every sigma is parsed and checked before the first training run
     sigmas = [_parse_sigma(t) for t in args.sigmas.split(",")]
 
     header = ["sigma", "method", "trials", "mean_error_pct", "std_error_pct"]

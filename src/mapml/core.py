@@ -18,12 +18,6 @@ NEG_CLAMP = -1e-9
 # Symmetry tolerance for metric matrices (absolute, per entry).
 SYMMETRY_TOL = 1e-9
 
-# When True, stages run extra per-step invariant checks (symmetry, norm
-# bounds, loss half-inequalities). Off by default: the checks are O(d^2)
-# per SGD step.
-DEBUG_CHECKS = False
-
-
 class Dataset:
     """Labeled feature vectors: an (n, d) matrix plus one label per row.
 
@@ -147,14 +141,19 @@ class TrainConfig:
     tie_tolerance: float = 1e-12
 
     def __post_init__(self):
+        # comparisons written so that NaN fails them
         if not 0.0 < self.tau <= 100.0:
             raise ValueError(f"tau must be in (0, 100], got {self.tau}")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError(f"lam must be > 0, got {self.lam}")
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
+        for name in ("outer_iters", "inner_iters", "latent_em_iters", "active_set_cap"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.outer_iters < 0:
             raise ValueError(f"outer_iters must be >= 0, got {self.outer_iters}")
         if self.inner_iters < 0 or self.inner_iters % 2 != 0:
@@ -163,7 +162,7 @@ class TrainConfig:
             raise ValueError(f"latent_em_iters must be >= 1, got {self.latent_em_iters}")
         if self.active_set_cap < 1:
             raise ValueError(f"active_set_cap must be >= 1, got {self.active_set_cap}")
-        if self.tie_tolerance < 0:
+        if not self.tie_tolerance >= 0:
             raise ValueError(f"tie_tolerance must be >= 0, got {self.tie_tolerance}")
 
 

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
 from .core import Dataset, Metric, TrainConfig, full_loss_all
-from .latent import (LatentModel, assign_membership, compute_margins,
-                     init_latents, run_latent_stage)
+from .latent import LatentModel, init_latents, run_latent_stage
 from .metric import proximal_hinge_sgd, psd_project, run_metric_stage
 
 logger = logging.getLogger(__name__)
@@ -31,15 +29,26 @@ class TrainResult:
     """Everything a training run produces.
 
     loss_trace has outer_iters + 1 entries (after init, then after each
-    iteration); wall_times is (outer_iters, 2) seconds per stage
-    (latent, metric). The baseline trainer leaves loss_trace empty: it
-    has no latent objective to monitor.
+    iteration). history is the record of the run, one dict per outer
+    iteration with keys
+      k                   the outer iteration, 1-based
+      loss                the monitored loss after it (loss_trace[k])
+      latent_seconds      wall time of the latent stage
+      metric_seconds      wall time of the metric stage
+      active_set_size     violating triplets retained for SGD
+      active_set_seconds  part of metric_seconds spent building that set
+      active_steps        SGD steps whose hinge was active
+      ball_clips          SGD steps the Frobenius ball rescaled
+    The baseline trainer has no latent objective to monitor: it leaves
+    loss_trace empty and records one entry whose loss is None, whose
+    metric_seconds is its training time, and whose latent and active-set
+    keys are 0.
     """
 
     metric: Metric
     latent_model: LatentModel
     loss_trace: np.ndarray
-    wall_times: np.ndarray
+    history: list
     config: TrainConfig = None
 
 
@@ -50,10 +59,8 @@ def _seed_streams(seed: int, count: int) -> list:
 def train_mapml(data: Dataset, cfg: TrainConfig, log_sink=None) -> TrainResult:
     """Alternate the latent and metric stages for cfg.outer_iters rounds.
 
-    ``log_sink``, when given, receives one dict per outer iteration with
-    keys k, loss, active_set_size, latent_seconds, metric_seconds,
-    active_set_seconds, active_steps (SGD steps whose hinge was active)
-    and ball_clips (SGD steps the Frobenius ball rescaled).
+    ``log_sink``, when given, is called with each entry of the result's
+    ``history`` (see :class:`TrainResult`) as soon as its iteration ends.
     """
     seeds = _seed_streams(cfg.rng_seed, 1 + cfg.outer_iters)
     metric = Metric.identity(data.d)
@@ -61,57 +68,32 @@ def train_mapml(data: Dataset, cfg: TrainConfig, log_sink=None) -> TrainResult:
     losses = [full_loss_all(metric, model)]
     if not np.isfinite(losses[0]):
         raise FloatingPointError("non-finite loss after initialization")
-    times = np.zeros((cfg.outer_iters, 2))
+    history = []
     for k in range(1, cfg.outer_iters + 1):
-        if core.DEBUG_CHECKS:
-            before = compute_margins(
-                data, assign_membership(data, model, metric, cfg.tie_tolerance), metric)
-            loss_before = full_loss_all(metric, before)
-
         t0 = time.perf_counter()
         model = run_latent_stage(data, model, metric, cfg)
         t_latent = time.perf_counter() - t0
 
-        if core.DEBUG_CHECKS:
-            loss_mid = full_loss_all(metric, model)
-            if loss_mid > loss_before + MONOTONE_RTOL * abs(loss_before):
-                logger.warning("latent stage raised the loss at k=%d: %.12g -> %.12g",
-                               k, loss_before, loss_mid)
-
-        stats = {}
         t0 = time.perf_counter()
-        new_metric = run_metric_stage(model, metric, cfg, seed=seeds[k], stats=stats)
+        new_metric, counts = run_metric_stage(model, metric, cfg, seed=seeds[k])
         t_metric = time.perf_counter() - t0
 
         loss_k = full_loss_all(new_metric, model)
         if not np.isfinite(loss_k):
             raise FloatingPointError(f"non-finite loss at outer iteration {k}")
-        if core.DEBUG_CHECKS:
-            loss_mid = full_loss_all(metric, model)
-            if loss_k > loss_mid + MONOTONE_RTOL * abs(loss_mid):
-                logger.warning("metric stage raised the loss at k=%d: %.12g -> %.12g",
-                               k, loss_mid, loss_k)
         if loss_k > losses[-1] + MONOTONE_RTOL * abs(losses[-1]):
             logger.warning("loss increased at outer iteration %d: %.12g -> %.12g",
                            k, losses[-1], loss_k)
         metric = new_metric
         losses.append(loss_k)
-        times[k - 1] = (t_latent, t_metric)
+        history.append({"k": k, "loss": loss_k, "latent_seconds": t_latent,
+                        "metric_seconds": t_metric, **counts})
         if log_sink is not None:
-            log_sink({
-                "k": k,
-                "loss": loss_k,
-                "active_set_size": stats.get("active_set_size", 0),
-                "latent_seconds": t_latent,
-                "metric_seconds": t_metric,
-                "active_set_seconds": stats.get("active_set_seconds", 0.0),
-                "active_steps": stats.get("active_steps", 0),
-                "ball_clips": stats.get("ball_clips", 0),
-            })
+            log_sink(history[-1])
     if cfg.outer_iters == 0:
         metric = psd_project(metric.matrix)
     return TrainResult(metric=metric, latent_model=model,
-                       loss_trace=np.asarray(losses), wall_times=times, config=cfg)
+                       loss_trace=np.asarray(losses), history=history, config=cfg)
 
 
 def _trivial_latent_model(data: Dataset) -> LatentModel:
@@ -146,6 +128,7 @@ def train_random_triplet_baseline(data: Dataset, cfg: TrainConfig) -> TrainResul
         raise ValueError(f"class {data.label_names[bad]!r} has fewer than 2 examples")
     t0 = time.perf_counter()
     model = _trivial_latent_model(data)
+    active_steps = ball_clips = 0
     if S == 0:
         metric = Metric.identity(data.d)
     else:
@@ -163,10 +146,12 @@ def train_random_triplet_baseline(data: Dataset, cfg: TrainConfig) -> TrainResul
                 j = int(rows[rng.integers(rows.size)])
             k = int(other_rows[r][rng.integers(other_rows[r].size)])
             triplets[s] = (i, j, k)
-        avg = proximal_hinge_sgd(data.features, triplets, np.zeros(data.n),
-                                 np.eye(data.d), cfg.lam, cfg.delta)
+        avg, active_steps, ball_clips = proximal_hinge_sgd(
+            data.features, triplets, np.zeros(data.n), np.eye(data.d), cfg.lam, cfg.delta)
         metric = psd_project(avg)
-    elapsed = time.perf_counter() - t0
-    return TrainResult(metric=metric, latent_model=model,
-                       loss_trace=np.empty(0), wall_times=np.array([[0.0, elapsed]]),
-                       config=cfg)
+    record = {"k": 1, "loss": None, "latent_seconds": 0.0,
+              "metric_seconds": time.perf_counter() - t0, "active_set_size": 0,
+              "active_set_seconds": 0.0, "active_steps": active_steps,
+              "ball_clips": ball_clips}
+    return TrainResult(metric=metric, latent_model=model, loss_trace=np.empty(0),
+                       history=[record], config=cfg)

@@ -203,16 +203,18 @@ def alpha_suffix_average(iterates, S: int) -> np.ndarray:
 
 def proximal_hinge_sgd(points: np.ndarray, step_triplets: np.ndarray,
                        margins: np.ndarray, M_prev: np.ndarray,
-                       lam: float, delta: float, stats=None) -> np.ndarray:
-    """Projected SGD on the proximal hinge objective; returns the suffix average.
+                       lam: float, delta: float):
+    """Projected SGD on the proximal hinge objective.
+
+    Returns ``(average, active_steps, ball_clips)``: the suffix average,
+    the number of steps whose hinge was active, and the number of steps
+    the Frobenius ball rescaled.
 
     Visits ``step_triplets`` rows (o, p, q into ``points``) in order, one
     per step s = 1..S, with step size 1/(lam*s), a Frobenius-ball check
     after every update, and the mean of the last S/2 iterates as output
     (not yet PSD-projected). The metric stage and the random-triplet
     baseline share this loop; only the triplet stream and margins differ.
-    ``stats``, when given a dict, receives ``active_steps`` (steps whose
-    hinge was active) and ``ball_clips`` (steps the ball rescaled).
 
     No iterate is ever formed. Each is held as M_s = a*W + b*M_prev, so
     the (1 - 1/s) shrink, the 1/s pull toward M_prev and the ball rescale
@@ -230,7 +232,8 @@ def proximal_hinge_sgd(points: np.ndarray, step_triplets: np.ndarray,
     only; the test suite holds the two to 1e-9 relative. When ``M_prev`` is
     exactly the identity (:func:`core.is_identity`), the forms under it are
     the row norms of X and the kernel makes no X M_prev product; X I is X
-    bit for bit, so the output is the same.
+    bit for bit, so the output is the same. W is zero in the first block,
+    so that block makes no X W product either.
 
     Raises ``ValueError`` unless S is even and positive (the suffix
     average covers the last S/2 iterates), lam > 0 and delta > 0.
@@ -262,7 +265,7 @@ def proximal_hinge_sgd(points: np.ndarray, step_triplets: np.ndarray,
         X = np.empty((2 * n, P.shape[0]))
         np.subtract(points[o], points[p], out=X[0::2])
         np.subtract(points[o], points[q], out=X[1::2])
-        form_w = np.einsum("ij,ij->i", X @ W, X).tolist()
+        form_w = np.einsum("ij,ij->i", X @ W, X).tolist() if done else [0.0] * (2 * n)
         form_p = np.einsum("ij,ij->i", X if identity else X @ P, X).tolist()
         gram2 = np.square(X @ X.T)
         # ||v v^T - u u^T||_F^2 of each step
@@ -298,8 +301,6 @@ def proximal_hinge_sgd(points: np.ndarray, step_triplets: np.ndarray,
                 a *= r
                 b *= r
                 norm2 *= r * r
-            if core.DEBUG_CHECKS:
-                assert norm2 <= delta2 * (1 + 1e-12) ** 2, "iterate left the Frobenius ball"
             if s > half:
                 weight[j] = a
                 b_sum += b
@@ -322,30 +323,23 @@ def proximal_hinge_sgd(points: np.ndarray, step_triplets: np.ndarray,
         a = 1.0
         w_norm2 = float(np.dot(W.ravel(), W.ravel()))
         wp_dot = float(np.dot(W.ravel(), P.ravel()))
-        if core.DEBUG_CHECKS:
-            np.multiply(P, b, out=buf)
-            buf += W
-            assert np.linalg.norm(buf) <= delta * (1 + 1e-12), "iterate left the Frobenius ball"
-            assert np.abs(buf - buf.T).max() <= core.SYMMETRY_TOL, "iterate lost symmetry"
         done += n
     np.multiply(P, b_sum, out=buf)
     R += buf
     R *= 2.0 / S
-    if stats is not None:
-        stats["active_steps"] = active_steps
-        stats["ball_clips"] = ball_clips
-    return R
+    return R, active_steps, ball_clips
 
 
 def run_metric_stage(model: LatentModel, metric_prev: Metric, cfg: TrainConfig,
-                     seed=None, stats=None) -> Metric:
+                     seed=None):
     """One metric stage: active-set SGD, suffix average, terminal PSD projection.
 
     Samples uniformly with replacement from the active set built under
     ``metric_prev``. If the active set is empty (or the step budget is
     zero) the previous metric is PSD-projected and returned unchanged.
-    ``stats``, when given a dict, receives the active-set size and build
-    time and, when SGD runs, its ``active_steps`` and ``ball_clips``.
+    Returns ``(metric, counts)``; ``counts`` holds ``active_set_size``,
+    ``active_set_seconds`` (build time) and the SGD's ``active_steps`` and
+    ``ball_clips``, both 0 when SGD does not run.
     Identical seeds give bitwise-identical outputs.
     """
     if seed is None:
@@ -354,16 +348,15 @@ def run_metric_stage(model: LatentModel, metric_prev: Metric, cfg: TrainConfig,
     t0 = time.perf_counter()
     aset = build_active_set(model, metric_prev, cfg.active_set_cap,
                             int(s_build.generate_state(1)[0]))
-    build_seconds = time.perf_counter() - t0
-    if stats is not None:
-        stats["active_set_size"] = len(aset)
-        stats["active_set_seconds"] = build_seconds
+    counts = {"active_set_size": len(aset),
+              "active_set_seconds": time.perf_counter() - t0,
+              "active_steps": 0, "ball_clips": 0}
     S = cfg.inner_iters
     if len(aset) == 0 or S == 0:
-        return psd_project(metric_prev.matrix)
+        return psd_project(metric_prev.matrix), counts
     rng = np.random.default_rng(s_sgd)
     picks = rng.integers(0, len(aset), size=S)
-    avg = proximal_hinge_sgd(model.latents, aset.triplets[picks],
-                             aset.margins_snapshot, metric_prev.matrix,
-                             cfg.lam, cfg.delta, stats=stats)
-    return psd_project(avg)
+    avg, counts["active_steps"], counts["ball_clips"] = proximal_hinge_sgd(
+        model.latents, aset.triplets[picks], aset.margins_snapshot,
+        metric_prev.matrix, cfg.lam, cfg.delta)
+    return psd_project(avg), counts

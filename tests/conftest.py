@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-import mapml
 from mapml import Dataset, LatentModel
 
 # One profile for every property test: examples derived from the test
@@ -187,12 +186,6 @@ def random_instance(rng, n_lo=20, n_hi=60, d_lo=2, d_hi=6, c_lo=2, c_hi=4,
 
 
 # ---------------------------------------------------------------- fixtures
-
-@pytest.fixture
-def debug_checks(monkeypatch):
-    monkeypatch.setattr(mapml.core, "DEBUG_CHECKS", True)
-    yield
-
 
 def _mnist_paths():
     candidates = [os.environ.get("MAPML_DATA_DIR"),

@@ -89,6 +89,14 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "imgs.gz" in err
 
+    def test_nan_gamma_clean_error(self, tmp_path, synth_csv, capsys):
+        model_path = str(tmp_path / "m.mapml")
+        rc = main(["train", "--data", synth_csv, "--gamma", "nan",
+                   "--outer-iters", "1", "--inner-iters", "200", "--out", model_path])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(model_path)
+
     def test_baseline_flag(self, tmp_path, synth_csv):
         model_path = str(tmp_path / "b.mapml")
         rc = main(["train", "--data", synth_csv, "--baseline", "random-triplet",
@@ -169,7 +177,40 @@ class TestEval:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def count_training(monkeypatch):
+    """Count the CLI's calls of either trainer."""
+    calls = []
+    for name in ("train_mapml", "train_random_triplet_baseline"):
+        def counted(*args, _fn=getattr(cli, name), **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
 class TestBench:
+    @pytest.mark.parametrize("methods, taus", [("mapml", "10,20,0"), ("euclid", "0,500")])
+    def test_bad_swept_tau_fails_before_training(self, synth_csv, capsys, monkeypatch,
+                                                 methods, taus):
+        calls = count_training(monkeypatch)
+        rc = main(["bench", "--data", synth_csv, "--methods", methods, "--trials", "1",
+                   "--outer-iters", "1", "--inner-iters", "200", "--tau-sweep", taus])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and "tau" in err
+        assert out == "" and calls == []
+
+    def test_stage_seconds_reported(self, tmp_path, synth_csv):
+        out_csv = str(tmp_path / "bench.csv")
+        rc = main(["bench", "--data", synth_csv, "--methods", "mapml,random-triplet",
+                   "--trials", "1", "--outer-iters", "1", "--inner-iters", "400",
+                   "--csv-out", out_csv])
+        assert rc == 0
+        rows = read_csv(out_csv)
+        rows = {r[0]: dict(zip(rows[0], r)) for r in rows[1:]}
+        assert float(rows["mapml"]["latent_stage_seconds"]) > 0
+        assert float(rows["random-triplet"]["metric_stage_seconds"]) > 0
+
     def test_euclid_only_zero_stddev(self, tmp_path, synth_csv, capsys):
         out_csv = str(tmp_path / "bench.csv")
         rc = main(["bench", "--data", synth_csv, "--methods", "euclid",
@@ -258,6 +299,15 @@ class TestNoiseSweep:
         with pytest.raises(SystemExit) as exc:
             main(["noise-sweep", "--data", synth_csv, "--methods", "euclid"] + flags)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("sigmas", ["0.1,-1", "0.1,nan"])
+    def test_bad_sigma_fails_before_training(self, synth_csv, capsys, monkeypatch, sigmas):
+        calls = count_training(monkeypatch)
+        rc = main(["noise-sweep", "--data", synth_csv, "--methods", "mapml", "--trials", "1",
+                   "--outer-iters", "1", "--inner-iters", "200", "--sigmas", sigmas])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: sigma must be >= 0")
+        assert calls == []
 
     def test_zero_denominator_sigma_clean_error(self, synth_csv, capsys):
         rc = main(["noise-sweep", "--data", synth_csv, "--methods", "euclid",

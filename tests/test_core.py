@@ -101,6 +101,10 @@ class TestTrainConfig:
         dict(delta=0.0), dict(outer_iters=-1), dict(inner_iters=3),
         dict(inner_iters=-2), dict(latent_em_iters=0), dict(active_set_cap=0),
         dict(tie_tolerance=-1e-9),
+        dict(tau=float("nan")), dict(gamma=float("nan")), dict(lam=float("nan")),
+        dict(delta=float("nan")), dict(tie_tolerance=float("nan")),
+        dict(outer_iters=2.5), dict(latent_em_iters=1.5), dict(inner_iters=4.0),
+        dict(active_set_cap=True),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

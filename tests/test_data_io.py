@@ -224,7 +224,7 @@ def small_result(rng):
         metric=Metric(0.5 * (M + M.T)),
         latent_model=model,
         loss_trace=rng.normal(size=4) ** 2,
-        wall_times=np.zeros((3, 2)),
+        history=[],
         config=TrainConfig(rng_seed=9),
     )
 
@@ -307,6 +307,7 @@ class TestModelPersistence:
         '{"config": {"tau": 10.0, "not_a_field": 1}}',
         '{"config": ["tau", 10.0]}',
         '{"config": {"tau": "ten"}}',
+        '{"config": {"lam": NaN}}',
         '{"loss_trace": [{"k": 1}]}',
         '[1, 2, 3]',
         '"just a string"',

@@ -1,10 +1,11 @@
-import logging
+import time
 
 import numpy as np
 import pytest
 
-from mapml import Dataset, Metric, TrainConfig, evaluate, full_loss_all, \
-    init_latents, train_mapml, train_random_triplet_baseline
+from mapml import Dataset, Metric, TrainConfig, assign_membership, compute_margins, \
+    driver, evaluate, full_loss_all, init_latents, run_latent_stage, run_metric_stage, \
+    train_mapml, train_random_triplet_baseline
 
 from conftest import make_blobs, random_instance
 
@@ -21,7 +22,7 @@ class TestTrainMapml:
         res = train_mapml(data, cfg)
         np.testing.assert_allclose(res.metric.matrix, np.eye(2), atol=1e-12)
         assert res.loss_trace.shape == (1,)
-        assert res.wall_times.shape == (0, 2)
+        assert res.history == []
 
     def test_separable_blobs_beat_euclidean(self):
         rng = np.random.default_rng(1)
@@ -58,13 +59,30 @@ class TestTrainMapml:
             assert trace_non_increasing(res.loss_trace), res.loss_trace
             assert res.metric.min_eigenvalue() >= -1e-9  # finalized
 
-    def test_half_inequalities_hold_in_debug(self, debug_checks, caplog):
+    def test_half_inequalities_hold_in_debug(self):
+        # replay the run stage by stage: the latent stage does not raise the
+        # loss under the old metric (from the previous model's margins
+        # re-taken under it), and the metric stage does not raise it under
+        # the new model's margins
         rng = np.random.default_rng(3)
         data = random_instance(rng)
         cfg = TrainConfig(tau=15.0, outer_iters=5, inner_iters=1000, rng_seed=1)
-        with caplog.at_level(logging.WARNING, logger="mapml.driver"):
-            train_mapml(data, cfg)
-        assert not caplog.records
+        seeds = driver._seed_streams(cfg.rng_seed, 1 + cfg.outer_iters)
+        metric = Metric.identity(data.d)
+        model = init_latents(data, cfg.tau, seeds[0])
+        losses = [full_loss_all(metric, model)]
+        for k in range(1, cfg.outer_iters + 1):
+            before = full_loss_all(metric, compute_margins(
+                data, assign_membership(data, model, metric, cfg.tie_tolerance), metric))
+            model = run_latent_stage(data, model, metric, cfg)
+            mid = full_loss_all(metric, model)
+            metric, _ = run_metric_stage(model, metric, cfg, seed=seeds[k])
+            losses.append(full_loss_all(metric, model))
+            rtol = driver.MONOTONE_RTOL
+            assert mid <= before + rtol * abs(before), k
+            assert losses[k] <= mid + rtol * abs(mid), k
+            assert losses[k] <= losses[k - 1] + rtol * abs(losses[k - 1]), k
+        assert np.asarray(losses).tobytes() == train_mapml(data, cfg).loss_trace.tobytes()
 
     def test_loss_trace_margins_use_previous_metric(self):
         # the recorded loss must equal full_loss_all under the new metric
@@ -92,23 +110,27 @@ class TestTrainMapml:
         data = random_instance(rng)
         cfg = TrainConfig(tau=15.0, outer_iters=4, inner_iters=200, rng_seed=3)
         records = []
-        train_mapml(data, cfg, log_sink=records.append)
-        assert [r["k"] for r in records] == [1, 2, 3, 4]
-        for r in records:
-            assert {"k", "loss", "active_set_size", "latent_seconds",
-                    "metric_seconds", "active_set_seconds", "active_steps",
-                    "ball_clips"} <= set(r)
+        res = train_mapml(data, cfg, log_sink=records.append)
+        # the sink sees the very dicts of the history, in order
+        assert len(records) == len(res.history)
+        assert all(r is h for r, h in zip(records, res.history))
+        assert [r["k"] for r in res.history] == [1, 2, 3, 4]
+        assert [r["loss"] for r in res.history] == res.loss_trace[1:].tolist()
+        for r in res.history:
+            assert set(r) == {"k", "loss", "active_set_size", "latent_seconds",
+                              "metric_seconds", "active_set_seconds", "active_steps",
+                              "ball_clips"}
             if r["active_set_size"] == 0:
                 assert r["active_steps"] == r["ball_clips"] == 0
 
-    def test_log_sink_counts_sgd_steps(self):
+    def test_history_counts_sgd_steps(self):
         # overlapping classes keep the active set non-empty, so SGD runs
         rng = np.random.default_rng(13)
         data = make_blobs(rng, 15, [[0.0, 0.0], [0.5, 0.5]], 0.8)
         cfg = TrainConfig(tau=20.0, outer_iters=2, inner_iters=200, delta=1.0, rng_seed=3)
-        records = []
-        train_mapml(data, cfg, log_sink=records.append)
-        for r in records:
+        res = train_mapml(data, cfg)
+        assert len(res.history) == 2
+        for r in res.history:
             assert r["active_set_size"] > 0
             assert 0 < r["active_steps"] <= cfg.inner_iters
             assert 0 <= r["ball_clips"] <= cfg.inner_iters
@@ -121,13 +143,15 @@ class TestTrainMapml:
             with pytest.raises(FloatingPointError):
                 train_mapml(data, cfg)
 
-    def test_wall_times_recorded(self):
+    def test_history_times_recorded(self):
         rng = np.random.default_rng(7)
         data = random_instance(rng)
         cfg = TrainConfig(tau=15.0, outer_iters=3, inner_iters=200, rng_seed=4)
         res = train_mapml(data, cfg)
-        assert res.wall_times.shape == (3, 2)
-        assert (res.wall_times >= 0).all()
+        assert len(res.history) == 3
+        for r in res.history:
+            assert r["latent_seconds"] >= 0
+            assert r["metric_seconds"] >= r["active_set_seconds"] >= 0
 
 
 class TestRandomTripletBaseline:
@@ -137,6 +161,23 @@ class TestRandomTripletBaseline:
         cfg = TrainConfig(inner_iters=0)
         res = train_random_triplet_baseline(data, cfg)
         np.testing.assert_array_equal(res.metric.matrix, np.eye(1))
+        assert res.loss_trace.size == 0
+        assert [(r["active_steps"], r["ball_clips"]) for r in res.history] == [(0, 0)]
+
+    def test_one_record(self):
+        # no latent objective: loss is None and loss_trace stays empty; the
+        # record's metric_seconds is the training time
+        rng = np.random.default_rng(14)
+        data = make_blobs(rng, 8, [[0.0, 0.0], [1.0, 1.0]], 0.8)
+        cfg = TrainConfig(inner_iters=200, rng_seed=1)
+        t0 = time.perf_counter()
+        res = train_random_triplet_baseline(data, cfg)
+        elapsed = time.perf_counter() - t0
+        [r] = res.history
+        assert r["k"] == 1 and r["loss"] is None
+        assert 0 < r["metric_seconds"] <= elapsed
+        assert r["latent_seconds"] == r["active_set_seconds"] == 0.0
+        assert 0 < r["active_steps"] <= cfg.inner_iters
         assert res.loss_trace.size == 0
 
     def test_trivial_latent_model(self):

@@ -313,7 +313,7 @@ class TestRunMetricStage:
         model = make_latent_model([[0.0], [2.0], [100.0]], [2, 1])
         Mp = Metric(np.array([[1.5]]))
         cfg = TrainConfig(inner_iters=100, lam=1.0, delta=10.0)
-        got = run_metric_stage(model, Mp, cfg)
+        got, _ = run_metric_stage(model, Mp, cfg)
         np.testing.assert_allclose(got.matrix, psd_project(Mp.matrix).matrix, atol=1e-12)
 
     def test_empty_active_set_returns_pd_prev_bitwise(self):
@@ -324,7 +324,7 @@ class TestRunMetricStage:
         Mp = Metric(random_psd(rng, 3) + 0.5 * np.eye(3))
         cfg = TrainConfig(inner_iters=100, lam=1.0, delta=10.0)
         assert len(build_active_set(model, Mp, cap=cfg.active_set_cap, seed=0)) == 0
-        np.testing.assert_array_equal(run_metric_stage(model, Mp, cfg).matrix, Mp.matrix)
+        np.testing.assert_array_equal(run_metric_stage(model, Mp, cfg)[0].matrix, Mp.matrix)
 
     def test_single_triplet_descends(self):
         # exactly one violated triplet: anchor 0 sees the other class at
@@ -335,7 +335,7 @@ class TestRunMetricStage:
         aset = build_active_set(model, Mp, cap=10, seed=0)
         assert [tuple(r) for r in aset.triplets] == [(0, 1, 2)]
         cfg = TrainConfig(inner_iters=1000, lam=1.0, delta=10.0, rng_seed=3)
-        got = run_metric_stage(model, Mp, cfg)
+        got, _ = run_metric_stage(model, Mp, cfg)
         before = stage_value(Mp, Mp, aset, model, cfg.lam)
         after = stage_value(got, Mp, aset, model, cfg.lam)
         assert after <= before
@@ -349,7 +349,7 @@ class TestRunMetricStage:
             aset = build_active_set(model, Mp, cap=cfg.active_set_cap, seed=0)
             if len(aset) == 0:
                 continue
-            got = run_metric_stage(model, Mp, cfg)
+            got, _ = run_metric_stage(model, Mp, cfg)
             before = stage_value(Mp, Mp, aset, model, cfg.lam)
             after = stage_value(got, Mp, aset, model, cfg.lam)
             assert after <= before + 1e-8
@@ -360,7 +360,7 @@ class TestRunMetricStage:
             model = self.make_violating_instance(rng, d=3)
             Mp = Metric.identity(3)
             cfg = TrainConfig(inner_iters=500, lam=0.5, delta=2.0, rng_seed=seed)
-            got = run_metric_stage(model, Mp, cfg)
+            got, _ = run_metric_stage(model, Mp, cfg)
             assert np.linalg.norm(got.matrix) <= cfg.delta + 1e-9
             assert got.min_eigenvalue() >= -1e-9
 
@@ -369,58 +369,56 @@ class TestRunMetricStage:
         model = self.make_violating_instance(rng)
         Mp = Metric.identity(2)
         cfg = TrainConfig(inner_iters=800, lam=1.0, delta=5.0, rng_seed=9)
-        a = run_metric_stage(model, Mp, cfg)
-        b = run_metric_stage(model, Mp, cfg)
+        a, _ = run_metric_stage(model, Mp, cfg)
+        b, _ = run_metric_stage(model, Mp, cfg)
         np.testing.assert_array_equal(a.matrix, b.matrix)
-
-    def test_debug_checks_pass(self, debug_checks):
-        rng = np.random.default_rng(23)
-        model = self.make_violating_instance(rng)
-        cfg = TrainConfig(inner_iters=400, lam=1.0, delta=1.0, rng_seed=1)
-        run_metric_stage(model, Metric.identity(2), cfg)
 
     def test_stats_reported(self):
         rng = np.random.default_rng(24)
         model = self.make_violating_instance(rng)
         cfg = TrainConfig(inner_iters=100, lam=1.0, delta=5.0)
-        stats = {}
-        run_metric_stage(model, Metric.identity(2), cfg, stats=stats)
-        assert stats["active_set_size"] >= 0
-        assert stats["active_set_seconds"] >= 0.0
-        assert 0 < stats["active_steps"] <= cfg.inner_iters
-        assert 0 <= stats["ball_clips"] <= cfg.inner_iters
+        _, counts = run_metric_stage(model, Metric.identity(2), cfg)
+        assert counts["active_set_size"] >= 0
+        assert counts["active_set_seconds"] >= 0.0
+        assert 0 < counts["active_steps"] <= cfg.inner_iters
+        assert 0 <= counts["ball_clips"] <= cfg.inner_iters
+        # without SGD the counts still carry every key
+        _, counts = run_metric_stage(model, Metric.identity(2), TrainConfig(inner_iters=0))
+        assert counts["active_set_size"] > 0
+        assert counts["active_steps"] == counts["ball_clips"] == 0
 
     def test_zero_steps_returns_projected_prev(self):
         rng = np.random.default_rng(25)
         model = self.make_violating_instance(rng)
         Mp = Metric.identity(2)
         cfg = TrainConfig(inner_iters=0)
-        got = run_metric_stage(model, Mp, cfg)
+        got, _ = run_metric_stage(model, Mp, cfg)
         np.testing.assert_allclose(got.matrix, Mp.matrix, atol=1e-12)
 
     def test_equals_explicit_suffix_average(self):
         # replay the stage with stored iterates; the running-sum path must
-        # agree with alpha_suffix_average over them
-        rng = np.random.default_rng(26)
-        model = self.make_violating_instance(rng)
-        Mp = Metric.identity(2)
-        cfg = TrainConfig(inner_iters=200, lam=1.0, delta=5.0, rng_seed=17)
-        got = run_metric_stage(model, Mp, cfg)
+        # agree with alpha_suffix_average over them. The second input has a
+        # small ball that clips many steps.
+        for seed, steps, delta, rng_seed in [(26, 200, 5.0, 17), (23, 400, 1.0, 1)]:
+            model = self.make_violating_instance(np.random.default_rng(seed))
+            Mp = Metric.identity(2)
+            cfg = TrainConfig(inner_iters=steps, lam=1.0, delta=delta, rng_seed=rng_seed)
+            got, _ = run_metric_stage(model, Mp, cfg)
 
-        _, s_sgd = np.random.SeedSequence(cfg.rng_seed).spawn(2)
-        aset = build_active_set(model, Mp, cap=cfg.active_set_cap, seed=0)
-        picks = np.random.default_rng(s_sgd).integers(0, len(aset), size=cfg.inner_iters)
-        z = model.latents
-        M = Mp.matrix.copy()
-        iterates = []
-        for s in range(1, cfg.inner_iters + 1):
-            o, p, q = aset.triplets[picks[s - 1]]
-            u, v = z[o] - z[p], z[o] - z[q]
-            arg = (1.0 + aset.margins_snapshot[o]) - (v @ M @ v - u @ M @ u)
-            M = (1 - 1 / s) * M + (1 / s) * Mp.matrix
-            if arg > 0:
-                M = M - (np.outer(u, u) - np.outer(v, v)) / (cfg.lam * s)
-            M = frobenius_project(M, cfg.delta)
-            iterates.append(M.copy())
-        want = psd_project(alpha_suffix_average(iterates, cfg.inner_iters))
-        np.testing.assert_allclose(got.matrix, want.matrix, atol=1e-12)
+            _, s_sgd = np.random.SeedSequence(cfg.rng_seed).spawn(2)
+            aset = build_active_set(model, Mp, cap=cfg.active_set_cap, seed=0)
+            picks = np.random.default_rng(s_sgd).integers(0, len(aset), size=cfg.inner_iters)
+            z = model.latents
+            M = Mp.matrix.copy()
+            iterates = []
+            for s in range(1, cfg.inner_iters + 1):
+                o, p, q = aset.triplets[picks[s - 1]]
+                u, v = z[o] - z[p], z[o] - z[q]
+                arg = (1.0 + aset.margins_snapshot[o]) - (v @ M @ v - u @ M @ u)
+                M = (1 - 1 / s) * M + (1 / s) * Mp.matrix
+                if arg > 0:
+                    M = M - (np.outer(u, u) - np.outer(v, v)) / (cfg.lam * s)
+                M = frobenius_project(M, cfg.delta)
+                iterates.append(M.copy())
+            want = psd_project(alpha_suffix_average(iterates, cfg.inner_iters))
+            np.testing.assert_allclose(got.matrix, want.matrix, atol=1e-12)
