@@ -395,30 +395,45 @@ class TestRunMetricStage:
         got, _ = run_metric_stage(model, Mp, cfg)
         np.testing.assert_allclose(got.matrix, Mp.matrix, atol=1e-12)
 
+    def replay_stage(self, model, Mp, cfg):
+        # the stage with stored iterates, averaged by alpha_suffix_average
+        _, s_sgd = np.random.SeedSequence(cfg.rng_seed).spawn(2)
+        aset = build_active_set(model, Mp, cap=cfg.active_set_cap, seed=0)
+        picks = np.random.default_rng(s_sgd).integers(0, len(aset), size=cfg.inner_iters)
+        z = model.latents
+        M = Mp.matrix.copy()
+        iterates = []
+        for s in range(1, cfg.inner_iters + 1):
+            o, p, q = aset.triplets[picks[s - 1]]
+            u, v = z[o] - z[p], z[o] - z[q]
+            arg = (1.0 + aset.margins_snapshot[o]) - (v @ M @ v - u @ M @ u)
+            M = (1 - 1 / s) * M + (1 / s) * Mp.matrix
+            if arg > 0:
+                M = M - (np.outer(u, u) - np.outer(v, v)) / (cfg.lam * s)
+            M = frobenius_project(M, cfg.delta)
+            iterates.append(M.copy())
+        return psd_project(alpha_suffix_average(iterates, cfg.inner_iters))
+
+    def test_debug_checks_pass(self):
+        # the instance the former per-step debug assertions ran on: a small
+        # ball that clips many steps. The output keeps what they asserted
+        # (inside the ball, symmetric) and equals the explicit replay.
+        model = self.make_violating_instance(np.random.default_rng(23))
+        Mp = Metric.identity(2)
+        cfg = TrainConfig(inner_iters=400, lam=1.0, delta=1.0, rng_seed=1)
+        got, counts = run_metric_stage(model, Mp, cfg)
+        assert counts["ball_clips"] > 0
+        assert np.linalg.norm(got.matrix) <= cfg.delta * (1 + 1e-12)
+        np.testing.assert_array_equal(got.matrix, got.matrix.T)
+        want = self.replay_stage(model, Mp, cfg)
+        np.testing.assert_allclose(got.matrix, want.matrix, atol=1e-12)
+
     def test_equals_explicit_suffix_average(self):
         # replay the stage with stored iterates; the running-sum path must
-        # agree with alpha_suffix_average over them. The second input has a
-        # small ball that clips many steps.
-        for seed, steps, delta, rng_seed in [(26, 200, 5.0, 17), (23, 400, 1.0, 1)]:
-            model = self.make_violating_instance(np.random.default_rng(seed))
-            Mp = Metric.identity(2)
-            cfg = TrainConfig(inner_iters=steps, lam=1.0, delta=delta, rng_seed=rng_seed)
-            got, _ = run_metric_stage(model, Mp, cfg)
-
-            _, s_sgd = np.random.SeedSequence(cfg.rng_seed).spawn(2)
-            aset = build_active_set(model, Mp, cap=cfg.active_set_cap, seed=0)
-            picks = np.random.default_rng(s_sgd).integers(0, len(aset), size=cfg.inner_iters)
-            z = model.latents
-            M = Mp.matrix.copy()
-            iterates = []
-            for s in range(1, cfg.inner_iters + 1):
-                o, p, q = aset.triplets[picks[s - 1]]
-                u, v = z[o] - z[p], z[o] - z[q]
-                arg = (1.0 + aset.margins_snapshot[o]) - (v @ M @ v - u @ M @ u)
-                M = (1 - 1 / s) * M + (1 / s) * Mp.matrix
-                if arg > 0:
-                    M = M - (np.outer(u, u) - np.outer(v, v)) / (cfg.lam * s)
-                M = frobenius_project(M, cfg.delta)
-                iterates.append(M.copy())
-            want = psd_project(alpha_suffix_average(iterates, cfg.inner_iters))
-            np.testing.assert_allclose(got.matrix, want.matrix, atol=1e-12)
+        # agree with alpha_suffix_average over them
+        model = self.make_violating_instance(np.random.default_rng(26))
+        Mp = Metric.identity(2)
+        cfg = TrainConfig(inner_iters=200, lam=1.0, delta=5.0, rng_seed=17)
+        got, _ = run_metric_stage(model, Mp, cfg)
+        want = self.replay_stage(model, Mp, cfg)
+        np.testing.assert_allclose(got.matrix, want.matrix, atol=1e-12)
