@@ -29,20 +29,20 @@ data, truth = generate_synthetic(SyntheticSpec(
 cfg = TrainConfig(tau=2.5, outer_iters=4, inner_iters=1500, rng_seed=1)
 result = train_mapml(data, cfg)
 
-workdir = Path(tempfile.mkdtemp())
-path = workdir / "demo.mapml"
-save_model(path, result)
-print(f"wrote {path} ({path.stat().st_size} bytes) and sidecar {path}.meta")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "demo.mapml"
+    save_model(path, result)
+    print(f"wrote {path} ({path.stat().st_size} bytes) and sidecar {path}.meta")
 
-loaded = load_model(path)
-assert np.array_equal(loaded.metric.matrix, result.metric.matrix)
-assert np.array_equal(loaded.latents, result.latent_model.latents)
-print("binary round trip is bit-exact")
+    loaded = load_model(path)
+    assert np.array_equal(loaded.metric.matrix, result.metric.matrix)
+    assert np.array_equal(loaded.latents, result.latent_model.latents)
+    print("binary round trip is bit-exact")
 
-meta = json.loads(Path(str(path) + ".meta").read_text())
-print("\nsidecar contents:")
-print("  config echo:", {k: meta["config"][k] for k in ("tau", "lam", "delta")})
-print("  loss trace:", [round(v, 2) for v in meta["loss_trace"]])
+    meta = json.loads(Path(str(path) + ".meta").read_text())
+    print("\nsidecar contents:")
+    print("  config echo:", {k: meta["config"][k] for k in ("tau", "lam", "delta")})
+    print("  loss trace:", [round(v, 2) for v in meta["loss_trace"]])
 
 report = evaluate(data, loaded.latents, loaded.latent_labels, loaded.metric, k=3)
 print(f"\n3-NN with the reloaded model: error={report.error_rate:.3f} "

@@ -11,9 +11,8 @@ from .core import (Dataset, Metric, TrainConfig, full_loss_all,
                    pairwise_mahalanobis_sq)
 from .latent import (LatentModel, assign_membership, compute_margins,
                      init_latents, run_latent_stage, update_latents)
-from .metric import (ActiveSet, alpha_suffix_average, build_active_set,
-                     frobenius_project, hinge_subgradient, psd_project,
-                     run_metric_stage)
+from .metric import (alpha_suffix_average, build_active_set, frobenius_project,
+                     hinge_subgradient, psd_project, run_metric_stage)
 from .driver import TrainResult, train_mapml, train_random_triplet_baseline
 from .evaluation import EvalReport, add_gaussian_noise, evaluate, knn_predict
 from .data_io import (ModelFile, SyntheticSpec, generate_synthetic, load_csv,

@@ -125,8 +125,6 @@ class TrainConfig:
                     covers the last S/2 iterates)
     latent_em_iters assignment/update sweeps per latent stage
     active_set_cap  maximum number of retained violated triplets
-    tie_tolerance   absolute tolerance on squared distances when breaking
-                    assignment ties toward the smaller latent index
     """
 
     tau: float = 10.0
@@ -138,7 +136,6 @@ class TrainConfig:
     latent_em_iters: int = 10
     rng_seed: int = 0
     active_set_cap: int = 200_000
-    tie_tolerance: float = 1e-12
 
     def __post_init__(self):
         # comparisons written so that NaN fails them
@@ -162,8 +159,6 @@ class TrainConfig:
             raise ValueError(f"latent_em_iters must be >= 1, got {self.latent_em_iters}")
         if self.active_set_cap < 1:
             raise ValueError(f"active_set_cap must be >= 1, got {self.active_set_cap}")
-        if not self.tie_tolerance >= 0:
-            raise ValueError(f"tie_tolerance must be >= 0, got {self.tie_tolerance}")
 
 
 def pairwise_mahalanobis_sq(metric: Metric, A, B=None) -> np.ndarray:
@@ -197,17 +192,18 @@ class HingeBlock(NamedTuple):
 
     same         (m_r,) latent indices of the class; row i is anchor same[i]
     diff         (n,) latent indices of every other class, ascending
-    partner_dist (m_r, m_r - 1) E[o, p] for each anchor's same-class
-                 partners p != o, in the order of :func:`partner_columns`
     b_sorted     (m_r, n) E[o, diff], each row sorted ascending
-    thresholds   (m_r, m_r - 1) t_p = (1 + margin(o)) + E[o, p]
+    thresholds   (m_r, m_r - 1) t_p = (1 + margin(o)) + E[o, p] for each
+                 anchor's same-class partners p != o, in the order of
+                 :func:`partner_columns`
     below        (m_r, m_r - 1) number of b in the row strictly below t_p,
-                 i.e. the count of q with a positive loss hinge t_p - E[o, q]
+                 i.e. the count of q with a positive loss hinge t_p - E[o, q].
+                 This is the one definition of a violated triplet: the loss
+                 sums these hinges and the active set keeps these triplets.
     """
 
     same: np.ndarray
     diff: np.ndarray
-    partner_dist: np.ndarray
     b_sorted: np.ndarray
     thresholds: np.ndarray
     below: np.ndarray
@@ -235,48 +231,18 @@ def hinge_blocks(E: np.ndarray, labels, margins):
         if same.size < 2 or diff.size == 0:
             continue
         Es = E[np.ix_(same, same)]
-        partner_dist = np.take_along_axis(Es, partner_columns(same.size), axis=1)
+        thresholds = (1.0 + margins[same])[:, None] + np.take_along_axis(
+            Es, partner_columns(same.size), axis=1)
         b_sorted = np.sort(E[np.ix_(same, diff)], axis=1)
-        thresholds = (1.0 + margins[same])[:, None] + partner_dist
         below = np.stack([np.searchsorted(b, t, side="left")
                           for b, t in zip(b_sorted, thresholds)])
-        yield HingeBlock(same, diff, partner_dist, b_sorted, thresholds, below)
-
-
-def _violator_boundary(b, a, c, k) -> int:
-    """Exact prefix length of sorted ``b`` with fl(b - a) < c, starting near k."""
-    n = b.size
-    while k < n and b[k] - a < c:
-        k = int(np.searchsorted(b, b[k], side="right"))
-    while k > 0 and not (b[k - 1] - a < c):
-        k = int(np.searchsorted(b, b[k - 1], side="left"))
-    return k
-
-
-def violator_counts(block: HingeBlock, margins) -> np.ndarray:
-    """(m_r, m_r - 1) count of q with fl(E[o, q] - E[o, p]) < 1 + margin(o).
-
-    This is the active set's violation test. It is monotone in E[o, q],
-    so the violators of (o, p) are a prefix of the sorted row; the loss
-    boundary ``block.below`` can differ from it by rounding, so each
-    count is checked against the exact test at its boundary and moved
-    (a whole run of tied distances at a time) where it disagrees.
-    """
-    b, a, k = block.b_sorted, block.partner_dist, block.below.copy()
-    c = (1.0 + margins[block.same])[:, None]
-    n = b.shape[1]
-    rows = np.arange(b.shape[0])[:, None]
-    grow = (k < n) & (b[rows, np.minimum(k, n - 1)] - a < c)
-    shrink = (k > 0) & ~(b[rows, np.maximum(k - 1, 0)] - a < c)
-    for i, j in zip(*np.nonzero(grow | shrink)):
-        k[i, j] = _violator_boundary(b[i], a[i, j], c[i, 0], int(k[i, j]))
-    return k
+        yield HingeBlock(same, diff, b_sorted, thresholds, below)
 
 
 def decode_ranks(E: np.ndarray, same, diff, counts, ranks):
     """Map violator ranks of one class block to (o, p, q) latent indices.
 
-    ``counts`` is the block's (m_r, m_r - 1) :func:`violator_counts` and
+    ``counts`` is the block's (m_r, m_r - 1) ``HingeBlock.below`` and
     ``ranks`` are ascending ints in [0, counts.sum()), enumerating the
     violators anchor by anchor, partner by partner (in the order of
     :func:`partner_columns`), and for each (o, p) by ascending E[o, q].

@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .core import Dataset, Metric, TrainConfig
-from .latent import LatentModel, compute_margins
+from .latent import TIE_TOLERANCE, LatentModel, compute_margins
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -158,7 +158,7 @@ class SyntheticSpec:
         if self.n_classes < 1 or self.latents_per_class < 1 or self.dim < 1 \
                 or self.samples_per_latent < 1:
             raise ValueError("all synthetic counts must be >= 1")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
@@ -244,7 +244,8 @@ def load_model(path) -> ModelFile:
     Raises ``ValueError`` for a bad header, a short payload, bytes after
     the payload, and a sidecar that is not a JSON object of known fields
     or whose ``dim`` or ``m`` disagrees with the header. A missing
-    sidecar is tolerated.
+    sidecar is tolerated. A config ``tie_tolerance`` key, which older
+    sidecars carry, is accepted only at ``latent.TIE_TOLERANCE``.
     """
     with open(path, "rb") as f:
         magic = _read_exact(f, 8, "model header")
@@ -283,7 +284,15 @@ def load_model(path) -> ModelFile:
                 raise ValueError(
                     f"{key} is {meta[key]!r} but the model header says {value}")
         if meta.get("config") is not None:
-            config = TrainConfig(**meta["config"])
+            fields = meta["config"]
+            # older sidecars carry the tie tolerance, now a constant
+            if isinstance(fields, dict) and "tie_tolerance" in fields:
+                fields = dict(fields)
+                legacy = fields.pop("tie_tolerance")
+                if legacy != TIE_TOLERANCE:
+                    raise ValueError(
+                        f"tie_tolerance is {legacy!r}, but models use {TIE_TOLERANCE}")
+            config = TrainConfig(**fields)
         if meta.get("loss_trace") is not None:
             loss_trace = np.asarray(meta["loss_trace"], dtype=np.float64)
     except FileNotFoundError:

@@ -168,7 +168,7 @@ def add_gaussian_noise(data: Dataset, sigma: float, seed: int) -> Dataset:
     No clamping: clipping would bias the noise mean and break the
     zero-mean latent-example assumption. Labels are unchanged.
     """
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     rng = np.random.default_rng(seed)
     noisy = data.features + rng.normal(0.0, sigma, size=data.features.shape)

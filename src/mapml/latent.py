@@ -18,6 +18,10 @@ import numpy as np
 
 from .core import Dataset, Metric, TrainConfig, is_identity
 
+# Assignment ties: squared distances within this absolute tolerance of the
+# row's minimum go to the smaller latent index.
+TIE_TOLERANCE = 1e-12
+
 
 class LatentModel:
     """Latent examples for every class, plus memberships and margins.
@@ -137,10 +141,10 @@ def _class_blocks(data: Dataset, M) -> list:
     return blocks
 
 
-def _assign(model: LatentModel, blocks: list, M, tie_tolerance: float):
+def _assign(model: LatentModel, blocks: list, M):
     """Membership, and each row's clamped D^2 to its latent, given ``_class_blocks``.
 
-    Ties within ``tie_tolerance`` go to the smaller latent index. Costs
+    Ties within ``TIE_TOLERANCE`` go to the smaller latent index. Costs
     O(n*m_r*d + m*d^2): Z M is formed once for all m latents.
     """
     Z = model.latents
@@ -155,8 +159,8 @@ def _assign(model: LatentModel, blocks: list, M, tie_tolerance: float):
         d2 = XM_r @ (-2.0 * Z[lo:hi]).T
         d2 += qx_r[:, None] + qz[None, lo:hi]
         best = d2.min(axis=1)
-        # first index within tie_tolerance of the minimum
-        local = (d2 <= best[:, None] + tie_tolerance).argmax(axis=1)
+        # first index within TIE_TOLERANCE of the minimum
+        local = (d2 <= best[:, None] + TIE_TOLERANCE).argmax(axis=1)
         membership[idx] = lo + local
         dist[idx] = d2[np.arange(idx.size), local]
         lo = hi
@@ -177,16 +181,15 @@ def _metric_or_none(metric: Metric):
     return None if is_identity(M) else M
 
 
-def assign_membership(data: Dataset, model: LatentModel, metric: Metric,
-                      tie_tolerance: float = TrainConfig.tie_tolerance) -> LatentModel:
+def assign_membership(data: Dataset, model: LatentModel, metric: Metric) -> LatentModel:
     """Assign each example to its nearest same-class latent under ``metric``.
 
-    Ties within ``tie_tolerance`` on the squared distance go to the
+    Ties within ``TIE_TOLERANCE`` on the squared distance go to the
     smaller latent index. Margins are carried over unchanged; call
     :func:`compute_margins` to refresh them.
     """
     M = _metric_or_none(metric)
-    membership, _ = _assign(model, _class_blocks(data, M), M, tie_tolerance)
+    membership, _ = _assign(model, _class_blocks(data, M), M)
     return model.replace(membership=membership)
 
 
@@ -314,9 +317,9 @@ def run_latent_stage(data: Dataset, prev: LatentModel, metric: Metric,
     blocks = _class_blocks(data, M)
     model = prev
     for _ in range(cfg.latent_em_iters):
-        membership, _ = _assign(model, blocks, M, cfg.tie_tolerance)
+        membership, _ = _assign(model, blocks, M)
         model = model.replace(membership=membership)
         model = update_latents(data, model, z_anchor, cfg.gamma)
-    membership, dist = _assign(model, blocks, M, cfg.tie_tolerance)
+    membership, dist = _assign(model, blocks, M)
     return model.replace(membership=membership,
                          cluster_margins=_cluster_means(membership, dist, model.m))

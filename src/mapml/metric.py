@@ -29,7 +29,6 @@ pays for an eigendecomposition.
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,22 +43,6 @@ SGD_BLOCK = 64
 # A block ends early once ball clips shrink the scale a of W below this.
 # Updates enter W divided by a, so a tiny a would cost W its precision.
 SCALE_FLOOR = 1e-6
-
-
-@dataclass
-class ActiveSet:
-    """Triplets violating their margin under the construction-time metric.
-
-    ``triplets`` is an (T, 3) int array of (anchor, same-class,
-    other-class) latent indices; ``margins_snapshot`` holds the per-latent
-    margins frozen at construction.
-    """
-
-    triplets: np.ndarray
-    margins_snapshot: np.ndarray
-
-    def __len__(self):
-        return self.triplets.shape[0]
 
 
 def _sample_without_replacement(total: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -84,29 +67,29 @@ def _sample_without_replacement(total: int, size: int, rng: np.random.Generator)
     return picked
 
 
-def build_active_set(model: LatentModel, metric_prev: Metric, cap: int, seed: int) -> ActiveSet:
+def build_active_set(model: LatentModel, metric_prev: Metric, cap: int, seed: int) -> np.ndarray:
     """Enumerate margin-violating triplets under ``metric_prev``.
 
-    Keeps the (o, p, q) with label(p) = label(o), p != o, label(q) !=
-    label(o) whose hinge is strictly positive, in ascending (o, p, q)
-    order. If more than ``cap`` violate, a uniform subsample without
-    replacement (driven by ``seed``) is retained, still in ascending
-    order. An empty result is legal.
+    Returns an (T, 3) int64 array of (anchor, same-class, other-class)
+    latent indices: the (o, p, q) with label(p) = label(o), p != o,
+    label(q) != label(o) whose loss hinge is strictly positive, in
+    ascending (o, p, q) order. These are exactly the triplets that
+    :func:`core.full_loss_all` sums, counted per (o, p) by
+    ``HingeBlock.below``. If more than ``cap`` violate, a uniform
+    subsample without replacement (driven by ``seed``) is retained, still
+    in ascending order. An empty result is legal.
 
-    Violators are counted per (o, p) off each anchor's sorted
-    other-class distances (:func:`core.violator_counts`), and the retained
-    ranks decode to rows with :func:`core.decode_ranks`. Time is
-    O(m^2 log m + retained), one class block at a time.
+    The retained ranks decode to rows with :func:`core.decode_ranks`.
+    Time is O(m^2 log m + retained), one class block at a time.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     E = pairwise_mahalanobis_sq(metric_prev, model.latents)
-    margins = model.cluster_margins
-    blocks = [(blk.same, blk.diff, core.violator_counts(blk, margins))
-              for blk in core.hinge_blocks(E, model.latent_labels, margins)]
+    blocks = [(blk.same, blk.diff, blk.below) for blk in
+              core.hinge_blocks(E, model.latent_labels, model.cluster_margins)]
     total = sum(int(counts.sum()) for _, _, counts in blocks)
     if total == 0:
-        return ActiveSet(np.empty((0, 3), dtype=np.int64), margins.copy())
+        return np.empty((0, 3), dtype=np.int64)
     # every rank when total <= cap, else a sorted uniform sample of cap ranks
     ranks = _sample_without_replacement(total, cap, np.random.default_rng(seed))
     m = model.m
@@ -121,7 +104,7 @@ def build_active_set(model: LatentModel, metric_prev: Metric, cap: int, seed: in
         base += size
     # one int64 key per row sorts the rows into ascending (o, p, q)
     o, pq = np.divmod(np.sort(np.concatenate(keys)), m * m)
-    return ActiveSet(np.column_stack([o, *np.divmod(pq, m)]), margins.copy())
+    return np.column_stack([o, *np.divmod(pq, m)])
 
 
 def hinge_subgradient(metric: Metric, metric_prev: Metric, triplet,
@@ -346,17 +329,17 @@ def run_metric_stage(model: LatentModel, metric_prev: Metric, cfg: TrainConfig,
         seed = cfg.rng_seed
     s_build, s_sgd = np.random.SeedSequence(seed).spawn(2)
     t0 = time.perf_counter()
-    aset = build_active_set(model, metric_prev, cfg.active_set_cap,
-                            int(s_build.generate_state(1)[0]))
-    counts = {"active_set_size": len(aset),
+    triplets = build_active_set(model, metric_prev, cfg.active_set_cap,
+                                int(s_build.generate_state(1)[0]))
+    counts = {"active_set_size": len(triplets),
               "active_set_seconds": time.perf_counter() - t0,
               "active_steps": 0, "ball_clips": 0}
     S = cfg.inner_iters
-    if len(aset) == 0 or S == 0:
+    if len(triplets) == 0 or S == 0:
         return psd_project(metric_prev.matrix), counts
     rng = np.random.default_rng(s_sgd)
-    picks = rng.integers(0, len(aset), size=S)
+    picks = rng.integers(0, len(triplets), size=S)
     avg, counts["active_steps"], counts["ball_clips"] = proximal_hinge_sgd(
-        model.latents, aset.triplets[picks], aset.margins_snapshot,
+        model.latents, triplets[picks], model.cluster_margins,
         metric_prev.matrix, cfg.lam, cfg.delta)
     return psd_project(avg), counts

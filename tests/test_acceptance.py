@@ -150,10 +150,10 @@ class TestCriterion4BruteForceEquivalence:
                                              model.latent_labels, margins)
                 got_loss = full_loss_all(metric, model)
                 assert got_loss == pytest.approx(want_loss, rel=1e-9, abs=1e-9)
-                aset = build_active_set(model, metric, cap=100_000, seed=0)
+                triplets = build_active_set(model, metric, cap=100_000, seed=0)
                 want_active = oracle_active_triplets(metric.matrix, z,
                                                      model.latent_labels, margins)
-                assert [tuple(r) for r in aset.triplets] == want_active
+                assert [tuple(r) for r in triplets] == want_active
 
 
 class TestCriterion5ProjectionContracts:

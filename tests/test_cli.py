@@ -37,6 +37,13 @@ class TestSynth:
               "--seed", "3", "--out", other])
         assert open(synth_csv).read() == open(other).read()
 
+    def test_nan_sigma_clean_error(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        rc = main(["synth", "--sigma", "nan", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: noise_sigma must be >= 0")
+        assert not out.exists()
+
 
 class TestTrain:
     def test_happy_path(self, tmp_path, synth_csv, capsys):

@@ -100,9 +100,9 @@ class TestTrainConfig:
         dict(tau=0.0), dict(tau=101.0), dict(gamma=-1.0), dict(lam=0.0),
         dict(delta=0.0), dict(outer_iters=-1), dict(inner_iters=3),
         dict(inner_iters=-2), dict(latent_em_iters=0), dict(active_set_cap=0),
-        dict(tie_tolerance=-1e-9),
+        dict(outer_iters=True),
         dict(tau=float("nan")), dict(gamma=float("nan")), dict(lam=float("nan")),
-        dict(delta=float("nan")), dict(tie_tolerance=float("nan")),
+        dict(delta=float("nan")), dict(tau=float("inf")),
         dict(outer_iters=2.5), dict(latent_em_iters=1.5), dict(inner_iters=4.0),
         dict(active_set_cap=True),
     ])
@@ -160,7 +160,7 @@ class TestTripletUniverse:
         counts = [3, 2, 1]
         model = make_latent_model(np.arange(6.0)[:, None], counts,
                                   margins=np.full(6, 100.0))
-        t = build_active_set(model, Metric.identity(1), cap=1000, seed=0).triplets
+        t = build_active_set(model, Metric.identity(1), cap=1000, seed=0)
         # per anchor: (m_r - 1) same-class partners x (m - m_r) other-class
         expected = 3 * (2 * 3) + 2 * (1 * 4) + 0
         assert t.shape == (expected, 3)

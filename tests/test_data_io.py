@@ -210,6 +210,10 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             SyntheticSpec(noise_sigma=-1.0)
 
+    def test_rejects_nan_sigma(self):
+        with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
+            SyntheticSpec(noise_sigma=float("nan"))
+
 
 def small_result(rng):
     z = rng.normal(size=(3, 2))
@@ -281,6 +285,24 @@ class TestModelPersistence:
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=f"model.mapml.meta.*{key}"):
             load_model(path)
+
+    @pytest.mark.parametrize("value,accepted", [(1e-12, True), (1e-9, False),
+                                                (None, False)])
+    def test_legacy_tie_tolerance_key(self, tmp_path, value, accepted):
+        # sidecars from before the tie tolerance became a constant carry it
+        rng = np.random.default_rng(7)
+        result = small_result(rng)
+        path = str(tmp_path / "model.mapml")
+        save_model(path, result)
+        meta_path = tmp_path / "model.mapml.meta"
+        meta = json.loads(meta_path.read_text())
+        meta["config"]["tie_tolerance"] = value
+        meta_path.write_text(json.dumps(meta))
+        if accepted:
+            assert load_model(path).config == result.config
+        else:
+            with pytest.raises(ValueError, match="model.mapml.meta.*tie_tolerance"):
+                load_model(path)
 
     def test_future_version_refused(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -13,10 +13,12 @@ DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
 
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
 def test_demo_exits_zero(path, tmp_path):
-    # TMPDIR keeps the files a demo writes (demo 04 saves a model) in tmp_path
+    # TMPDIR points a demo's temporary files (demo 04 saves a model) into
+    # tmp_path, so a demo that leaves one behind leaves tmp_path non-empty
     env = dict(os.environ, TMPDIR=str(tmp_path),
                PYTHONPATH=os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
                                                         os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, path], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -73,7 +73,7 @@ class TestTrainMapml:
         losses = [full_loss_all(metric, model)]
         for k in range(1, cfg.outer_iters + 1):
             before = full_loss_all(metric, compute_margins(
-                data, assign_membership(data, model, metric, cfg.tie_tolerance), metric))
+                data, assign_membership(data, model, metric), metric))
             model = run_latent_stage(data, model, metric, cfg)
             mid = full_loss_all(metric, model)
             metric, _ = run_metric_stage(model, metric, cfg, seed=seeds[k])

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapml import Metric, build_active_set, core, full_loss_all
+from mapml import Metric, TrainConfig, build_active_set, core, full_loss_all, \
+    run_metric_stage
 
 from conftest import (make_latent_model, oracle_active_triplets,
                       oracle_full_loss, random_symmetric)
@@ -66,35 +67,33 @@ def oracle_list(model, metric):
                                   model.cluster_margins)
 
 
-def kernel_pair_counts(model, metric, field):
-    """{(o, p): count} from the kernel, for every same-class pair."""
+def kernel_pair_counts(model, metric):
+    """{(o, p): HingeBlock.below} from the kernel, for every same-class pair."""
     E = core.pairwise_mahalanobis_sq(metric, model.latents)
-    margins = model.cluster_margins
     out = {}
-    for blk in core.hinge_blocks(E, model.latent_labels, margins):
-        counts = blk.below if field == "below" else core.violator_counts(blk, margins)
+    for blk in core.hinge_blocks(E, model.latent_labels, model.cluster_margins):
         partner = blk.same[core.partner_columns(blk.same.size)]
         for i, o in enumerate(blk.same):
             for j, p in enumerate(partner[i]):
-                out[(int(o), int(p))] = int(counts[i, j])
+                out[(int(o), int(p))] = int(blk.below[i, j])
     return out
 
 
 class TestHingeKernel:
     @KERNEL
     @given(instances)
-    def test_violator_counts_match_oracle(self, inst):
+    def test_below_counts_match_oracle(self, inst):
         model, metric = inst
         want = Counter((o, p) for o, p, _ in oracle_list(model, metric))
-        got = kernel_pair_counts(model, metric, "violators")
+        got = kernel_pair_counts(model, metric)
         assert {k: v for k, v in got.items() if v} == dict(want)
 
     @KERNEL
     @given(st.integers(0, 2**32 - 1))
-    def test_violator_counts_exact_at_rounding_boundary(self, seed):
-        # other-class distances within a few ulps of E[o, p] + 1 + margin(o),
-        # where the sorted-search guess and fl(E[o,q] - E[o,p]) < 1 + margin(o)
-        # can disagree; the counts must follow the latter exactly
+    def test_below_counts_exact_at_rounding_boundary(self, seed):
+        # other-class distances within a few ulps of E[o, p] + 1 + margin(o):
+        # each count is the number of q below the loss threshold, and a q is
+        # counted exactly when its loss hinge t_p - E[o, q] is positive
         rng = np.random.default_rng(seed)
         s, n = int(rng.integers(2, 5)), int(rng.integers(1, 8))
         m = s + n
@@ -107,21 +106,16 @@ class TestHingeKernel:
                 edge = E[o, p] + (1.0 + margins[o])
                 E[o, q] = edge + int(rng.integers(-3, 4)) * np.spacing(edge)
         for blk in core.hinge_blocks(E, labels, margins):
-            got = core.violator_counts(blk, margins)
             partner = blk.same[core.partner_columns(blk.same.size)]
             for i, o in enumerate(blk.same):
-                c = 1.0 + margins[o]
-                want = [int(np.sum(E[o, blk.diff] - E[o, p] < c)) for p in partner[i]]
-                assert got[i].tolist() == want
-
-    @KERNEL
-    @given(integer_instances())
-    def test_loss_boundary_matches_oracle_when_exact(self, inst):
-        # in exact arithmetic a positive loss hinge is a violation
-        model, metric = inst
-        want = Counter((o, p) for o, p, _ in oracle_list(model, metric))
-        got = kernel_pair_counts(model, metric, "below")
-        assert {k: v for k, v in got.items() if v} == dict(want)
+                row = E[o, blk.diff]
+                ranked = np.sort(row)
+                for j, p in enumerate(partner[i]):
+                    t = (1.0 + margins[o]) + E[o, p]
+                    k = blk.below[i, j]
+                    assert k == np.sum(row < t)
+                    assert np.all(t - ranked[:k] > 0)
+                    assert np.all(t - ranked[k:] <= 0)
 
     @KERNEL
     @given(instances)
@@ -139,11 +133,10 @@ class TestHingeKernel:
         # violators by ascending E[o, q], each violator exactly once
         model, metric = inst
         E = core.pairwise_mahalanobis_sq(metric, model.latents)
-        margins = model.cluster_margins
         want = Counter(oracle_list(model, metric))
         got = []
-        for blk in core.hinge_blocks(E, model.latent_labels, margins):
-            counts = core.violator_counts(blk, margins)
+        for blk in core.hinge_blocks(E, model.latent_labels, model.cluster_margins):
+            counts = blk.below
             o, p, q = core.decode_ranks(E, blk.same, blk.diff, counts,
                                         np.arange(counts.sum()))
             partner = blk.same[core.partner_columns(blk.same.size)]
@@ -161,9 +154,9 @@ class TestHingeKernel:
     def test_under_cap_equals_oracle_list(self, inst):
         model, metric = inst
         want = oracle_list(model, metric)
-        aset = build_active_set(model, metric, cap=max(1, len(want)), seed=0)
-        assert [tuple(r) for r in aset.triplets] == want
-        assert aset.triplets.dtype == np.int64
+        triplets = build_active_set(model, metric, cap=max(1, len(want)), seed=0)
+        assert [tuple(r) for r in triplets] == want
+        assert triplets.dtype == np.int64
 
     @KERNEL
     @given(instances, st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
@@ -173,7 +166,7 @@ class TestHingeKernel:
         if len(want) < 2:
             return
         cap = 1 + int(frac * (len(want) - 2))
-        rows = [tuple(r) for r in build_active_set(model, metric, cap, seed).triplets]
+        rows = [tuple(r) for r in build_active_set(model, metric, cap, seed)]
         assert len(rows) == cap
         assert len(set(rows)) == cap
         assert rows == sorted(rows)
@@ -190,11 +183,26 @@ def test_over_cap_draw_is_uniform(cap):
     n_seeds = 3000
     hits = Counter()
     for seed in range(n_seeds):
-        aset = build_active_set(model, Metric.identity(1), cap=cap, seed=seed)
-        hits.update(tuple(r) for r in aset.triplets)
+        triplets = build_active_set(model, Metric.identity(1), cap=cap, seed=seed)
+        hits.update(tuple(r) for r in triplets)
     assert set(hits) == set(want)
     p = cap / len(want)
     expected = n_seeds * p
     sd = np.sqrt(n_seeds * p * (1 - p))
     worst = max(abs(hits[t] - expected) for t in want)
     assert worst < 4.5 * sd, f"max deviation {worst:.0f} vs sd {sd:.1f}"
+
+
+def test_active_set_is_the_loss_support_at_rounding_boundary():
+    # over the stored distances, 1.1 + E[0, 1] - E[0, 2] is 4.4e-16, under
+    # one ulp of t_p = 1.1 + E[0, 1], and t_p rounds to E[0, 2]: the loss
+    # counts (0, 1, 2) as satisfied, so the active set must be empty and
+    # the metric stage must leave the metric as it is
+    model = make_latent_model([[0.0], [2.8519366573195195], [-3.0386744967769803]],
+                              [2, 1], margins=[0.1, 0.0, 0.0])
+    identity = Metric.identity(1)
+    assert full_loss_all(identity, model) == 0.0
+    assert build_active_set(model, identity, cap=10, seed=0).shape == (0, 3)
+    got, counts = run_metric_stage(model, identity, TrainConfig(inner_iters=100))
+    assert counts["active_set_size"] == 0
+    np.testing.assert_array_equal(got.matrix, identity.matrix)

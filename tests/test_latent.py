@@ -269,9 +269,9 @@ class TestRunLatentStage:
         got = run_latent_stage(data, prev, M, cfg)
         model = prev
         for _ in range(cfg.latent_em_iters):
-            model = assign_membership(data, model, M, cfg.tie_tolerance)
+            model = assign_membership(data, model, M)
             model = update_latents(data, model, prev.latents, cfg.gamma)
-        model = assign_membership(data, model, M, cfg.tie_tolerance)
+        model = assign_membership(data, model, M)
         model = compute_margins(data, model, M)
         np.testing.assert_array_equal(got.latents, model.latents)
         np.testing.assert_array_equal(got.membership, model.membership)
@@ -334,7 +334,7 @@ class TestLatentKernelProperties:
     def test_stage_margins_match_compute_margins(self, seed, tau, gamma, sweeps):
         data, cfg, prev, M = stage_instance(seed, tau, gamma, sweeps)
         got = run_latent_stage(data, prev, M, cfg)
-        ref = compute_margins(data, assign_membership(data, got, M, cfg.tie_tolerance), M)
+        ref = compute_margins(data, assign_membership(data, got, M), M)
         np.testing.assert_array_equal(got.membership, ref.membership)
         np.testing.assert_allclose(got.cluster_margins, ref.cluster_margins,
                                    rtol=1e-9, atol=1e-10)
@@ -363,7 +363,7 @@ class TestLatentKernelProperties:
 
         def outputs():
             stage = run_latent_stage(data, prev, identity, cfg)
-            assigned = assign_membership(data, prev, identity, cfg.tie_tolerance)
+            assigned = assign_membership(data, prev, identity)
             return [stage.latents, stage.membership, stage.cluster_margins,
                     assigned.membership,
                     compute_margins(data, assigned, identity).cluster_margins,

@@ -11,12 +11,12 @@ from conftest import (make_latent_model, oracle_active_triplets, oracle_full_los
                       oracle_psd_clamp, random_psd, random_symmetric)
 
 
-def stage_value(metric, metric_prev, aset, model, lam):
+def stage_value(metric, metric_prev, triplets, model, lam):
     """Stage objective over an active set, hinges by the conftest oracle."""
     diff = metric.matrix - metric_prev.matrix
     return 0.5 * lam * float(np.sum(diff * diff)) + oracle_full_loss(
         metric.matrix, model.latents, model.latent_labels,
-        aset.margins_snapshot, [tuple(t) for t in aset.triplets])
+        model.cluster_margins, [tuple(t) for t in triplets])
 
 
 def random_triplet_instance(rng, d=3, margin_gap=0.3):
@@ -66,16 +66,16 @@ def triplet_term(M_arr, Mp_arr, z, t, margin, lam):
 class TestBuildActiveSet:
     def test_separated_classes_empty(self):
         model = make_latent_model([[0.0], [2.0], [100.0]], [2, 1])
-        aset = build_active_set(model, Metric.identity(1), cap=100, seed=0)
-        assert len(aset) == 0
+        triplets = build_active_set(model, Metric.identity(1), cap=100, seed=0)
+        assert len(triplets) == 0
 
     def test_exact_violation_list(self):
         model = make_latent_model([[0.0], [1.0], [1.5]], [2, 1])
-        aset = build_active_set(model, Metric.identity(1), cap=100, seed=0)
-        assert [tuple(r) for r in aset.triplets] == [(1, 0, 2)]
+        triplets = build_active_set(model, Metric.identity(1), cap=100, seed=0)
+        assert [tuple(r) for r in triplets] == [(1, 0, 2)]
         expected = oracle_active_triplets(np.eye(1), model.latents,
                                           model.latent_labels, model.cluster_margins)
-        assert [tuple(r) for r in aset.triplets] == expected
+        assert [tuple(r) for r in triplets] == expected
 
     def test_cap_subsample(self):
         # five violations, cap one: exactly one survives, from the oracle set
@@ -83,14 +83,14 @@ class TestBuildActiveSet:
         oracle = oracle_active_triplets(np.eye(1), model.latents,
                                         model.latent_labels, model.cluster_margins)
         assert len(oracle) > 1
-        aset = build_active_set(model, Metric.identity(1), cap=1, seed=7)
-        assert len(aset) == 1
-        assert tuple(aset.triplets[0]) in oracle
+        triplets = build_active_set(model, Metric.identity(1), cap=1, seed=7)
+        assert len(triplets) == 1
+        assert tuple(triplets[0]) in oracle
 
     def test_cap_draw_varies_with_seed(self):
         model = make_latent_model([[0.0], [0.1], [0.2], [0.3]], [3, 1])
         picks = {tuple(build_active_set(model, Metric.identity(1), cap=1,
-                                        seed=s).triplets[0]) for s in range(30)}
+                                        seed=s)[0]) for s in range(30)}
         assert len(picks) > 1
 
     def test_matches_oracle_property(self):
@@ -105,9 +105,9 @@ class TestBuildActiveSet:
             margins = rng.uniform(0, 1.5, size=m)
             model = make_latent_model(z, counts, margins=margins)
             M = Metric(random_symmetric(rng, d))
-            aset = build_active_set(model, M, cap=10_000, seed=0)
+            triplets = build_active_set(model, M, cap=10_000, seed=0)
             expected = oracle_active_triplets(M.matrix, z, model.latent_labels, margins)
-            assert [tuple(r) for r in aset.triplets] == expected
+            assert [tuple(r) for r in triplets] == expected
 
     def test_subsample_deterministic_and_ordered(self):
         rng = np.random.default_rng(12)
@@ -115,10 +115,10 @@ class TestBuildActiveSet:
         model = make_latent_model(z, [6, 6])
         a = build_active_set(model, Metric.identity(2), cap=20, seed=3)
         b = build_active_set(model, Metric.identity(2), cap=20, seed=3)
-        np.testing.assert_array_equal(a.triplets, b.triplets)
+        np.testing.assert_array_equal(a, b)
         assert len(a) == 20
         # enumeration order preserved under subsampling
-        keys = [tuple(r) for r in a.triplets]
+        keys = [tuple(r) for r in a]
         assert keys == sorted(keys)
 
 
@@ -332,12 +332,12 @@ class TestRunMetricStage:
         z = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
         model = make_latent_model(z, [2, 1])
         Mp = Metric.identity(2)
-        aset = build_active_set(model, Mp, cap=10, seed=0)
-        assert [tuple(r) for r in aset.triplets] == [(0, 1, 2)]
+        triplets = build_active_set(model, Mp, cap=10, seed=0)
+        assert [tuple(r) for r in triplets] == [(0, 1, 2)]
         cfg = TrainConfig(inner_iters=1000, lam=1.0, delta=10.0, rng_seed=3)
         got, _ = run_metric_stage(model, Mp, cfg)
-        before = stage_value(Mp, Mp, aset, model, cfg.lam)
-        after = stage_value(got, Mp, aset, model, cfg.lam)
+        before = stage_value(Mp, Mp, triplets, model, cfg.lam)
+        after = stage_value(got, Mp, triplets, model, cfg.lam)
         assert after <= before
 
     def test_objective_decreases_on_random_instances(self):
@@ -346,12 +346,12 @@ class TestRunMetricStage:
             model = self.make_violating_instance(rng)
             Mp = Metric.identity(2)
             cfg = TrainConfig(inner_iters=2000, lam=1.0, delta=10.0, rng_seed=seed)
-            aset = build_active_set(model, Mp, cap=cfg.active_set_cap, seed=0)
-            if len(aset) == 0:
+            triplets = build_active_set(model, Mp, cap=cfg.active_set_cap, seed=0)
+            if len(triplets) == 0:
                 continue
             got, _ = run_metric_stage(model, Mp, cfg)
-            before = stage_value(Mp, Mp, aset, model, cfg.lam)
-            after = stage_value(got, Mp, aset, model, cfg.lam)
+            before = stage_value(Mp, Mp, triplets, model, cfg.lam)
+            after = stage_value(got, Mp, triplets, model, cfg.lam)
             assert after <= before + 1e-8
 
     def test_output_contracts(self):
@@ -398,15 +398,15 @@ class TestRunMetricStage:
     def replay_stage(self, model, Mp, cfg):
         # the stage with stored iterates, averaged by alpha_suffix_average
         _, s_sgd = np.random.SeedSequence(cfg.rng_seed).spawn(2)
-        aset = build_active_set(model, Mp, cap=cfg.active_set_cap, seed=0)
-        picks = np.random.default_rng(s_sgd).integers(0, len(aset), size=cfg.inner_iters)
+        triplets = build_active_set(model, Mp, cap=cfg.active_set_cap, seed=0)
+        picks = np.random.default_rng(s_sgd).integers(0, len(triplets), size=cfg.inner_iters)
         z = model.latents
         M = Mp.matrix.copy()
         iterates = []
         for s in range(1, cfg.inner_iters + 1):
-            o, p, q = aset.triplets[picks[s - 1]]
+            o, p, q = triplets[picks[s - 1]]
             u, v = z[o] - z[p], z[o] - z[q]
-            arg = (1.0 + aset.margins_snapshot[o]) - (v @ M @ v - u @ M @ u)
+            arg = (1.0 + model.cluster_margins[o]) - (v @ M @ v - u @ M @ u)
             M = (1 - 1 / s) * M + (1 / s) * Mp.matrix
             if arg > 0:
                 M = M - (np.outer(u, u) - np.outer(v, v)) / (cfg.lam * s)
