@@ -82,7 +82,17 @@ def kernel_pair_counts(model, metric):
 class TestHingeKernel:
     @KERNEL
     @given(instances)
-    def test_below_counts_match_oracle(self, inst):
+    def test_violator_counts_match_oracle(self, inst):
+        # HingeBlock.below is the one violation count
+        model, metric = inst
+        want = Counter((o, p) for o, p, _ in oracle_list(model, metric))
+        got = kernel_pair_counts(model, metric)
+        assert {k: v for k, v in got.items() if v} == dict(want)
+
+    @KERNEL
+    @given(integer_instances())
+    def test_loss_boundary_matches_oracle_when_exact(self, inst):
+        # in exact arithmetic a positive loss hinge is a violation
         model, metric = inst
         want = Counter((o, p) for o, p, _ in oracle_list(model, metric))
         got = kernel_pair_counts(model, metric)
