@@ -50,7 +50,7 @@ def _load_dataset(args, prefix="") -> Dataset:
     return load_csv(resolve_path(data), args.label_column)
 
 
-def _config_from_args(args, seed=None) -> TrainConfig:
+def _config_from_args(args) -> TrainConfig:
     return TrainConfig(
         tau=args.tau,
         gamma=args.gamma,
@@ -59,7 +59,7 @@ def _config_from_args(args, seed=None) -> TrainConfig:
         outer_iters=args.outer_iters,
         inner_iters=args.inner_iters,
         latent_em_iters=args.latent_em_iters,
-        rng_seed=args.seed if seed is None else seed,
+        rng_seed=args.seed,
         active_set_cap=args.active_set_cap,
     )
 
@@ -126,26 +126,38 @@ def cmd_train(args, parser) -> int:
     return 0
 
 
+def _score(refs, metric, latents, label_names, train, test, k):
+    """kNN report of ``test`` under ``metric``: the one ``evaluate`` call.
+
+    refs "latent" ranks ``latents`` (a LatentModel or ModelFile), "original"
+    the examples of ``train``; ``label_names`` name either set's label codes.
+    """
+    if refs == "latent":
+        refs_x, refs_y = latents.latents, latents.latent_labels
+    else:
+        refs_x, refs_y = train.features, train.labels
+    return evaluate(test, refs_x, refs_y, metric, k=k, reference_mode=refs,
+                    refs_label_names=label_names)
+
+
 def cmd_eval(args, parser) -> int:
     if args.test is None and args.test_idx_images is None:
         parser.error("a test set is required (--test or --test-idx-images)")
     model = load_model(resolve_path(args.model))
     test = _load_dataset(args, prefix="test-") if args.test_idx_images \
         else load_csv(resolve_path(args.test), args.label_column)
-    if args.refs == "latent":
-        refs_x, refs_y = model.latents, model.latent_labels
-        names = None
-        if args.data or args.idx_images:
-            names = _load_dataset(args).label_names
-        report = evaluate(test, refs_x, refs_y, model.metric, k=args.k,
-                          reference_mode="latent", refs_label_names=names)
-    else:
+    # latent label codes are named by the model; example codes by the data
+    names = model.label_names if args.refs == "latent" else None
+    train = None
+    if names is None:
         if args.data is None and args.idx_images is None:
-            parser.error("--refs original requires the training data (--data)")
+            if args.refs == "original":
+                parser.error("--refs original requires the training data (--data)")
+            raise ValueError("the model stores no label_names: pass its training "
+                             "data (--data) to name the latent labels")
         train = _load_dataset(args)
-        report = evaluate(test, train.features, train.labels, model.metric,
-                          k=args.k, reference_mode="original",
-                          refs_label_names=train.label_names)
+        names = train.label_names
+    report = _score(args.refs, model.metric, model, names, train, test, args.k)
     print(f"error_rate={report.error_rate:.6f} k={report.k} refs={report.reference_mode} "
           f"n_test={report.n_test} mean_query_s={report.mean_query_time:.6f}")
     return 0
@@ -172,29 +184,27 @@ def cmd_synth(args, parser) -> int:
     return 0
 
 
-def _train_method(method, train_data, cfg):
-    """Train one method; None for euclid. mapml and mapml-o train alike."""
-    if method == "euclid":
-        return None
-    if method == "random-triplet":
-        return train_random_triplet_baseline(train_data, cfg)
-    return train_mapml(train_data, cfg)
+def _run_trial(methods, cfg, train_data, test, k) -> list:
+    """(error %, history, train seconds) of each method, trained on ``train_data``.
 
-
-def _error_pct(method, res, train_data, test, k) -> float:
-    """Test-set kNN error in percent of one method's trained result."""
-    if method == "euclid":
-        metric = Metric.identity(train_data.d)
-        refs_x, refs_y = train_data.features, train_data.labels
-    elif method == "mapml":
-        metric = res.metric
-        refs_x, refs_y = res.latent_model.latents, res.latent_model.latent_labels
-    else:
-        metric, refs_x, refs_y = res.metric, train_data.features, train_data.labels
-    report = evaluate(test, refs_x, refs_y, metric, k=k,
-                      reference_mode="latent" if method == "mapml" else "original",
-                      refs_label_names=train_data.label_names)
-    return report.error_rate * 100.0
+    Each distinct trainer runs once: mapml-o scores mapml's result over the
+    original examples, and euclid trains nothing.
+    """
+    trained = {"euclid": (Metric.identity(train_data.d), None, [], 0.0)}
+    out = []
+    for method in methods:
+        trainer = "mapml" if method == "mapml-o" else method
+        if trainer not in trained:
+            train = train_mapml if trainer == "mapml" else train_random_triplet_baseline
+            t0 = time.perf_counter()
+            res = train(train_data, cfg)
+            trained[trainer] = (res.metric, res.latent_model, res.history,
+                                time.perf_counter() - t0)
+        metric, latents, history, seconds = trained[trainer]
+        report = _score("latent" if method == "mapml" else "original", metric, latents,
+                        train_data.label_names, train_data, test, k)
+        out.append((report.error_rate * 100.0, history, seconds))
+    return out
 
 
 def _sweep_inputs(args, parser):
@@ -238,30 +248,15 @@ def cmd_bench(args, parser) -> int:
               "metric_stage_seconds"]
     rows = []
     for base in configs:
-        # one training run per (trial, trainer); mapml and mapml-o share it
-        cache = {}
-        for method in methods:
-            errs, t_train, t_latent, t_active, t_metric = [], [], [], [], []
-            for trial, seed in enumerate(seeds):
-                key = ("mapml" if method == "mapml-o" else method, trial)
-                if key not in cache:
-                    t0 = time.perf_counter()
-                    res = _train_method(method, train_data,
-                                        dataclasses.replace(base, rng_seed=seed))
-                    cache[key] = (res, time.perf_counter() - t0)
-                res, seconds = cache[key]
-                history = [] if res is None else res.history
-                errs.append(_error_pct(method, res, train_data, test, args.k))
-                t_train.append(seconds)
-                t_latent.append(sum(rec["latent_seconds"] for rec in history))
-                t_active.append(sum(rec["active_set_seconds"] for rec in history))
-                t_metric.append(sum(rec["metric_seconds"] for rec in history))
-            rows.append([
-                method, f"{base.tau:g}", len(seeds),
-                f"{np.mean(errs):.4f}", f"{np.std(errs):.4f}",
-                f"{np.mean(t_train):.4f}", f"{np.mean(t_latent):.4f}",
-                f"{np.mean(t_active):.4f}", f"{np.mean(t_metric):.4f}",
-            ])
+        trials = [_run_trial(methods, dataclasses.replace(base, rng_seed=seed),
+                             train_data, test, args.k) for seed in seeds]
+        for i, method in enumerate(methods):
+            errs, histories, seconds = zip(*(trial[i] for trial in trials))
+            stages = [np.mean([sum(rec[key] for rec in h) for h in histories])
+                      for key in ("latent_seconds", "active_set_seconds", "metric_seconds")]
+            rows.append([method, f"{base.tau:g}", len(seeds),
+                         f"{np.mean(errs):.4f}", f"{np.std(errs):.4f}",
+                         f"{np.mean(seconds):.4f}"] + [f"{t:.4f}" for t in stages])
     _write_table(header, rows, args.csv_out)
     return 0
 
@@ -281,25 +276,20 @@ def _parse_sigma(token: str) -> float:
 
 def cmd_noise_sweep(args, parser) -> int:
     methods, train_data, test, seeds = _sweep_inputs(args, parser)
-    # every sigma is parsed and checked before the first training run
+    # every sigma and the config are checked before the first training run
     sigmas = [_parse_sigma(t) for t in args.sigmas.split(",")]
+    base = _config_from_args(args)
 
     header = ["sigma", "method", "trials", "mean_error_pct", "std_error_pct"]
     rows = []
     for sigma in sigmas:
-        errs = [[] for _ in methods]
-        for seed in seeds:
-            noisy = add_gaussian_noise(train_data, sigma, seed=seed + 1)
-            trained = {}  # mapml and mapml-o share one training run
-            for i, method in enumerate(methods):
-                trainer = "mapml" if method == "mapml-o" else method
-                if trainer not in trained:
-                    trained[trainer] = _train_method(method, noisy,
-                                                     _config_from_args(args, seed=seed))
-                errs[i].append(_error_pct(method, trained[trainer], noisy, test, args.k))
-        for method, e in zip(methods, errs):
+        trials = [_run_trial(methods, dataclasses.replace(base, rng_seed=seed),
+                             add_gaussian_noise(train_data, sigma, seed=seed + 1), test,
+                             args.k) for seed in seeds]
+        for i, method in enumerate(methods):
+            errs = [trial[i][0] for trial in trials]
             rows.append([f"{sigma:.6f}", method, len(seeds),
-                         f"{np.mean(e):.4f}", f"{np.std(e):.4f}"])
+                         f"{np.mean(errs):.4f}", f"{np.std(errs):.4f}"])
     _write_table(header, rows, args.csv_out)
     return 0
 

@@ -39,10 +39,14 @@ def _open_binary(path):
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise ValueError(f"{what} truncated: expected {n} bytes, got {len(data)}")
-    return data
+    """The next ``n`` bytes of seekable ``f``; a header size past the end allocates nothing."""
+    pos = f.tell()
+    left = f.seek(0, 2) - pos
+    f.seek(pos)
+    if n > left:
+        raise ValueError(f"{what} truncated: unexpected end of payload, "
+                         f"expected {n} bytes, got {left}")
+    return f.read(n)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
@@ -197,7 +201,11 @@ def generate_synthetic(spec: SyntheticSpec):
 
 @dataclass
 class ModelFile:
-    """A trained model as loaded from disk."""
+    """A trained model as loaded from disk.
+
+    ``label_names[c]`` is the training label value of latent label code c,
+    when the sidecar carries it.
+    """
 
     format_version: int
     metric: Metric
@@ -205,6 +213,7 @@ class ModelFile:
     latent_labels: np.ndarray
     config: TrainConfig = None
     loss_trace: np.ndarray = None
+    label_names: np.ndarray = None
 
 
 def save_model(path, result) -> None:
@@ -213,13 +222,18 @@ def save_model(path, result) -> None:
     Payload layout, all little-endian: 8-byte magic "MAPMLBIN", u32
     format version, u32 d, u32 m, d*d f64 metric entries row-major, m*d
     f64 latent entries row-major, m u32 latent labels. The sidecar (same
-    path with ".meta" appended) echoes the config and loss trace.
+    path with ".meta" appended) echoes the config and loss trace, and
+    carries the training label values behind the latent label codes when
+    they are numeric.
     """
     metric = result.metric
     latents = np.ascontiguousarray(result.latent_model.latents, dtype=np.float64)
     labels = np.ascontiguousarray(result.latent_model.latent_labels, dtype="<u4")
     d = metric.dim
     m = latents.shape[0]
+    names = result.label_names
+    if names is not None and np.asarray(names).dtype.kind not in "iuf":
+        names = None  # the sidecar stores numeric label values only
     with open(path, "wb") as f:
         f.write(MODEL_MAGIC)
         f.write(struct.pack("<III", MODEL_FORMAT_VERSION, d, m))
@@ -232,6 +246,7 @@ def save_model(path, result) -> None:
         "m": m,
         "config": asdict(result.config) if result.config is not None else None,
         "loss_trace": [float(v) for v in np.asarray(result.loss_trace).ravel()],
+        "label_names": None if names is None else np.asarray(names).tolist(),
     }
     with open(str(path) + ".meta", "w", encoding="utf-8") as f:
         json.dump(meta, f, indent=2)
@@ -243,9 +258,11 @@ def load_model(path) -> ModelFile:
 
     Raises ``ValueError`` for a bad header, a short payload, bytes after
     the payload, and a sidecar that is not a JSON object of known fields
-    or whose ``dim`` or ``m`` disagrees with the header. A missing
-    sidecar is tolerated. A config ``tie_tolerance`` key, which older
-    sidecars carry, is accepted only at ``latent.TIE_TOLERANCE``.
+    or whose ``dim`` or ``m`` disagrees with the header, and
+    ``label_names`` that are not finite numbers in strictly increasing
+    order, one at least per latent label code. A missing sidecar is
+    tolerated. A config ``tie_tolerance`` key, which older sidecars carry,
+    is accepted only at ``latent.TIE_TOLERANCE``.
     """
     with open(path, "rb") as f:
         magic = _read_exact(f, 8, "model header")
@@ -256,11 +273,7 @@ def load_model(path) -> ModelFile:
             raise ValueError(
                 f"model format version {version} is newer than supported "
                 f"version {MODEL_FORMAT_VERSION}")
-        need = d * d * 8 + m * d * 8 + m * 4
-        payload = f.read(need)
-        if len(payload) != need:
-            raise ValueError(
-                f"unexpected end of payload: expected {need} bytes, got {len(payload)}")
+        payload = _read_exact(f, d * d * 8 + m * d * 8 + m * 4, "model payload")
         extra = len(f.read())
         if extra:
             raise ValueError(f"{extra} trailing byte(s) after the model payload")
@@ -273,6 +286,7 @@ def load_model(path) -> ModelFile:
 
     config = None
     loss_trace = None
+    label_names = None
     sidecar = str(path) + ".meta"
     try:
         with open(sidecar, "r", encoding="utf-8") as f:
@@ -295,6 +309,18 @@ def load_model(path) -> ModelFile:
             config = TrainConfig(**fields)
         if meta.get("loss_trace") is not None:
             loss_trace = np.asarray(meta["loss_trace"], dtype=np.float64)
+        names = meta.get("label_names")
+        if names is not None:
+            if not isinstance(names, list) or any(type(v) not in (int, float) for v in names):
+                raise ValueError(f"label_names must be a list of numbers, got {names!r}")
+            label_names = np.asarray(names)
+            if label_names.dtype.kind not in "iuf" or not np.isfinite(label_names).all() \
+                    or (label_names[1:] <= label_names[:-1]).any():
+                raise ValueError("label_names must be finite and strictly increasing, "
+                                 f"got {names!r}")
+            if label_names.size <= labels.max(initial=-1):
+                raise ValueError(f"label_names has {label_names.size} entries, but a "
+                                 f"latent label is {labels.max()}")
     except FileNotFoundError:
         pass
     except (TypeError, ValueError) as exc:
@@ -306,4 +332,5 @@ def load_model(path) -> ModelFile:
         latent_labels=labels,
         config=config,
         loss_trace=loss_trace,
+        label_names=label_names,
     )

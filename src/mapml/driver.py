@@ -42,7 +42,8 @@ class TrainResult:
     The baseline trainer has no latent objective to monitor: it leaves
     loss_trace empty and records one entry whose loss is None, whose
     metric_seconds is its training time, and whose latent and active-set
-    keys are 0.
+    keys are 0. label_names[c] is the training label value of latent
+    label code c (the data's label_names).
     """
 
     metric: Metric
@@ -50,6 +51,7 @@ class TrainResult:
     loss_trace: np.ndarray
     history: list
     config: TrainConfig = None
+    label_names: np.ndarray = None
 
 
 def _seed_streams(seed: int, count: int) -> list:
@@ -90,10 +92,8 @@ def train_mapml(data: Dataset, cfg: TrainConfig, log_sink=None) -> TrainResult:
                         "metric_seconds": t_metric, **counts})
         if log_sink is not None:
             log_sink(history[-1])
-    if cfg.outer_iters == 0:
-        metric = psd_project(metric.matrix)
-    return TrainResult(metric=metric, latent_model=model,
-                       loss_trace=np.asarray(losses), history=history, config=cfg)
+    return TrainResult(metric=metric, latent_model=model, loss_trace=np.asarray(losses),
+                       history=history, config=cfg, label_names=data.label_names)
 
 
 def _trivial_latent_model(data: Dataset) -> LatentModel:
@@ -154,4 +154,4 @@ def train_random_triplet_baseline(data: Dataset, cfg: TrainConfig) -> TrainResul
               "active_set_seconds": 0.0, "active_steps": active_steps,
               "ball_clips": ball_clips}
     return TrainResult(metric=metric, latent_model=model, loss_trace=np.empty(0),
-                       history=[record], config=cfg)
+                       history=[record], config=cfg, label_names=data.label_names)

@@ -31,9 +31,12 @@ BLOCK_SCORES = 2 ** 18
 
 
 def _check_refs(refs_features, refs_labels, metric: Metric, k: int):
-    """References and labels as arrays, validated against the metric and k.
+    """References, vote codes and classes, validated against the metric and k.
 
-    The references are not scanned for non-finite entries: at 10k x 64 that
+    The vote is sized by the largest code: labels reaching the reference
+    count are coded 0..C-1, with ``classes[code]`` the label; smaller ones
+    are their own codes, ``classes`` None, and need no ``np.unique``. The
+    references are not scanned for non-finite entries: at 10k x 64 that
     scan would cost about a tenth of a ``knn_predict`` call.
     """
     refs_features = np.asarray(refs_features, dtype=np.float64)
@@ -55,7 +58,11 @@ def _check_refs(refs_features, refs_labels, metric: Metric, k: int):
         raise ValueError("reference labels must be non-negative")
     if not 1 <= k <= refs_features.shape[0]:
         raise ValueError(f"k must be in [1, {refs_features.shape[0]}], got {k}")
-    return refs_features, refs_labels
+    classes = None
+    # codes below n_refs keep a block's counts within its scores' cap
+    if refs_labels.max() >= refs_labels.shape[0]:
+        classes, refs_labels = np.unique(refs_labels, return_inverse=True)
+    return refs_features, refs_labels, classes
 
 
 def _index(refs, metric: Metric):
@@ -100,14 +107,14 @@ def knn_predict(query, refs_features, refs_labels, metric: Metric, k: int) -> in
     the tied class whose nearest member is closest. A label with a
     non-integer value or a non-finite query raises ``ValueError``.
     """
-    refs_features, refs_labels = _check_refs(refs_features, refs_labels, metric, k)
+    refs_features, codes, classes = _check_refs(refs_features, refs_labels, metric, k)
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (metric.dim,):
         raise ValueError(f"query must have shape ({metric.dim},), got {query.shape}")
     if not np.isfinite(query).all():
         raise ValueError("query contains non-finite entries")
-    index = _index(refs_features, metric)
-    return int(_knn_labels(query[None, :], index, refs_labels, k)[0])
+    code = _knn_labels(query[None, :], _index(refs_features, metric), codes, k)[0]
+    return int(code if classes is None else classes[code])
 
 
 def evaluate(test: Dataset, refs_features, refs_labels, metric: Metric,
@@ -129,7 +136,7 @@ def evaluate(test: Dataset, refs_features, refs_labels, metric: Metric,
     constructed datasets; test rows whose label does not occur among the
     references always count as errors.
     """
-    refs_features, refs_labels = _check_refs(refs_features, refs_labels, metric, k)
+    refs_features, codes, classes = _check_refs(refs_features, refs_labels, metric, k)
     if test.n < 1:
         raise ValueError("test set is empty")
     if test.d != metric.dim:
@@ -143,14 +150,14 @@ def evaluate(test: Dataset, refs_features, refs_labels, metric: Metric,
         pos = np.clip(np.searchsorted(names, values), 0, len(names) - 1)
         targets = np.where(names[pos] == values, pos, -1)
     index = _index(refs_features, metric)
-    # vote over codes 0..C-1, C <= n_refs: a block's counts fit its scores' cap
-    classes, codes = np.unique(refs_labels, return_inverse=True)
     block = max(1, BLOCK_SCORES // refs_features.shape[0])
     errors = 0
     total_time = 0.0
     for lo in range(0, test.n, block):
         t0 = time.perf_counter()
-        pred = classes[_knn_labels(test.features[lo:lo + block], index, codes, k)]
+        pred = _knn_labels(test.features[lo:lo + block], index, codes, k)
+        if classes is not None:
+            pred = classes[pred]
         total_time += time.perf_counter() - t0
         errors += int(np.count_nonzero(pred != targets[lo:lo + block]))
     return EvalReport(

@@ -8,10 +8,10 @@ mean squared distance of members to their latent example).
 
 Cost, for n rows of dimension d, m latents and m_r latents per class: a
 latent stage makes one n*d^2 product (X M, skipped when M is exactly the
-identity) plus O(sweeps * (n*m_r*d + m*d^2)); its margins come from the
-final assignment's distances. Init makes no d x d product: farthest-point
-picks take one GEMV per pick, and assignment and margins under the
-identity use X and the differences directly.
+identity) plus O(sweeps * (n*m_r*d + m*d^2)). Init makes no d x d
+product: farthest-point picks take one GEMV per pick, and its assignment
+runs under the identity on X directly. Init and every stage end in the
+same step, whose margins come from the final assignment's distances.
 """
 
 import numpy as np
@@ -175,6 +175,16 @@ def _cluster_means(membership: np.ndarray, vals: np.ndarray, m: int) -> np.ndarr
     return np.divide(sums, counts, out=np.zeros(m), where=counts > 0)
 
 
+def _assign_with_margins(model: LatentModel, blocks: list, M) -> LatentModel:
+    """``_assign``, with margins the per-cluster means of its clamped distances.
+
+    Equal to :func:`compute_margins` up to rounding, without its n x d pass.
+    """
+    membership, dist = _assign(model, blocks, M)
+    return model.replace(membership=membership,
+                         cluster_margins=_cluster_means(membership, dist, model.m))
+
+
 def _metric_or_none(metric: Metric):
     """``metric.matrix``, or None when it is exactly I: then X I is X, bit for bit."""
     M = metric.matrix
@@ -245,8 +255,9 @@ def init_latents(data: Dataset, tau: float, seed: int) -> LatentModel:
     """Seed latent examples by within-class farthest-point selection.
 
     Each class r gets max(1, round(tau/100 * n_r)) latents chosen greedily
-    under Euclidean distance; membership and margins are then computed
-    under the identity metric. No d x d product: O(n*m_r*d) in all.
+    under Euclidean distance; membership and margins then come from one
+    assignment under the identity metric, as at the end of a latent stage.
+    No d x d product: O(n*m_r*d) in all.
     """
     if not 0.0 < tau <= 100.0:
         raise ValueError(f"tau must be in (0, 100], got {tau}")
@@ -273,9 +284,7 @@ def init_latents(data: Dataset, tau: float, seed: int) -> LatentModel:
         cluster_margins=np.zeros(latents.shape[0]),
         per_class_counts=np.asarray(counts, dtype=np.int64),
     )
-    identity = Metric.identity(data.d)
-    model = assign_membership(data, model, identity)
-    return compute_margins(data, model, identity)
+    return _assign_with_margins(model, _class_blocks(data, None), None)
 
 
 def surrogate_objective(data: Dataset, model: LatentModel, metric: Metric,
@@ -307,10 +316,9 @@ def run_latent_stage(data: Dataset, prev: LatentModel, metric: Metric,
     every sweep), alternates assignment and closed-form update
     ``cfg.latent_em_iters`` times, then refreshes membership once more so
     the returned margins (computed under ``metric``) match the final
-    latents. The margins are the per-cluster means of the final
-    assignment's clamped distances, equal to :func:`compute_margins` up to
-    rounding. Cost: one n*d^2 product, X M, none when M is exactly the
-    identity; then O(sweeps * (n*m_r*d + m*d^2)).
+    latents, through the same step as :func:`init_latents`. Cost: one
+    n*d^2 product, X M, none when M is exactly the identity; then
+    O(sweeps * (n*m_r*d + m*d^2)).
     """
     z_anchor = prev.latents
     M = _metric_or_none(metric)
@@ -320,6 +328,4 @@ def run_latent_stage(data: Dataset, prev: LatentModel, metric: Metric,
         membership, _ = _assign(model, blocks, M)
         model = model.replace(membership=membership)
         model = update_latents(data, model, z_anchor, cfg.gamma)
-    membership, dist = _assign(model, blocks, M)
-    return model.replace(membership=membership,
-                         cluster_margins=_cluster_means(membership, dist, model.m))
+    return _assign_with_margins(model, blocks, M)

@@ -3,7 +3,9 @@ import gzip
 import json
 import os
 import struct
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from mapml import cli, load_csv, load_model
@@ -96,6 +98,16 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "imgs.gz" in err
 
+    def test_oversized_idx_header_clean_error(self, tmp_path, capsys):
+        # (2**32 - 1)**3 payload bytes: more than sys.maxsize
+        images, labels = tmp_path / "imgs", tmp_path / "labs"
+        images.write_bytes(struct.pack(">IIII", 0x803, *[2 ** 32 - 1] * 3) + b"\0\0")
+        labels.write_bytes(struct.pack(">II", 0x801, 2) + b"\0\1")
+        rc = main(["train", "--idx-images", str(images), "--idx-labels", str(labels),
+                   "--out", str(tmp_path / "m.mapml")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: images payload truncated")
+
     def test_nan_gamma_clean_error(self, tmp_path, synth_csv, capsys):
         model_path = str(tmp_path / "m.mapml")
         rc = main(["train", "--data", synth_csv, "--gamma", "nan",
@@ -149,6 +161,46 @@ class TestEval:
         assert exc.value.code == 2
 
 
+    def test_latent_refs_take_label_names_from_model(self, tmp_path, capsys):
+        # training labels {3, 5, 7}, test labels {3, 7}: the test set's own
+        # codes 0, 1 would name the latents of class 7 as class 5
+        rng = np.random.default_rng(0)
+        train, test = str(tmp_path / "train.csv"), str(tmp_path / "test.csv")
+        for path, labels in ((train, [3, 5, 7] * 20), (test, [3, 7] * 5)):
+            with open(path, "w", newline="") as f:
+                w = csv.writer(f)
+                w.writerow(["f0", "f1", "label"])
+                for y in labels:
+                    w.writerow([repr(float(v)) for v in rng.normal(y, 0.1, size=2)] + [y])
+        model_path = str(tmp_path / "model.mapml")
+        assert main(["train", "--data", train, "--outer-iters", "1",
+                     "--inner-iters", "200", "--out", model_path]) == 0
+        argv = ["eval", "--model", model_path, "--test", test, "--refs", "latent"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert "error_rate=0.000000" in capsys.readouterr().out
+        # a sidecar without the names needs the training data to name them
+        with open(model_path + ".meta") as f:
+            meta = json.load(f)
+        del meta["label_names"]
+        with open(model_path + ".meta", "w") as f:
+            json.dump(meta, f)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(argv + ["--data", train]) == 0
+        assert "error_rate=0.000000" in capsys.readouterr().out
+
+    def test_oversized_model_header_clean_error(self, tmp_path, synth_csv, capsys):
+        # an 84-byte model whose header says d = 2**31: d*d*8 bytes is more
+        # than sys.maxsize
+        model_path = tmp_path / "big.mapml"
+        model_path.write_bytes(b"MAPMLBIN" + struct.pack("<III", 1, 2 ** 31, 1)
+                               + b"\0" * 64)
+        rc = main(["eval", "--model", str(model_path), "--test", synth_csv,
+                   "--refs", "latent"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: model payload truncated")
+
     def test_malformed_sidecar_clean_error(self, tmp_path, synth_csv, capsys):
         model_path = str(tmp_path / "model.mapml")
         main(["train", "--data", synth_csv, "--outer-iters", "1",
@@ -184,12 +236,15 @@ class TestEval:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+ALL_METHODS = "euclid,mapml,mapml-o,random-triplet"
+
+
 def count_training(monkeypatch):
-    """Count the CLI's calls of either trainer."""
+    """Record the name of the trainer in each of the CLI's training calls."""
     calls = []
     for name in ("train_mapml", "train_random_triplet_baseline"):
-        def counted(*args, _fn=getattr(cli, name), **kwargs):
-            calls.append(1)
+        def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls.append(_name)
             return _fn(*args, **kwargs)
         monkeypatch.setattr(cli, name, counted)
     return calls
@@ -206,6 +261,14 @@ class TestBench:
         out, err = capsys.readouterr()
         assert err.startswith("error: ") and "tau" in err
         assert out == "" and calls == []
+
+    def test_each_trainer_runs_once_per_tau_and_trial(self, synth_csv, monkeypatch):
+        calls = count_training(monkeypatch)
+        rc = main(["bench", "--data", synth_csv, "--methods", ALL_METHODS,
+                   "--trials", "2", "--tau-sweep", "5,10",
+                   "--outer-iters", "1", "--inner-iters", "200"])
+        assert rc == 0
+        assert Counter(calls) == {"train_mapml": 4, "train_random_triplet_baseline": 4}
 
     def test_stage_seconds_reported(self, tmp_path, synth_csv):
         out_csv = str(tmp_path / "bench.csv")
@@ -300,6 +363,14 @@ class TestNoiseSweep:
                    "--outer-iters", "1", "--inner-iters", "200"])
         assert rc == 0
         assert len(calls) == 2  # one per trial
+
+    def test_each_trainer_runs_once_per_sigma_and_trial(self, synth_csv, monkeypatch):
+        calls = count_training(monkeypatch)
+        rc = main(["noise-sweep", "--data", synth_csv, "--methods", ALL_METHODS,
+                   "--trials", "2", "--sigmas", "0.1,0.5",
+                   "--outer-iters", "1", "--inner-iters", "200"])
+        assert rc == 0
+        assert Counter(calls) == {"train_mapml": 4, "train_random_triplet_baseline": 4}
 
     @pytest.mark.parametrize("flags", [["--trials", "0"], ["--methods", ","]])
     def test_empty_sweep_usage_error(self, synth_csv, flags):

@@ -230,6 +230,7 @@ def small_result(rng):
         loss_trace=rng.normal(size=4) ** 2,
         history=[],
         config=TrainConfig(rng_seed=9),
+        label_names=np.array([3.0, 7.0]),
     )
 
 
@@ -245,6 +246,7 @@ class TestModelPersistence:
         np.testing.assert_array_equal(loaded.latent_labels,
                                       result.latent_model.latent_labels)
         np.testing.assert_array_equal(loaded.loss_trace, result.loss_trace)
+        np.testing.assert_array_equal(loaded.label_names, result.label_names)
         assert loaded.config == result.config
         assert loaded.format_version == 1
 
@@ -304,6 +306,21 @@ class TestModelPersistence:
             with pytest.raises(ValueError, match="model.mapml.meta.*tie_tolerance"):
                 load_model(path)
 
+    @pytest.mark.parametrize("names", ['"3,7"', '["a", "b"]', '[3, NaN]', '[3, Infinity]',
+                                       '[7, 3]', '[3, 3]', '[3]', '[true, false]',
+                                       '[3, null]', '[[3], [7]]'])
+    def test_bad_label_names_refused(self, tmp_path, names):
+        # latent labels are codes 0, 0, 1: the names must be at least two
+        # finite numbers in strictly increasing order
+        path = str(tmp_path / "model.mapml")
+        save_model(path, small_result(np.random.default_rng(8)))
+        meta_path = tmp_path / "model.mapml.meta"
+        meta = json.loads(meta_path.read_text())
+        meta["label_names"] = "NAMES"
+        meta_path.write_text(json.dumps(meta).replace('"NAMES"', names))
+        with pytest.raises(ValueError, match="model.mapml.meta.*label_names"):
+            load_model(path)
+
     def test_future_version_refused(self, tmp_path):
         rng = np.random.default_rng(2)
         result = small_result(rng)
@@ -322,7 +339,7 @@ class TestModelPersistence:
         save_model(path, result)
         (tmp_path / "model.mapml.meta").unlink()
         loaded = load_model(path)
-        assert loaded.config is None
+        assert loaded.config is None and loaded.label_names is None
         np.testing.assert_array_equal(loaded.metric.matrix, result.metric.matrix)
 
     @pytest.mark.parametrize("sidecar", [

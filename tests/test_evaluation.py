@@ -231,6 +231,16 @@ class TestReferenceValidation:
                        refs_label_names=[0, 1])
         assert rep.error_rate == 0.0
 
+    def test_label_values_beyond_reference_count(self):
+        # the vote is sized by the coded labels, not by the largest value
+        refs = [[0.0], [1.0]]
+        test = Dataset([[0.1], [0.9]], [0, 1])
+        preds = [knn_predict(x, refs, [0, 2 ** 62], Metric.identity(1), k=1)
+                 for x in test.features]
+        assert preds == [0, 2 ** 62]
+        rep = evaluate(test, refs, [0, 2 ** 62], Metric.identity(1), k=1)
+        assert rep.error_rate == np.mean(np.array(preds) != test.labels)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query(self, bad):
         with pytest.raises(ValueError, match="finite"):

@@ -85,6 +85,20 @@ class TestInitLatents:
         blob = [int(np.sum((z - 9.0) ** 2) < np.sum(z ** 2)) for z in model.latents]
         assert sorted(blob) == [0, 1]
 
+    def test_never_calls_compute_margins(self, monkeypatch):
+        # init takes its margins from its own assignment's distances
+        rng = np.random.default_rng(4)
+        data = Dataset(rng.normal(size=(40, 3)), rng.integers(0, 3, size=40))
+        reference = latent.compute_margins
+
+        def refuse(*args):
+            raise AssertionError("init_latents called compute_margins")
+
+        monkeypatch.setattr(latent, "compute_margins", refuse)
+        model = init_latents(data, 20.0, seed=6)
+        want = reference(data, model, Metric.identity(3)).cluster_margins
+        np.testing.assert_allclose(model.cluster_margins, want, rtol=1e-12, atol=1e-15)
+
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         data = Dataset(rng.normal(size=(30, 3)), rng.integers(0, 2, size=30))
