@@ -184,15 +184,20 @@ def cmd_synth(args, parser) -> int:
     return 0
 
 
-def _run_trial(methods, cfg, train_data, test, k) -> list:
+def _run_trial(methods, cfg, train_data, test, k, euclid=None) -> list:
     """(error %, history, train seconds) of each method, trained on ``train_data``.
 
     Each distinct trainer runs once: mapml-o scores mapml's result over the
-    original examples, and euclid trains nothing.
+    original examples, and euclid trains nothing. ``euclid``, when given,
+    is euclid's result on these inputs, which does not depend on ``cfg``:
+    bench scores it once per run.
     """
     trained = {"euclid": (Metric.identity(train_data.d), None, [], 0.0)}
     out = []
     for method in methods:
+        if method == "euclid" and euclid is not None:
+            out.append(euclid)
+            continue
         trainer = "mapml" if method == "mapml-o" else method
         if trainer not in trained:
             train = train_mapml if trainer == "mapml" else train_random_triplet_baseline
@@ -242,6 +247,9 @@ def cmd_bench(args, parser) -> int:
     taus = [float(t) for t in args.tau_sweep.split(",")] if args.tau_sweep else [args.tau]
     # every swept config is checked before the first training run
     configs = [dataclasses.replace(_config_from_args(args), tau=tau) for tau in taus]
+    # the identity metric over the same references and test set: one score
+    euclid = _run_trial(["euclid"], configs[0], train_data, test, args.k)[0] \
+        if "euclid" in methods else None
 
     header = ["method", "tau", "trials", "mean_error_pct", "std_error_pct",
               "train_seconds", "latent_stage_seconds", "active_set_seconds",
@@ -249,7 +257,7 @@ def cmd_bench(args, parser) -> int:
     rows = []
     for base in configs:
         trials = [_run_trial(methods, dataclasses.replace(base, rng_seed=seed),
-                             train_data, test, args.k) for seed in seeds]
+                             train_data, test, args.k, euclid) for seed in seeds]
         for i, method in enumerate(methods):
             errs, histories, seconds = zip(*(trial[i] for trial in trials))
             stages = [np.mean([sum(rec[key] for rec in h) for h in histories])

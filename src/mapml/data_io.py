@@ -257,8 +257,9 @@ def load_model(path) -> ModelFile:
     """Read a model written by :func:`save_model`; bit-exact round trip.
 
     Raises ``ValueError`` for a bad header, a short payload, bytes after
-    the payload, and a sidecar that is not a JSON object of known fields
-    or whose ``dim`` or ``m`` disagrees with the header, and
+    the payload, a non-finite metric entry or latent, and a sidecar that
+    is not a JSON object of known fields or whose ``dim`` or ``m``
+    disagrees with the header, and
     ``label_names`` that are not finite numbers in strictly increasing
     order, one at least per latent label code. A missing sidecar is
     tolerated. A config ``tie_tolerance`` key, which older sidecars carry,
@@ -281,6 +282,8 @@ def load_model(path) -> ModelFile:
     matrix = np.frombuffer(payload, dtype="<f8", count=d * d, offset=off).reshape(d, d)
     off += d * d * 8
     latents = np.frombuffer(payload, dtype="<f8", count=m * d, offset=off).reshape(m, d)
+    if not np.isfinite(latents).all():
+        raise ValueError("model latents contain non-finite entries")
     off += m * d * 8
     labels = np.frombuffer(payload, dtype="<u4", count=m, offset=off).astype(np.int64)
 

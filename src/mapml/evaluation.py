@@ -35,9 +35,9 @@ def _check_refs(refs_features, refs_labels, metric: Metric, k: int):
 
     The vote is sized by the largest code: labels reaching the reference
     count are coded 0..C-1, with ``classes[code]`` the label; smaller ones
-    are their own codes, ``classes`` None, and need no ``np.unique``. The
-    references are not scanned for non-finite entries: at 10k x 64 that
-    scan would cost about a tenth of a ``knn_predict`` call.
+    are their own codes, ``classes`` None, and need no ``np.unique``.
+    Non-finite references are refused by ``_index``, from the n_refs
+    quadratic forms rather than an n_refs x d scan.
     """
     refs_features = np.asarray(refs_features, dtype=np.float64)
     refs_labels = np.asarray(refs_labels)
@@ -66,38 +66,56 @@ def _check_refs(refs_features, refs_labels, metric: Metric, k: int):
 
 
 def _index(refs, metric: Metric):
-    """R M and the reference quadratic forms r^T M r: what ranking needs of the refs."""
+    """R M and the reference quadratic forms r^T M r: what ranking needs of the refs.
+
+    A reference with a non-finite entry has a non-finite form (each of its
+    terms is inf or NaN), so checking the n_refs forms refuses it, and a
+    form that overflows, with ``ValueError``.
+    """
     RM = refs @ metric.matrix
-    return RM, np.einsum("ij,ij->i", RM, refs)
+    rq = np.einsum("ij,ij->i", RM, refs)
+    if not np.isfinite(rq).all():
+        bad = int(np.flatnonzero(~np.isfinite(rq))[0])
+        raise ValueError(f"reference {bad} has a non-finite entry or its "
+                         "quadratic form r^T M r overflows")
+    return RM, rq
 
 
 def _knn_labels(X, index, labels, k: int) -> np.ndarray:
     """k-nearest-neighbor vote for each row of X against an ``_index``.
 
     Row x ranks reference r by r^T M r - 2 x^T M r, which differs from the
-    squared distance by x^T M x alone. Equal scores go to the smaller
-    reference index; a vote tie goes to the tied class whose nearest member
-    ranks first.
+    squared distance by x^T M x alone. Selection is k passes over the
+    scores, each taking every row's ``argmin`` and then setting it to inf:
+    O(k * n_refs) per row. ``argmin`` returns the first of equal minima, so
+    the picks come in ascending (score, reference index) order and equal
+    scores go to the smaller reference index by construction. A vote tie
+    goes to the tied class whose nearest member ranks first. Against a
+    partial selection (``argpartition``, in-process, 500 and 10k
+    references at d = 64) this was faster up to k = 10 and slower at
+    k = 25, or from k = 15 against the 10k references.
+
+    A non-finite picked score (NaN is picked first; +inf could pick a
+    reference twice) raises ``ValueError``.
     """
     RM, rq = index
     S = (-2.0 * X) @ RM.T  # scaling X by -2 is exact, and cheaper than scaling S
     S += rq
-    rows = np.arange(S.shape[0])[:, None]
-    part = np.argpartition(S, min(k, S.shape[1] - 1), axis=1)
-    cand = part[:, :k]
-    ps = S[rows, part[:, :k + 1]]
-    cs = ps[:, :k]
-    top = cand[rows, np.lexsort((cand, cs))]
-    # argpartition splits a tie at the k-th score arbitrarily: where the
-    # (k+1)-th score equals the k-th, re-rank the row stably
-    tied = (ps[:, k:] == cs.max(axis=1, keepdims=True)).any(axis=1)
-    for i in np.flatnonzero(tied):
-        top[i] = np.argsort(S[i], kind="stable")[:k]
+    rows = np.arange(S.shape[0])
+    top = np.empty((S.shape[0], k), dtype=np.intp)
+    picked = np.empty((S.shape[0], k))
+    for j in range(k):
+        top[:, j] = i = S.argmin(axis=1)
+        picked[:, j] = S[rows, i]
+        S[rows, i] = np.inf
+    if not np.isfinite(picked).all():
+        raise ValueError("a query's scores against its nearest references overflow")
     L = labels[top]
     C = int(L.max()) + 1
-    counts = np.bincount((rows * C + L).ravel(), minlength=S.shape[0] * C).reshape(-1, C)
-    wins = counts[rows, L] == counts.max(axis=1, keepdims=True)
-    return L[rows[:, 0], wins.argmax(axis=1)]
+    counts = np.bincount((rows[:, None] * C + L).ravel(),
+                         minlength=S.shape[0] * C).reshape(-1, C)
+    wins = counts[rows[:, None], L] == counts.max(axis=1, keepdims=True)
+    return L[rows, wins.argmax(axis=1)]
 
 
 def knn_predict(query, refs_features, refs_labels, metric: Metric, k: int) -> int:
@@ -105,7 +123,8 @@ def knn_predict(query, refs_features, refs_labels, metric: Metric, k: int) -> in
 
     Equal distances go to the smaller reference index; equal votes go to
     the tied class whose nearest member is closest. A label with a
-    non-integer value or a non-finite query raises ``ValueError``.
+    non-integer value, a non-finite query or a non-finite reference raises
+    ``ValueError``.
     """
     refs_features, codes, classes = _check_refs(refs_features, refs_labels, metric, k)
     query = np.asarray(query, dtype=np.float64)
@@ -125,9 +144,12 @@ def evaluate(test: Dataset, refs_features, refs_labels, metric: Metric,
     The index (R M and the reference quadratic forms) is built once up
     front and is not timed. The test rows are then ranked in blocks of
     ``max(1, BLOCK_SCORES // n_refs)`` rows, one matrix product per block,
-    with the same tie rules as ``knn_predict``; each query costs
-    O(n_refs * d). ``mean_query_time`` is the timed block work divided by
-    ``n_test``, so each row is charged its share of its block.
+    and the k nearest of each row are picked by k ``argmin`` passes over
+    the block's scores, with the same tie rules as ``knn_predict``; each
+    query costs O(n_refs * (d + k)). A non-finite reference raises
+    ``ValueError``, as in ``knn_predict``. ``mean_query_time`` is the
+    timed block work divided by ``n_test``, so each row is charged its
+    share of its block.
 
     By default ``refs_labels`` are assumed to live in the same internal
     0..C-1 space as ``test.labels``. Pass ``refs_label_names`` (the

@@ -71,9 +71,12 @@ def oracle_active_triplets(M, latents, labels, margins):
     return out
 
 
-def oracle_knn_euclidean(query, refs, labels, k):
-    """Euclidean kNN with the documented tie rules, by explicit sort."""
-    d2 = [float(np.sum((np.asarray(query) - np.asarray(r)) ** 2)) for r in refs]
+def oracle_knn_euclidean(query, refs, labels, k, M=None):
+    """kNN with the documented tie rules, by explicit sort: Euclidean, or
+    under metric matrix ``M`` when given."""
+    if M is None:
+        M = np.eye(len(query))
+    d2 = [oracle_mahalanobis(M, query, r) for r in refs]
     order = sorted(range(len(refs)), key=lambda i: (d2[i], i))
     top = [labels[i] for i in order[:k]]
     counts = {}

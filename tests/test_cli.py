@@ -201,6 +201,22 @@ class TestEval:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: model payload truncated")
 
+    def test_non_finite_latent_clean_error(self, tmp_path, synth_csv, capsys):
+        model_path = str(tmp_path / "model.mapml")
+        main(["train", "--data", synth_csv, "--outer-iters", "1",
+              "--inner-iters", "200", "--out", model_path])
+        d = load_model(model_path).metric.dim
+        raw = bytearray(open(model_path, "rb").read())
+        off = 20 + d * d * 8  # latents[0, 0], after the header and the metric
+        raw[off:off + 8] = struct.pack("<d", float("nan"))
+        open(model_path, "wb").write(bytes(raw))
+        capsys.readouterr()
+        rc = main(["eval", "--model", model_path, "--test", synth_csv,
+                   "--refs", "latent"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: model latents contain non-finite")
+
     def test_malformed_sidecar_clean_error(self, tmp_path, synth_csv, capsys):
         model_path = str(tmp_path / "model.mapml")
         main(["train", "--data", synth_csv, "--outer-iters", "1",
@@ -269,6 +285,20 @@ class TestBench:
                    "--outer-iters", "1", "--inner-iters", "200"])
         assert rc == 0
         assert Counter(calls) == {"train_mapml": 4, "train_random_triplet_baseline": 4}
+
+    def test_euclid_scored_once_per_run(self, synth_csv, monkeypatch):
+        # euclid's inputs do not change with tau or trial: 1 pass, plus one
+        # mapml pass per (tau, trial)
+        calls = []
+        def counted(*args, _fn=cli.evaluate, **kwargs):
+            calls.append(kwargs["reference_mode"])
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, "evaluate", counted)
+        rc = main(["bench", "--data", synth_csv, "--methods", "euclid,mapml",
+                   "--trials", "2", "--tau-sweep", "5,10",
+                   "--outer-iters", "1", "--inner-iters", "200"])
+        assert rc == 0
+        assert Counter(calls) == {"original": 1, "latent": 4}
 
     def test_stage_seconds_reported(self, tmp_path, synth_csv):
         out_csv = str(tmp_path / "bench.csv")

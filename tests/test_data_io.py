@@ -275,6 +275,22 @@ class TestModelPersistence:
         with pytest.raises(ValueError, match="1 trailing byte"):
             load_model(path)
 
+    @pytest.mark.parametrize("where,value,match", [
+        ("latent", np.nan, "latents contain non-finite"),
+        ("latent", -np.inf, "latents contain non-finite"),
+        ("metric", np.inf, "metric matrix contains non-finite"),
+    ])
+    def test_non_finite_payload_refused(self, tmp_path, where, value, match):
+        # header 20 bytes, then the 2 x 2 metric, then the 3 x 2 latents
+        path = str(tmp_path / "model.mapml")
+        save_model(path, small_result(np.random.default_rng(9)))
+        raw = bytearray(open(path, "rb").read())
+        off = 20 + (2 * 2 * 8 if where == "latent" else 0)
+        raw[off:off + 8] = struct.pack("<d", value)
+        open(path, "wb").write(bytes(raw))
+        with pytest.raises(ValueError, match=match):
+            load_model(path)
+
     @pytest.mark.parametrize("key,value", [("dim", 3), ("m", 2), ("dim", "2"),
                                            ("m", None)])
     def test_sidecar_disagreeing_with_header(self, tmp_path, key, value):

@@ -169,9 +169,12 @@ class TestTieRules:
         queries = np.array(data.draw(st.lists(coords, min_size=q * d, max_size=q * d)))
         refs, queries = refs.reshape(n, d), queries.reshape(q, d)
         labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-        M = Metric.identity(d)
+        # the identity, or a diagonal in {1, 2, 3}: scores stay exact integers
+        diag = data.draw(st.one_of(st.just([1] * d),
+                                   st.lists(st.integers(1, 3), min_size=d, max_size=d)))
+        M = Metric(np.diag(np.array(diag, dtype=float)))
         for k in range(1, n + 1):
-            want = [oracle_knn_euclidean(x, refs, labels, k) for x in queries]
+            want = [oracle_knn_euclidean(x, refs, labels, k, M.matrix) for x in queries]
             assert [knn_predict(x, refs, labels, M, k) for x in queries] == want
             assert agrees_row_by_row(queries, want, refs, labels, M, k)
 
@@ -215,6 +218,33 @@ class TestReferenceValidation:
             knn_predict([0.0, 0.0], [[1.0]], [0], Metric.identity(1), k=1)
         with pytest.raises(ValueError, match="dimension 1"):
             evaluate(Dataset([[0.0, 0.0]], [0]), [[1.0]], [0], Metric.identity(1), k=1)
+
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf],
+                                     [np.nan, np.inf, -np.inf]])
+    @pytest.mark.parametrize("row", [0, 3])  # among and away from the query's nearest
+    @pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
+    def test_non_finite_reference(self, bad, row):
+        refs = np.array([[0.1, 0.0, 0.0], [0.0, 0.2, 0.0], [0.3, 0.3, 0.3],
+                         [5.0, 5.0, 5.0]])
+        refs[row, :len(bad)] = bad
+        x, labels, M = [0.0, 0.0, 0.0], [0, 1, 1, 0], Metric.identity(3)
+        match = f"reference {row} has a non-finite entry"
+        with pytest.raises(ValueError, match=match):
+            knn_predict(x, refs, labels, M, k=2)
+        with pytest.raises(ValueError, match=match):
+            evaluate(Dataset([x], [0]), refs, labels, M, k=2)
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
+    def test_overflowing_scores_never_pick_a_reference_twice(self):
+        # both forms r^T M r are finite; the far reference's score
+        # -2 x^T M r overflows to +inf
+        refs, labels, M = [[0.0], [-1e154]], [0, 1], Metric.identity(1)
+        assert knn_predict([1e154], refs, labels, M, k=1) == 0
+        # a second pick would be an inf score: ref 0 again, by index
+        with pytest.raises(ValueError, match="overflow"):
+            knn_predict([1e154], refs, labels, M, k=2)
+        with pytest.raises(ValueError, match="overflow"):
+            evaluate(Dataset([[1e154]], [0]), refs, labels, M, k=2)
 
     @pytest.mark.parametrize("labels", [[0.7, 1.9], [0.0, np.nan], [0.0, np.inf]])
     def test_non_integer_labels(self, labels):
