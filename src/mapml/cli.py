@@ -159,7 +159,8 @@ def cmd_eval(args, parser) -> int:
         names = train.label_names
     report = _score(args.refs, model.metric, model, names, train, test, args.k)
     print(f"error_rate={report.error_rate:.6f} k={report.k} refs={report.reference_mode} "
-          f"n_test={report.n_test} mean_query_s={report.mean_query_time:.6f}")
+          f"n_test={report.n_test} mean_query_s={report.mean_query_time:.6f} "
+          f"p50_query_s={report.p50_query_time:.6f} p99_query_s={report.p99_query_time:.6f}")
     return 0
 
 

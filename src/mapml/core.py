@@ -66,6 +66,26 @@ class Dataset:
         return f"Dataset(n={self.n}, d={self.d}, classes={self.n_classes})"
 
 
+def check_label_names(names, n_codes: int, what: str = "label_names") -> np.ndarray:
+    """``names`` as an array, refused unless it can name codes 0..n_codes-1.
+
+    The names must be 1-D, numbers or strings (as ``Dataset.label_names``
+    holds), finite, strictly increasing and at least ``n_codes`` long;
+    otherwise ``ValueError`` names ``what``.
+    """
+    names = np.asarray(names)
+    if names.ndim != 1 or names.dtype.kind not in "biufUS":
+        raise ValueError(f"{what} must be a 1-D array of numbers or strings, "
+                         f"got {names.dtype} of shape {names.shape}")
+    if names.dtype.kind == "f" and not np.isfinite(names).all() \
+            or (names[1:] <= names[:-1]).any():
+        raise ValueError(f"{what} must be finite and strictly increasing, got {names}")
+    if names.size < n_codes:
+        raise ValueError(f"{what} has {names.size} entries, but a label code "
+                         f"is {n_codes - 1}")
+    return names
+
+
 class Metric:
     """A symmetric d x d matrix defining a squared Mahalanobis distance.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .core import Dataset, Metric, TrainConfig
+from .core import Dataset, Metric, TrainConfig, check_label_names
 from .latent import TIE_TOLERANCE, LatentModel, compute_margins
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -316,14 +316,7 @@ def load_model(path) -> ModelFile:
         if names is not None:
             if not isinstance(names, list) or any(type(v) not in (int, float) for v in names):
                 raise ValueError(f"label_names must be a list of numbers, got {names!r}")
-            label_names = np.asarray(names)
-            if label_names.dtype.kind not in "iuf" or not np.isfinite(label_names).all() \
-                    or (label_names[1:] <= label_names[:-1]).any():
-                raise ValueError("label_names must be finite and strictly increasing, "
-                                 f"got {names!r}")
-            if label_names.size <= labels.max(initial=-1):
-                raise ValueError(f"label_names has {label_names.size} entries, but a "
-                                 f"latent label is {labels.max()}")
+            label_names = check_label_names(names, labels.max(initial=-1) + 1)
     except FileNotFoundError:
         pass
     except (TypeError, ValueError) as exc:

@@ -10,28 +10,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Metric
+from .core import Dataset, Metric, check_label_names
 # not called here: kept importable because perfbench/spans.py wraps this name
 from .core import pairwise_mahalanobis_sq  # noqa: F401
 
 
 @dataclass
 class EvalReport:
-    """Error rate and query timing of one evaluation pass."""
+    """Error rate and query timing of one evaluation pass.
+
+    Each test row's query time is its share of its block's timed work;
+    ``mean_query_time`` averages those times and ``p50_query_time`` and
+    ``p99_query_time`` are their percentiles. All rows of a block share
+    one time, so the percentiles tell blocks apart, not rows.
+    """
 
     error_rate: float
     k: int
     reference_mode: str
     n_test: int
     mean_query_time: float
+    p50_query_time: float
+    p99_query_time: float
 
 
-# Score entries per ranked block of test rows: 2**18 float64 scores is 2 MiB.
+# Score entries per ranked block of test rows: 2**18 float64 scores (2 MiB),
+# but never fewer than MIN_BLOCK_ROWS rows, because each block's product
+# repacks the whole n_refs x d reference panel: against 10k references,
+# 26-row blocks ran the GEMM at about half its speed at 128 rows. So a block's
+# scores take at most max(2 MiB, MIN_BLOCK_ROWS x n_refs x 8 bytes),
+# 10 MB at 10k references.
 BLOCK_SCORES = 2 ** 18
+MIN_BLOCK_ROWS = 128
 
 
 def _check_refs(refs_features, refs_labels, metric: Metric, k: int):
     """References, vote codes and classes, validated against the metric and k.
+
+    ``k`` must be an integer (a numpy integer will do, a bool will not).
 
     The vote is sized by the largest code: labels reaching the reference
     count are coded 0..C-1, with ``classes[code]`` the label; smaller ones
@@ -56,10 +72,13 @@ def _check_refs(refs_features, refs_labels, metric: Metric, k: int):
                          f"got labels of shape {refs_labels.shape}")
     if refs_labels.min() < 0:
         raise ValueError("reference labels must be non-negative")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= refs_features.shape[0]:
         raise ValueError(f"k must be in [1, {refs_features.shape[0]}], got {k}")
     classes = None
-    # codes below n_refs keep a block's counts within its scores' cap
+    # codes below n_refs keep a block's vote counts no larger than its
+    # scores: max(2 MiB, MIN_BLOCK_ROWS x n_refs x 8 bytes)
     if refs_labels.max() >= refs_labels.shape[0]:
         classes, refs_labels = np.unique(refs_labels, return_inverse=True)
     return refs_features, refs_labels, classes
@@ -123,8 +142,8 @@ def knn_predict(query, refs_features, refs_labels, metric: Metric, k: int) -> in
 
     Equal distances go to the smaller reference index; equal votes go to
     the tied class whose nearest member is closest. A label with a
-    non-integer value, a non-finite query or a non-finite reference raises
-    ``ValueError``.
+    non-integer value, a non-integer ``k``, a non-finite query or a
+    non-finite reference raises ``ValueError``.
     """
     refs_features, codes, classes = _check_refs(refs_features, refs_labels, metric, k)
     query = np.asarray(query, dtype=np.float64)
@@ -143,20 +162,26 @@ def evaluate(test: Dataset, refs_features, refs_labels, metric: Metric,
 
     The index (R M and the reference quadratic forms) is built once up
     front and is not timed. The test rows are then ranked in blocks of
-    ``max(1, BLOCK_SCORES // n_refs)`` rows, one matrix product per block,
-    and the k nearest of each row are picked by k ``argmin`` passes over
-    the block's scores, with the same tie rules as ``knn_predict``; each
-    query costs O(n_refs * (d + k)). A non-finite reference raises
-    ``ValueError``, as in ``knn_predict``. ``mean_query_time`` is the
-    timed block work divided by ``n_test``, so each row is charged its
-    share of its block.
+    ``max(MIN_BLOCK_ROWS, BLOCK_SCORES // n_refs)`` rows, one matrix
+    product per block, and the k nearest of each row are picked by k
+    ``argmin`` passes over the block's scores, with the same tie rules as
+    ``knn_predict``; each query costs O(n_refs * (d + k)). The row floor
+    exists because each product repacks the whole reference panel, which
+    a short block cannot amortise; it bounds a block's scores by
+    max(2 MiB, MIN_BLOCK_ROWS x n_refs x 8 bytes), 10 MB at 10k
+    references. A non-finite reference or a non-integer ``k`` raises
+    ``ValueError``, as in ``knn_predict``. Each row's query time is its
+    share of its block's timed work; the report gives their mean, p50
+    and p99.
 
     By default ``refs_labels`` are assumed to live in the same internal
     0..C-1 space as ``test.labels``. Pass ``refs_label_names`` (the
     sorted original label values behind ``refs_labels``, e.g.
     ``train.label_names``) when test and references come from separately
     constructed datasets; test rows whose label does not occur among the
-    references always count as errors.
+    references always count as errors. Names that are not 1-D, finite
+    and strictly increasing, or fewer than the largest reference label
+    + 1, raise ``ValueError``.
     """
     refs_features, codes, classes = _check_refs(refs_features, refs_labels, metric, k)
     if test.n < 1:
@@ -167,27 +192,32 @@ def evaluate(test: Dataset, refs_features, refs_labels, metric: Metric,
     if refs_label_names is None:
         targets = test.labels
     else:
-        names = np.asarray(refs_label_names)
+        top = codes.max() if classes is None else classes[-1]
+        names = check_label_names(refs_label_names, top + 1, "refs_label_names")
         values = test.label_names[test.labels]
         pos = np.clip(np.searchsorted(names, values), 0, len(names) - 1)
         targets = np.where(names[pos] == values, pos, -1)
     index = _index(refs_features, metric)
-    block = max(1, BLOCK_SCORES // refs_features.shape[0])
+    block = max(MIN_BLOCK_ROWS, BLOCK_SCORES // refs_features.shape[0])
     errors = 0
-    total_time = 0.0
+    block_times = []
     for lo in range(0, test.n, block):
         t0 = time.perf_counter()
         pred = _knn_labels(test.features[lo:lo + block], index, codes, k)
         if classes is not None:
             pred = classes[pred]
-        total_time += time.perf_counter() - t0
+        block_times.append(time.perf_counter() - t0)
         errors += int(np.count_nonzero(pred != targets[lo:lo + block]))
+    sizes = np.minimum(block, test.n - np.arange(0, test.n, block))
+    p50, p99 = np.percentile(np.repeat(np.array(block_times) / sizes, sizes), [50, 99])
     return EvalReport(
         error_rate=errors / test.n,
         k=k,
         reference_mode=reference_mode,
         n_test=test.n,
-        mean_query_time=total_time / test.n,
+        mean_query_time=sum(block_times) / test.n,
+        p50_query_time=float(p50),
+        p99_query_time=float(p99),
     )
 
 

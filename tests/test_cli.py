@@ -2,6 +2,7 @@ import csv
 import gzip
 import json
 import os
+import re
 import struct
 from collections import Counter
 
@@ -150,6 +151,18 @@ class TestEval:
                    "--refs", "original", "--data", synth_csv])
         assert rc == 0
         assert "refs=original" in capsys.readouterr().out
+
+    def test_query_time_percentiles_printed(self, tmp_path, synth_csv, capsys):
+        model_path = str(tmp_path / "model.mapml")
+        main(["train", "--data", synth_csv, "--outer-iters", "1",
+              "--inner-iters", "200", "--out", model_path])
+        capsys.readouterr()
+        assert main(["eval", "--model", model_path, "--test", synth_csv,
+                     "--refs", "latent"]) == 0
+        out = capsys.readouterr().out
+        # 120 test rows against 4 latents: one block, so all three agree
+        times = re.search(r"mean_query_s=(\S+) p50_query_s=(\S+) p99_query_s=(\S+)$", out)
+        assert times is not None and len(set(times.groups())) == 1
 
     def test_original_mode_requires_data(self, tmp_path, synth_csv):
         model_path = str(tmp_path / "model.mapml")

@@ -118,6 +118,57 @@ class TestEvaluate:
                           refs_label_names=train.label_names)
         assert report.error_rate == 1.0
 
+    @pytest.mark.parametrize("names", [[7, 5], [5], [[5], [7]], [5, np.nan], [5, 5]],
+                             ids=["decreasing", "too-few", "2-D", "nan", "repeated"])
+    def test_malformed_refs_label_names(self, names):
+        # [7, 5] named code 1 "5" and scored the nearest-to-code-1 row, labelled
+        # 5, as an error; [5] left code 1 without a name
+        test = Dataset([[9.9]], [5])
+        with pytest.raises(ValueError, match="refs_label_names"):
+            evaluate(test, [[0.0], [10.0]], [0, 1], Metric.identity(1), k=1,
+                     refs_label_names=names)
+
+    def test_refs_label_names_cover_coded_labels(self):
+        # labels reaching the reference count are coded; the names must
+        # still reach the largest label value
+        test = Dataset([[9.9]], [5])
+        refs, labels = [[0.0], [10.0]], [0, 3]
+        with pytest.raises(ValueError, match="refs_label_names has 3 entries"):
+            evaluate(test, refs, labels, Metric.identity(1), k=1,
+                     refs_label_names=[1, 2, 4])
+        rep = evaluate(test, refs, labels, Metric.identity(1), k=1,
+                       refs_label_names=[1, 2, 4, 5])
+        assert rep.error_rate == 0.0
+
+    def test_string_label_names(self):
+        train = Dataset([[0.0], [10.0]], ["a", "b"])
+        test = Dataset([[9.9], [0.1]], ["b", "b"])
+        rep = evaluate(test, train.features, train.labels, Metric.identity(1), k=1,
+                       refs_label_names=train.label_names)
+        assert rep.error_rate == 0.5
+
+    def test_one_block_percentiles_equal_mean(self):
+        rng = np.random.default_rng(10)
+        test = Dataset(rng.normal(size=(50, 3)), rng.integers(0, 2, size=50))
+        rep = evaluate(test, rng.normal(size=(30, 3)), rng.integers(0, 2, size=30),
+                       Metric.identity(3), k=3)
+        assert rep.p50_query_time == rep.p99_query_time == rep.mean_query_time > 0
+
+    def test_percentiles_over_row_shares_of_block_time(self, monkeypatch):
+        # blocks of 5, 5, 5, 5, 3 rows timed 5, 5, 5, 5 and 30 s: rows take
+        # 1 s (20 rows) or 10 s (3 rows)
+        ticks = iter(np.cumsum([0, 5, 0, 5, 0, 5, 0, 5, 0, 30]))
+        clock = type("Clock", (), {"perf_counter": staticmethod(lambda: next(ticks))})
+        monkeypatch.setattr(evaluation, "time", clock)
+        monkeypatch.setattr(evaluation, "BLOCK_SCORES", 5 * 20)
+        monkeypatch.setattr(evaluation, "MIN_BLOCK_ROWS", 1)
+        rng = np.random.default_rng(11)
+        test = Dataset(rng.normal(size=(23, 2)), rng.integers(0, 2, size=23))
+        rep = evaluate(test, rng.normal(size=(20, 2)), rng.integers(0, 2, size=20),
+                       Metric.identity(2), k=1)
+        assert rep.mean_query_time == pytest.approx(50 / 23)
+        assert (rep.p50_query_time, rep.p99_query_time) == (1.0, 10.0)
+
     def test_latent_refs_faster_when_much_smaller(self):
         rng = np.random.default_rng(5)
         d = 64
@@ -141,6 +192,19 @@ def agrees_row_by_row(queries, want, refs, labels, metric, k):
     report = evaluate(test, refs, labels, metric, k=k,
                       refs_label_names=np.arange(max(labels) + 1))
     return report.error_rate == 0.0
+
+
+def spy_block_rows(monkeypatch):
+    """The list that each ranked block's row count is appended to."""
+    blocks = []
+    rank = evaluation._knn_labels
+
+    def spy(X, *args):
+        blocks.append(X.shape[0])
+        return rank(X, *args)
+
+    monkeypatch.setattr(evaluation, "_knn_labels", spy)
+    return blocks
 
 
 class TestTieRules:
@@ -185,17 +249,27 @@ class TestTieRules:
         queries = rng.integers(-2, 3, size=(23, 2)).astype(float)
         M = Metric(np.array([[2.0, 1.0], [1.0, 3.0]]))
         want = [knn_predict(x, refs, labels, M, k=4) for x in queries]
-        blocks = []
-        rank = evaluation._knn_labels
-
-        def spy(X, *args):
-            blocks.append(X.shape[0])
-            return rank(X, *args)
-
         monkeypatch.setattr(evaluation, "BLOCK_SCORES", 5 * 20)
-        monkeypatch.setattr(evaluation, "_knn_labels", spy)
+        monkeypatch.setattr(evaluation, "MIN_BLOCK_ROWS", 1)
+        blocks = spy_block_rows(monkeypatch)
         assert agrees_row_by_row(queries, want, refs, labels, M, k=4)
         assert blocks == [5, 5, 5, 5, 3]
+
+    def test_blocks_hold_min_rows_against_many_refs(self, monkeypatch):
+        # 2100 references leave BLOCK_SCORES // 2100 = 124 rows per block,
+        # under the floor of MIN_BLOCK_ROWS
+        rng = np.random.default_rng(12)
+        refs = rng.integers(-3, 4, size=(2100, 2)).astype(float)
+        labels = rng.integers(0, 4, size=2100)
+        queries = rng.integers(-3, 4, size=(300, 2)).astype(float)
+        M = Metric(np.array([[2.0, 1.0], [1.0, 3.0]]))
+        assert 2100 * evaluation.MIN_BLOCK_ROWS > evaluation.BLOCK_SCORES
+        want = [knn_predict(x, refs, labels, M, k=3) for x in queries]
+        blocks = spy_block_rows(monkeypatch)
+        assert agrees_row_by_row(queries, want, refs, labels, M, k=3)
+        rows = evaluation.MIN_BLOCK_ROWS
+        assert blocks[:-1] == [rows] * (len(blocks) - 1)
+        assert sum(blocks) == 300 and 0 < blocks[-1] <= rows
 
 
 class TestReferenceValidation:
@@ -245,6 +319,22 @@ class TestReferenceValidation:
             knn_predict([1e154], refs, labels, M, k=2)
         with pytest.raises(ValueError, match="overflow"):
             evaluate(Dataset([[1e154]], [0]), refs, labels, M, k=2)
+
+    @pytest.mark.parametrize("k", [2.0, True, np.float64(2), "2", None],
+                             ids=["float", "bool", "numpy-float", "str", "none"])
+    def test_non_integer_k(self, k):
+        refs, labels = [[1.0], [2.0], [3.0]], [0, 1, 1]
+        with pytest.raises(ValueError, match="k must be an integer"):
+            knn_predict([0.0], refs, labels, Metric.identity(1), k=k)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            evaluate(Dataset([[0.0]], [0]), refs, labels, Metric.identity(1), k=k)
+
+    def test_numpy_integer_k_accepted(self):
+        refs, labels = [[1.0], [2.0], [3.0]], [0, 1, 1]
+        assert knn_predict([0.0], refs, labels, Metric.identity(1), k=np.int64(3)) == 1
+        rep = evaluate(Dataset([[0.0]], [1]), refs, labels, Metric.identity(1),
+                       k=np.uint8(3), refs_label_names=[0, 1])
+        assert rep.error_rate == 0.0 and rep.k == 3
 
     @pytest.mark.parametrize("labels", [[0.7, 1.9], [0.0, np.nan], [0.0, np.inf]])
     def test_non_integer_labels(self, labels):
