@@ -107,7 +107,8 @@ def cmd_train(args, parser) -> int:
     cfg = _config_from_args(args)
     def sink(rec):
         print("k={k} loss={loss:.6f} active={active_set_size} "
-              "latent_s={latent_seconds:.3f} metric_s={metric_seconds:.3f}".format(**rec))
+              "latent_s={latent_seconds:.3f} metric_s={metric_seconds:.3f} "
+              "loss_s={loss_seconds:.3f}".format(**rec))
     t0 = time.perf_counter()
     if args.baseline == "random-triplet":
         result = train_random_triplet_baseline(data, cfg)

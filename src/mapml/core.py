@@ -18,6 +18,11 @@ NEG_CLAMP = -1e-9
 # Symmetry tolerance for metric matrices (absolute, per entry).
 SYMMETRY_TOL = 1e-9
 
+# Rows of a distance matrix that pairwise_mahalanobis_sq finishes at a time:
+# the quadratic forms and the clamp of a 64 x m slab stay in cache and need
+# no m x m temporary (64 rows measured best of 16-256 at m = 500-2000, d = 64).
+PAIRWISE_ROWS = 64
+
 class Dataset:
     """Labeled feature vectors: an (n, d) matrix plus one label per row.
 
@@ -184,10 +189,12 @@ class TrainConfig:
 def pairwise_mahalanobis_sq(metric: Metric, A, B=None) -> np.ndarray:
     """All squared Mahalanobis distances between rows of A and rows of B.
 
-    Uses the expansion a^T M a + b^T M b - 2 a^T M b (M symmetric).
-    Tiny negative results (rounding noise above NEG_CLAMP) are clamped to
-    zero; larger negatives are returned as-is since they signal an
-    indefinite M, which is legal mid-optimization.
+    Uses the expansion a^T M a + b^T M b - 2 a^T M b (M symmetric): one
+    product into the result, which then takes the quadratic forms and the
+    clamp in place, ``PAIRWISE_ROWS`` rows at a time, with no temporary
+    as large as the result. Tiny negative results (rounding noise above
+    NEG_CLAMP) are clamped to zero; larger negatives are returned as-is
+    since they signal an indefinite M, which is legal mid-optimization.
     """
     A = np.asarray(A, dtype=np.float64)
     B = A if B is None else np.asarray(B, dtype=np.float64)
@@ -197,13 +204,16 @@ def pairwise_mahalanobis_sq(metric: Metric, A, B=None) -> np.ndarray:
         )
     AM = A @ metric.matrix
     qa = np.einsum("ij,ij->i", AM, A)
-    if B is A:
-        BM, qb = AM, qa
-    else:
-        BM = B @ metric.matrix
-        qb = np.einsum("ij,ij->i", BM, B)
-    out = qa[:, None] + qb[None, :] - 2.0 * (AM @ B.T)
-    np.copyto(out, 0.0, where=(out > NEG_CLAMP) & (out < 0.0))
+    qb = qa if B is A else np.einsum("ij,ij->i", B @ metric.matrix, B)
+    out = AM @ B.T
+    forms = np.empty((min(PAIRWISE_ROWS, out.shape[0]), out.shape[1]))
+    for lo in range(0, out.shape[0], PAIRWISE_ROWS):
+        rows = out[lo:lo + PAIRWISE_ROWS]
+        # -2 P is exact, and -2 P + (qa + qb) rounds as (qa + qb) - 2 P
+        rows *= -2.0
+        np.add(qa[lo:lo + PAIRWISE_ROWS, None], qb[None, :], out=forms[:rows.shape[0]])
+        rows += forms[:rows.shape[0]]
+        np.copyto(rows, 0.0, where=(rows > NEG_CLAMP) & (rows < 0.0))
     return out
 
 
@@ -212,7 +222,8 @@ class HingeBlock(NamedTuple):
 
     same         (m_r,) latent indices of the class; row i is anchor same[i]
     diff         (n,) latent indices of every other class, ascending
-    b_sorted     (m_r, n) E[o, diff], each row sorted ascending
+    b_sorted     (m_r, n) E[o, diff], each row sorted ascending; None when
+                 the block was built with its ``order``
     thresholds   (m_r, m_r - 1) t_p = (1 + margin(o)) + E[o, p] for each
                  anchor's same-class partners p != o, in the order of
                  :func:`partner_columns`
@@ -220,6 +231,8 @@ class HingeBlock(NamedTuple):
                  i.e. the count of q with a positive loss hinge t_p - E[o, q].
                  This is the one definition of a violated triplet: the loss
                  sums these hinges and the active set keeps these triplets.
+    order        (m_r, n) columns of ``diff`` that sort each row of E[o, diff]
+                 ascending (``np.argsort``); None unless asked for
     """
 
     same: np.ndarray
@@ -227,6 +240,7 @@ class HingeBlock(NamedTuple):
     b_sorted: np.ndarray
     thresholds: np.ndarray
     below: np.ndarray
+    order: np.ndarray = None
 
 
 def partner_columns(m_r: int) -> np.ndarray:
@@ -235,52 +249,102 @@ def partner_columns(m_r: int) -> np.ndarray:
     return j[None, :] + (j[None, :] >= np.arange(m_r)[:, None])
 
 
-def hinge_blocks(E: np.ndarray, labels, margins):
+def count_below(rows: np.ndarray, keys: np.ndarray, order=None) -> np.ndarray:
+    """(k, j) count of entries of row k strictly below keys[k, j].
+
+    Equal to ``np.searchsorted(row, key, side="left")`` on each row sorted
+    ascending, for every key that is not NaN, by one exact binary search
+    over all keys at once. ``rows`` is (k, n) with n >= 1; each row is read
+    as sorted, or, given ``order`` (the per-row ``np.argsort``), in the
+    order it gives. With h the largest power of two <= n, the first probe
+    at h - 1 leaves a range of at most h - 1 entries, so the halving steps
+    h/2, ..., 1 never probe past the row: 1 + log2(h) gathers of k*j
+    entries.
+    """
+    k, n = rows.shape
+    flat = rows.ravel()
+    at = np.arange(0, k * n, n)[:, None]  # flat index of each row's first entry
+    pick = None if order is None else (order + at).ravel()
+
+    def probe(i):
+        return flat[i if pick is None else pick[i]]
+
+    half = 1 << (n.bit_length() - 1)
+    # flat index of each key's last entry below it; row start - 1 while none
+    start = at - 1
+    last = start + (probe(at + (half - 1)) < keys) * (n - half + 1)
+    step = half >> 1
+    while step:
+        last += step * (probe(last + step) < keys)
+        step >>= 1
+    return last - start
+
+
+def hinge_blocks(E: np.ndarray, labels, margins, with_order: bool = False):
     """Yield a :class:`HingeBlock` per class, one class at a time.
 
-    ``E`` is the pairwise latent distance matrix. Classes with fewer than
-    two latents or no other class contribute no triplet and are skipped.
+    ``E`` is the pairwise latent distance matrix and ``labels`` the class
+    of each latent, grouped into ascending contiguous runs as
+    ``LatentModel.latent_labels`` holds them; other labels raise
+    ``ValueError``. A class's rows are the slice E[lo:hi], so its block
+    needs no gather beyond one copy of its other-class columns. Classes
+    with fewer than two latents or no other class contribute no triplet
+    and are skipped.
+
     Each anchor sorts its other-class distances once, and every
-    same-class partner finds its hinge boundary by binary search, so a
-    block costs O(m_r m log m) time and O(m_r m) memory.
+    same-class partner's hinge boundary comes from :func:`count_below`, so
+    a block costs O(m_r m log m) time and O(m_r m) memory. With
+    ``with_order`` the block is ranked by one ``np.argsort`` instead,
+    which gives both the counts and the ``order`` that
+    :func:`decode_ranks` reads; ``b_sorted`` is then None.
     """
     labels = np.asarray(labels)
-    for r in np.unique(labels):
-        same = np.nonzero(labels == r)[0]
-        diff = np.nonzero(labels != r)[0]
-        if same.size < 2 or diff.size == 0:
+    if labels.ndim != 1 or (labels[1:] < labels[:-1]).any():
+        raise ValueError("labels must be 1-D and grouped into ascending contiguous runs")
+    m = labels.size
+    cuts = np.flatnonzero(labels[1:] != labels[:-1]) + 1
+    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), m]):
+        m_r = hi - lo
+        if m_r < 2 or m_r == m:
             continue
-        Es = E[np.ix_(same, same)]
-        thresholds = (1.0 + margins[same])[:, None] + np.take_along_axis(
-            Es, partner_columns(same.size), axis=1)
-        b_sorted = np.sort(E[np.ix_(same, diff)], axis=1)
-        below = np.stack([np.searchsorted(b, t, side="left")
-                          for b, t in zip(b_sorted, thresholds)])
-        yield HingeBlock(same, diff, b_sorted, thresholds, below)
+        rows = E[lo:hi]
+        thresholds = (1.0 + margins[lo:hi])[:, None] + np.take_along_axis(
+            rows[:, lo:hi], partner_columns(m_r), axis=1)
+        b = np.concatenate((rows[:, :lo], rows[:, hi:]), axis=1)
+        if with_order:
+            order = np.argsort(b, axis=1)
+            below = count_below(b, thresholds, order)
+            b = None
+        else:
+            order = None
+            b.sort(axis=1)
+            below = count_below(b, thresholds)
+        diff = np.concatenate((np.arange(lo), np.arange(hi, m)))
+        yield HingeBlock(np.arange(lo, hi), diff, b, thresholds, below, order)
 
 
-def decode_ranks(E: np.ndarray, same, diff, counts, ranks):
+def decode_ranks(blk: HingeBlock, ranks):
     """Map violator ranks of one class block to (o, p, q) latent indices.
 
-    ``counts`` is the block's (m_r, m_r - 1) ``HingeBlock.below`` and
-    ``ranks`` are ascending ints in [0, counts.sum()), enumerating the
+    ``blk`` comes from :func:`hinge_blocks` with ``with_order``, and
+    ``ranks`` are ascending ints in [0, blk.below.sum()), enumerating the
     violators anchor by anchor, partner by partner (in the order of
     :func:`partner_columns`), and for each (o, p) by ascending E[o, q].
-    Since the violators of (o, p) are the first counts[o, p] entries of
+    Since the violators of (o, p) are the first below[o, p] entries of
     the sorted row, rank j within (o, p) is the row's j-th smallest
-    distance. Which of several tied distances comes first is up to
+    distance, read off ``blk.order``: the same argsort that counted the
+    violators. Which of several tied distances comes first is up to
     ``np.argsort``; the set of violators, and so the uniformity of a
-    sample of ranks, does not depend on it. One argsort of the m_r x n
-    block, recomputed here rather than kept from :func:`hinge_blocks`.
+    sample of ranks, does not depend on it.
     """
-    counts = counts.ravel()
+    counts = blk.below.ravel()
     ends = np.cumsum(counts)
     pair = np.searchsorted(ends, ranks, side="right")
     j = ranks - (ends[pair] - counts[pair])
-    i, pp = np.divmod(pair, same.size - 1)
-    p = same[partner_columns(same.size)[i, pp]]
-    q = diff[np.argsort(E[np.ix_(same, diff)], axis=1)[i, j]]
-    return same[i], p, q
+    i, pp = np.divmod(pair, blk.same.size - 1)
+    p = blk.same[partner_columns(blk.same.size)[i, pp]]
+    q = blk.diff[blk.order[i, j]]
+    return blk.same[i], p, q
 
 
 def full_loss_all(metric: Metric, latent_model) -> float:

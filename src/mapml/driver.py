@@ -35,15 +35,16 @@ class TrainResult:
       loss                the monitored loss after it (loss_trace[k])
       latent_seconds      wall time of the latent stage
       metric_seconds      wall time of the metric stage
+      loss_seconds        wall time of the monitored-loss scan after it
       active_set_size     violating triplets retained for SGD
       active_set_seconds  part of metric_seconds spent building that set
       active_steps        SGD steps whose hinge was active
       ball_clips          SGD steps the Frobenius ball rescaled
     The baseline trainer has no latent objective to monitor: it leaves
     loss_trace empty and records one entry whose loss is None, whose
-    metric_seconds is its training time, and whose latent and active-set
-    keys are 0. label_names[c] is the training label value of latent
-    label code c (the data's label_names).
+    metric_seconds is its training time, and whose latent, loss and
+    active-set keys are 0. label_names[c] is the training label value of
+    latent label code c (the data's label_names).
     """
 
     metric: Metric
@@ -80,7 +81,9 @@ def train_mapml(data: Dataset, cfg: TrainConfig, log_sink=None) -> TrainResult:
         new_metric, counts = run_metric_stage(model, metric, cfg, seed=seeds[k])
         t_metric = time.perf_counter() - t0
 
+        t0 = time.perf_counter()
         loss_k = full_loss_all(new_metric, model)
+        t_loss = time.perf_counter() - t0
         if not np.isfinite(loss_k):
             raise FloatingPointError(f"non-finite loss at outer iteration {k}")
         if loss_k > losses[-1] + MONOTONE_RTOL * abs(losses[-1]):
@@ -89,7 +92,7 @@ def train_mapml(data: Dataset, cfg: TrainConfig, log_sink=None) -> TrainResult:
         metric = new_metric
         losses.append(loss_k)
         history.append({"k": k, "loss": loss_k, "latent_seconds": t_latent,
-                        "metric_seconds": t_metric, **counts})
+                        "metric_seconds": t_metric, "loss_seconds": t_loss, **counts})
         if log_sink is not None:
             log_sink(history[-1])
     return TrainResult(metric=metric, latent_model=model, loss_trace=np.asarray(losses),
@@ -150,8 +153,8 @@ def train_random_triplet_baseline(data: Dataset, cfg: TrainConfig) -> TrainResul
             data.features, triplets, np.zeros(data.n), np.eye(data.d), cfg.lam, cfg.delta)
         metric = psd_project(avg)
     record = {"k": 1, "loss": None, "latent_seconds": 0.0,
-              "metric_seconds": time.perf_counter() - t0, "active_set_size": 0,
-              "active_set_seconds": 0.0, "active_steps": active_steps,
-              "ball_clips": ball_clips}
+              "metric_seconds": time.perf_counter() - t0, "loss_seconds": 0.0,
+              "active_set_size": 0, "active_set_seconds": 0.0,
+              "active_steps": active_steps, "ball_clips": ball_clips}
     return TrainResult(metric=metric, latent_model=model, loss_trace=np.empty(0),
                        history=[record], config=cfg, label_names=data.label_names)

@@ -14,6 +14,8 @@ runs under the identity on X directly. Init and every stage end in the
 same step, whose margins come from the final assignment's distances.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .core import Dataset, Metric, TrainConfig, is_identity
@@ -59,6 +61,9 @@ class LatentModel:
         for arr in (self.latents, self.latent_labels, self.membership,
                     self.cluster_margins, self.per_class_counts):
             arr.flags.writeable = False
+        # (data, M) of the _ClassBlocks this membership was assigned from on
+        # these latents, set by _assign_with_margins; None when made elsewhere
+        self._assigned_under = None
 
     @property
     def m(self) -> int:
@@ -125,8 +130,22 @@ def _rows(A: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return A[idx]
 
 
-def _class_blocks(data: Dataset, M) -> list:
-    """Per class r: its row indices, X_r M and the row forms x^T M x.
+class _ClassBlocks(NamedTuple):
+    """A latent stage's per-class view of the data under one metric.
+
+    data    the Dataset
+    M       the metric matrix, None for exactly the identity
+    rows    per class r: its row indices idx, X_r = X[idx], X_r M (X_r itself
+            when M is None) and the row forms x^T M x
+    """
+
+    data: Dataset
+    M: np.ndarray
+    rows: list
+
+
+def _class_blocks(data: Dataset, M) -> _ClassBlocks:
+    """Each class's rows of X and X M, and their forms x^T M x, made once per stage.
 
     ``M`` None stands for the identity: X serves as X M. Otherwise this is
     the one n*d^2 product, made once for all rows: per-class products of
@@ -134,26 +153,42 @@ def _class_blocks(data: Dataset, M) -> list:
     """
     XM = data.features if M is None else data.features @ M
     qx = np.einsum("ij,ij->i", XM, data.features)
-    blocks = []
+    rows = []
     for r in range(data.n_classes):
         idx = data.class_indices(r)
-        blocks.append((idx, _rows(XM, idx), qx[idx]))
-    return blocks
+        X_r = _rows(data.features, idx)
+        rows.append((idx, X_r, X_r if M is None else _rows(XM, idx), qx[idx]))
+    return _ClassBlocks(data, M, rows)
 
 
-def _assign(model: LatentModel, blocks: list, M):
+def _assigned_from(model: LatentModel, blocks: _ClassBlocks) -> bool:
+    """True when ``model.membership`` is what ``_assign(model, blocks)`` returns.
+
+    That holds when :func:`_assign_with_margins` made it on these latents
+    from the same data under an equal metric matrix; arrays in both are
+    read-only, so the equal inputs give the same assignment bit for bit.
+    """
+    if model._assigned_under is None:
+        return False
+    data, M = model._assigned_under
+    return data is blocks.data and (M is blocks.M or M is not None and blocks.M is not None
+                                    and np.array_equal(M, blocks.M))
+
+
+def _assign(model: LatentModel, blocks: _ClassBlocks):
     """Membership, and each row's clamped D^2 to its latent, given ``_class_blocks``.
 
     Ties within ``TIE_TOLERANCE`` go to the smaller latent index. Costs
     O(n*m_r*d + m*d^2): Z M is formed once for all m latents.
     """
     Z = model.latents
+    M = blocks.M
     qz = np.einsum("ij,ij->i", Z if M is None else Z @ M, Z)
-    n = sum(idx.size for idx, _, _ in blocks)
+    n = blocks.data.n
     membership = np.empty(n, dtype=np.int64)
     dist = np.empty(n)
     lo = 0
-    for r, (idx, XM_r, qx_r) in enumerate(blocks):
+    for r, (idx, _, XM_r, qx_r) in enumerate(blocks.rows):
         hi = lo + model.per_class_counts[r]
         # (-2 Z) is exact, and P + (qx + qz) rounds as (qx + qz) - 2 P
         d2 = XM_r @ (-2.0 * Z[lo:hi]).T
@@ -175,14 +210,19 @@ def _cluster_means(membership: np.ndarray, vals: np.ndarray, m: int) -> np.ndarr
     return np.divide(sums, counts, out=np.zeros(m), where=counts > 0)
 
 
-def _assign_with_margins(model: LatentModel, blocks: list, M) -> LatentModel:
+def _assign_with_margins(model: LatentModel, blocks: _ClassBlocks) -> LatentModel:
     """``_assign``, with margins the per-cluster means of its clamped distances.
 
     Equal to :func:`compute_margins` up to rounding, without its n x d pass.
+    The result remembers the data and metric of ``blocks``, so a stage
+    that starts from it under an equal metric can take its first
+    assignment as it is.
     """
-    membership, dist = _assign(model, blocks, M)
-    return model.replace(membership=membership,
-                         cluster_margins=_cluster_means(membership, dist, model.m))
+    membership, dist = _assign(model, blocks)
+    out = model.replace(membership=membership,
+                        cluster_margins=_cluster_means(membership, dist, model.m))
+    out._assigned_under = (blocks.data, blocks.M)
+    return out
 
 
 def _metric_or_none(metric: Metric):
@@ -199,12 +239,12 @@ def assign_membership(data: Dataset, model: LatentModel, metric: Metric) -> Late
     :func:`compute_margins` to refresh them.
     """
     M = _metric_or_none(metric)
-    membership, _ = _assign(model, _class_blocks(data, M), M)
+    membership, _ = _assign(model, _class_blocks(data, M))
     return model.replace(membership=membership)
 
 
 def update_latents(data: Dataset, model: LatentModel, z_prev: np.ndarray,
-                   gamma: float) -> LatentModel:
+                   gamma: float, *, _blocks: _ClassBlocks = None) -> LatentModel:
     """Closed-form latent update with memberships held fixed.
 
     Each latent moves to (sum of members + gamma * previous-outer-iterate
@@ -213,7 +253,13 @@ def update_latents(data: Dataset, model: LatentModel, z_prev: np.ndarray,
     with gamma = 0 keeps its anchor row.
 
     Member sums take one m_r x n_r one-hot product per latent class, a
-    fixed summation order for a fixed input: O(n*m_r*d) in all.
+    fixed summation order for a fixed input: O(n*m_r*d) in all. The rows
+    of latent class r are those whose latent is in class r: one scan of
+    the membership finds them, and they are gathered from ``data``. A
+    latent stage passes its :func:`_class_blocks` as ``_blocks`` instead:
+    there every row's latent is of the row's own class, so class r's rows
+    are the ones the blocks already hold, and a sweep makes no scan and
+    no n x d gather.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
@@ -223,13 +269,17 @@ def update_latents(data: Dataset, model: LatentModel, z_prev: np.ndarray,
     m = model.m
     counts = np.bincount(model.membership, minlength=m).astype(np.float64)
     sums = np.zeros((m, data.d))
-    owner = model.latent_labels[model.membership]  # class of each row's latent
+    if _blocks is None:
+        owner = model.latent_labels[model.membership]  # class of each row's latent
+        members = (np.flatnonzero(owner == r) for r in range(model.per_class_counts.size))
+        classes = ((rows, _rows(data.features, rows)) for rows in members)
+    else:
+        classes = (blk[:2] for blk in _blocks.rows)
     lo = 0
-    for r, m_r in enumerate(model.per_class_counts):
-        rows = np.flatnonzero(owner == r)
+    for (rows, X_r), m_r in zip(classes, model.per_class_counts):
         if rows.size:
             onehot = np.arange(lo, lo + m_r)[:, None] == model.membership[rows]
-            sums[lo:lo + m_r] = onehot.astype(np.float64) @ _rows(data.features, rows)
+            sums[lo:lo + m_r] = onehot.astype(np.float64) @ X_r
         lo += m_r
     denom = counts + gamma
     z_new = np.where((denom > 0)[:, None],
@@ -284,7 +334,7 @@ def init_latents(data: Dataset, tau: float, seed: int) -> LatentModel:
         cluster_margins=np.zeros(latents.shape[0]),
         per_class_counts=np.asarray(counts, dtype=np.int64),
     )
-    return _assign_with_margins(model, _class_blocks(data, None), None)
+    return _assign_with_margins(model, _class_blocks(data, None))
 
 
 def surrogate_objective(data: Dataset, model: LatentModel, metric: Metric,
@@ -316,16 +366,25 @@ def run_latent_stage(data: Dataset, prev: LatentModel, metric: Metric,
     every sweep), alternates assignment and closed-form update
     ``cfg.latent_em_iters`` times, then refreshes membership once more so
     the returned margins (computed under ``metric``) match the final
-    latents, through the same step as :func:`init_latents`. Cost: one
-    n*d^2 product, X M, none when M is exactly the identity; then
+    latents, through the same step as :func:`init_latents`.
+
+    The data's per-class rows, and X M, are made once for the stage and
+    serve every assignment and every :func:`update_latents` call. When
+    ``prev`` left :func:`init_latents` or a stage under a metric equal to
+    ``metric`` on this data, as stage 1 does under the identity, its
+    membership is already the first sweep's assignment and is taken as it
+    is; the result is the same bit for bit. Cost: one n*d^2 product, X M,
+    none when M is exactly the identity; then
     O(sweeps * (n*m_r*d + m*d^2)).
     """
     z_anchor = prev.latents
-    M = _metric_or_none(metric)
-    blocks = _class_blocks(data, M)
+    blocks = _class_blocks(data, _metric_or_none(metric))
     model = prev
+    membership = prev.membership if _assigned_from(prev, blocks) else None
     for _ in range(cfg.latent_em_iters):
-        membership, _ = _assign(model, blocks, M)
-        model = model.replace(membership=membership)
-        model = update_latents(data, model, z_anchor, cfg.gamma)
-    return _assign_with_margins(model, blocks, M)
+        if membership is None:
+            membership, _ = _assign(model, blocks)
+        model = update_latents(data, model.replace(membership=membership), z_anchor,
+                               cfg.gamma, _blocks=blocks)
+        membership = None
+    return _assign_with_margins(model, blocks)

@@ -79,15 +79,18 @@ def build_active_set(model: LatentModel, metric_prev: Metric, cap: int, seed: in
     subsample without replacement (driven by ``seed``) is retained, still
     in ascending order. An empty result is legal.
 
-    The retained ranks decode to rows with :func:`core.decode_ranks`.
-    Time is O(m^2 log m + retained), one class block at a time.
+    One ``np.argsort`` per class block gives both the counts and, through
+    :func:`core.decode_ranks`, the rows of the retained ranks. Time is
+    O(m^2 log m + retained); memory O(m^2).
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     E = pairwise_mahalanobis_sq(metric_prev, model.latents)
-    blocks = [(blk.same, blk.diff, blk.below) for blk in
-              core.hinge_blocks(E, model.latent_labels, model.cluster_margins)]
-    total = sum(int(counts.sum()) for _, _, counts in blocks)
+    # each block keeps its argsort for decode_ranks: m_r (m - m_r) ints per
+    # class, no more than E holds in all
+    blocks = list(core.hinge_blocks(E, model.latent_labels, model.cluster_margins,
+                                    with_order=True))
+    total = sum(int(blk.below.sum()) for blk in blocks)
     if total == 0:
         return np.empty((0, 3), dtype=np.int64)
     # every rank when total <= cap, else a sorted uniform sample of cap ranks
@@ -95,11 +98,11 @@ def build_active_set(model: LatentModel, metric_prev: Metric, cap: int, seed: in
     m = model.m
     keys = []
     base = 0
-    for same, diff, counts in blocks:
-        size = int(counts.sum())
+    for blk in blocks:
+        size = int(blk.below.sum())
         lo, hi = np.searchsorted(ranks, [base, base + size])
         if hi > lo:
-            o, p, q = core.decode_ranks(E, same, diff, counts, ranks[lo:hi] - base)
+            o, p, q = core.decode_ranks(blk, ranks[lo:hi] - base)
             keys.append((o * m + p) * m + q)
         base += size
     # one int64 key per row sorts the rows into ascending (o, p, q)

@@ -80,3 +80,28 @@ def test_traced_counts_match_the_run():
         "mode": "latent", "mean_query_s": report.mean_query_time,
         "query_s": report.mean_query_time * data.n}]
     assert counts("evaluation.knn_predict") == [{"refs": model.m}]
+
+
+def test_traced_run_records_the_claimed_layers():
+    # the per-layer figures of a traced run rest on these spans: one
+    # update_latents per sweep, called through the module, and the distance
+    # matrix of every active-set build and every monitored loss
+    spans_module = load_spans()
+    rng = np.random.default_rng(2)
+    data = make_blobs(rng, 40, [[0.0, 0.0, 0.0], [1.0, 0.5, 0.0], [0.0, 1.0, 0.5]], 0.6)
+    cfg = TrainConfig(tau=20.0, outer_iters=2, inner_iters=100, latent_em_iters=3,
+                      rng_seed=1)
+    tracer = spans_module.Tracer("test")
+    with tracer.installed():
+        result = driver.train_mapml(data, cfg)
+    assert len(result.history) == cfg.outer_iters
+    spans = tracer.spans
+    updates = [s for s in spans if s.name == "latent.update_latents"]
+    assert len(updates) == cfg.outer_iters * cfg.latent_em_iters
+    assert all(s.duration > 0 and spans[s.parent].name == "latent.run_latent_stage"
+               for s in updates)
+    under = Counter(spans[s.parent].name for s in spans
+                    if s.name == spans_module.PAIRWISE and s.duration > 0)
+    assert under["metric.build_active_set"] == cfg.outer_iters
+    # the loss after init and after each outer iteration
+    assert under["core.full_loss_all"] == cfg.outer_iters + 1

@@ -58,6 +58,11 @@ class TestTrain:
         assert os.path.exists(model_path)
         out = capsys.readouterr().out
         assert "k=1" in out and "k=3" in out
+        # each iteration's line times the stages and the loss scan
+        lines = [line for line in out.splitlines() if line.startswith("k=")]
+        assert len(lines) == 3
+        assert all("latent_s=" in line and "metric_s=" in line and "loss_s=" in line
+                   for line in lines)
         trace = read_csv(model_path + ".loss.csv")
         assert trace[0] == ["k", "loss"]
         losses = [float(r[1]) for r in trace[1:]]

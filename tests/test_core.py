@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapml import (Dataset, Metric, TrainConfig, build_active_set,
                    full_loss_all, pairwise_mahalanobis_sq)
-from mapml.core import is_identity
+from mapml.core import count_below, hinge_blocks, is_identity
 
 from conftest import (make_latent_model, oracle_full_loss, oracle_mahalanobis,
                       oracle_valid_triplets, random_psd, random_symmetric)
@@ -153,6 +155,23 @@ class TestMahalanobisSq:
                 assert got[i, j] == pytest.approx(
                     oracle_mahalanobis(M, A[i], B[j]), rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize("n_a,n_b", [(0, 3), (1, 1), (63, 40), (64, 64), (65, 7),
+                                         (130, 130), (200, None)])
+    def test_row_slabs_equal_whole_matrix_form(self, n_a, n_b):
+        # the slab-by-slab result is the whole-matrix expansion bit for bit,
+        # clamp included, across slab boundaries and for B given or not
+        rng = np.random.default_rng(n_a)
+        M = Metric(random_symmetric(rng, 4))
+        A = rng.normal(size=(n_a, 4))
+        B = None if n_b is None else rng.normal(size=(n_b, 4))
+        R = A if B is None else B
+        AM = A @ M.matrix
+        want = (np.einsum("ij,ij->i", AM, A)[:, None]
+                + np.einsum("ij,ij->i", R @ M.matrix, R)[None, :] - 2.0 * (AM @ R.T))
+        np.copyto(want, 0.0, where=(want > -1e-9) & (want < 0.0))
+        got = pairwise_mahalanobis_sq(M, A, B)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 class TestTripletUniverse:
     def test_counts(self):
@@ -210,3 +229,98 @@ class TestFullLoss:
             expected = oracle_full_loss(M_arr, z, model.latent_labels, margins)
             assert full_loss_all(Metric(M_arr), model) == pytest.approx(
                 expected, rel=1e-9, abs=1e-9)
+
+
+# entries with duplicates, both zeros, a subnormal and huge magnitudes
+ENTRIES = [-3.5, -1.0, -0.0, 0.0, 5e-324, 0.1, 0.3, 1.0, 2.5, 1e300]
+# keys beside those: the entries themselves, +-1 ulp of each (from
+# count_keys), and keys below and above every entry
+KEY_BASES = ENTRIES + [-np.inf, -1e308, 1e308, np.inf]
+ROW_LENGTHS = st.sampled_from([1, 2, 4, 8, 16, 32, 64, 128]) | st.integers(1, 40)
+
+
+def count_keys(bases, shifts):
+    """Each base moved by shift ulps (-1, 0 or +1) toward -inf or +inf."""
+    bases = np.asarray(bases, dtype=np.float64)
+    return np.where(shifts < 0, np.nextafter(bases, -np.inf),
+                    np.where(shifts > 0, np.nextafter(bases, np.inf), bases))
+
+
+def searchsorted_rows(rows, keys):
+    """The reference: one ``np.searchsorted(side="left")`` per sorted row."""
+    return np.stack([np.searchsorted(np.sort(r), k, side="left")
+                     for r, k in zip(rows, keys)])
+
+
+class TestCountBelow:
+    @settings(max_examples=300)
+    @given(data=st.data(), k=st.integers(1, 4), n=ROW_LENGTHS, j=st.integers(1, 8))
+    def test_matches_searchsorted_per_row(self, data, k, n, j):
+        rows = np.array(data.draw(st.lists(st.sampled_from(ENTRIES), min_size=k * n,
+                                           max_size=k * n))).reshape(k, n)
+        bases = data.draw(st.lists(st.sampled_from(KEY_BASES), min_size=k * j,
+                                   max_size=k * j))
+        shifts = np.array(data.draw(st.lists(st.integers(-1, 1), min_size=k * j,
+                                             max_size=k * j)))
+        keys = count_keys(bases, shifts).reshape(k, j)
+        want = searchsorted_rows(rows, keys)
+        got = count_below(np.sort(rows, axis=1), keys)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        # unsorted rows read through their argsort give the same counts
+        shuffled = np.random.default_rng(k * n * j).permuted(rows, axis=1)
+        np.testing.assert_array_equal(
+            count_below(shuffled, keys, np.argsort(shuffled, axis=1)), want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64])
+    def test_every_boundary_key(self, n):
+        # rows of repeated entries; every entry, +-1 ulp of it, +-0.0 and
+        # keys outside the rows' range, on each row
+        rng = np.random.default_rng(n)
+        rows = np.sort(rng.choice(ENTRIES, size=(3, n)), axis=1)
+        bases = np.repeat(KEY_BASES, 3)
+        shifts = np.tile([-1, 0, 1], len(KEY_BASES))
+        keys = np.broadcast_to(count_keys(bases, shifts), (3, bases.size))
+        np.testing.assert_array_equal(count_below(rows, keys), searchsorted_rows(rows, keys))
+
+
+class TestHingeBlockLabels:
+    def instance(self, labels):
+        rng = np.random.default_rng(len(labels))
+        Z = rng.normal(size=(len(labels), 2))
+        E = pairwise_mahalanobis_sq(Metric.identity(2), Z)
+        return E, np.full(len(labels), 0.2)
+
+    @pytest.mark.parametrize("labels", [[0, 1, 0], [1, 1, 0], [0, 0, 1, 1, 0],
+                                        [[0, 0], [1, 1]]])
+    def test_refuses_labels_not_in_ascending_runs(self, labels):
+        E, margins = self.instance(np.ravel(labels))
+        with pytest.raises(ValueError, match="contiguous runs"):
+            list(hinge_blocks(E, labels, margins))
+
+    def test_label_values_need_not_be_consecutive(self):
+        # runs of labels 3 and 7 slice the same blocks as labels 0 and 1
+        E, margins = self.instance([0] * 3 + [1] * 4)
+        for with_order in (False, True):
+            got = list(hinge_blocks(E, [3] * 3 + [7] * 4, margins, with_order))
+            want = list(hinge_blocks(E, [0] * 3 + [1] * 4, margins, with_order))
+            assert len(got) == len(want) == 2
+            for a, b in zip(got, want):
+                for x, y in zip(a, b):
+                    np.testing.assert_array_equal(x, y)
+
+    def test_slices_match_class_gathers(self):
+        # each block is the class's rows of E: same, diff, sorted rows, order
+        E, margins = self.instance([0] * 3 + [1] * 2 + [2] * 4)
+        labels = np.repeat([0, 1, 2], [3, 2, 4])
+        plain = list(hinge_blocks(E, labels, margins))
+        ranked = list(hinge_blocks(E, labels, margins, with_order=True))
+        for r, (blk, rk) in enumerate(zip(plain, ranked)):
+            same = np.flatnonzero(labels == r)
+            diff = np.flatnonzero(labels != r)
+            np.testing.assert_array_equal(blk.same, same)
+            np.testing.assert_array_equal(blk.diff, diff)
+            np.testing.assert_array_equal(blk.b_sorted, np.sort(E[np.ix_(same, diff)], axis=1))
+            np.testing.assert_array_equal(rk.order, np.argsort(E[np.ix_(same, diff)], axis=1))
+            np.testing.assert_array_equal(rk.below, blk.below)
+            assert blk.order is None and rk.b_sorted is None

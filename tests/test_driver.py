@@ -118,8 +118,8 @@ class TestTrainMapml:
         assert [r["loss"] for r in res.history] == res.loss_trace[1:].tolist()
         for r in res.history:
             assert set(r) == {"k", "loss", "active_set_size", "latent_seconds",
-                              "metric_seconds", "active_set_seconds", "active_steps",
-                              "ball_clips"}
+                              "metric_seconds", "loss_seconds", "active_set_seconds",
+                              "active_steps", "ball_clips"}
             if r["active_set_size"] == 0:
                 assert r["active_steps"] == r["ball_clips"] == 0
 
@@ -152,6 +152,7 @@ class TestTrainMapml:
         for r in res.history:
             assert r["latent_seconds"] >= 0
             assert r["metric_seconds"] >= r["active_set_seconds"] >= 0
+            assert r["loss_seconds"] > 0
 
 
 class TestRandomTripletBaseline:
@@ -176,7 +177,7 @@ class TestRandomTripletBaseline:
         [r] = res.history
         assert r["k"] == 1 and r["loss"] is None
         assert 0 < r["metric_seconds"] <= elapsed
-        assert r["latent_seconds"] == r["active_set_seconds"] == 0.0
+        assert r["latent_seconds"] == r["active_set_seconds"] == r["loss_seconds"] == 0.0
         assert 0 < r["active_steps"] <= cfg.inner_iters
         assert res.loss_trace.size == 0
 

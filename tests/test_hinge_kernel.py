@@ -145,10 +145,10 @@ class TestHingeKernel:
         E = core.pairwise_mahalanobis_sq(metric, model.latents)
         want = Counter(oracle_list(model, metric))
         got = []
-        for blk in core.hinge_blocks(E, model.latent_labels, model.cluster_margins):
+        for blk in core.hinge_blocks(E, model.latent_labels, model.cluster_margins,
+                                     with_order=True):
             counts = blk.below
-            o, p, q = core.decode_ranks(E, blk.same, blk.diff, counts,
-                                        np.arange(counts.sum()))
+            o, p, q = core.decode_ranks(blk, np.arange(counts.sum()))
             partner = blk.same[core.partner_columns(blk.same.size)]
             pairs = [(a, b) for a, row in zip(blk.same, partner) for b in row]
             assert list(zip(o, p)) == [pr for pr, c in zip(pairs, counts.ravel())

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog, minimize
 
 from mapml import Dataset, Metric, TrainConfig, assign_membership, \
-    compute_margins, init_latents, latent, run_latent_stage, update_latents
+    compute_margins, init_latents, latent, run_latent_stage, run_metric_stage, \
+    update_latents
 from mapml.latent import latents_per_class, surrogate_objective
 
 from conftest import (make_blobs, make_latent_model, oracle_farthest_points,
@@ -399,3 +400,85 @@ class TestLatentKernelProperties:
         for metric in (M, Metric.identity(data.d)):
             got = run_latent_stage(data, prev, metric, cfg)
             assert got.m == prev.m
+
+
+def shuffled_blobs(seed, centers, sigma):
+    """Blob data with its rows shuffled, so class rows are gathered, not sliced."""
+    rng = np.random.default_rng(seed)
+    data = make_blobs(rng, 25, centers, sigma)
+    perm = rng.permutation(data.n)
+    return Dataset(data.features[perm], data.labels[perm])
+
+
+def replay_stage(data, prev, metric, cfg):
+    """``run_latent_stage`` replayed with every sweep's assignment made afresh.
+
+    Each update finds its class rows from the membership (no ``_blocks``).
+    """
+    blocks = latent._class_blocks(data, latent._metric_or_none(metric))
+    model = prev.replace()  # a copy that forgets how prev's membership was made
+    for _ in range(cfg.latent_em_iters):
+        membership, _ = latent._assign(model, blocks)
+        model = update_latents(data, model.replace(membership=membership),
+                               prev.latents, cfg.gamma)
+    return latent._assign_with_margins(model, blocks)
+
+
+def assert_same_bytes(got, want):
+    for name in ("latents", "latent_labels", "membership", "cluster_margins",
+                 "per_class_counts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def count_assignments(monkeypatch):
+    calls = []
+    real = latent._assign
+
+    def spy(model, blocks):
+        calls.append(blocks.M)
+        return real(model, blocks)
+
+    monkeypatch.setattr(latent, "_assign", spy)
+    return calls
+
+
+class TestStageReusesAssignment:
+    """A stage takes an incoming membership made on its latents under its metric."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stage_one_after_init(self, seed, monkeypatch):
+        data = shuffled_blobs(seed, [[0.0, 0.0, 0.0], [2.0, 1.0, 0.0], [0.0, 2.0, 2.0]], 0.9)
+        cfg = TrainConfig(tau=20.0, gamma=0.5, latent_em_iters=3)
+        prev = init_latents(data, cfg.tau, seed=seed)
+        identity = Metric.identity(data.d)
+        want = replay_stage(data, prev, identity, cfg)
+        calls = count_assignments(monkeypatch)
+        got = run_latent_stage(data, prev, identity, cfg)
+        # sweeps 2 and 3 and the final step assign; sweep 1 takes init's
+        assert len(calls) == cfg.latent_em_iters
+        assert_same_bytes(got, want)
+
+    def test_equal_metric_after_empty_active_set(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        data = shuffled_blobs(11, [[0.0, 0.0], [40.0, 0.0], [0.0, 40.0]], 0.5)
+        cfg = TrainConfig(tau=20.0, gamma=0.5, latent_em_iters=3, inner_iters=100)
+        M = Metric(random_psd(rng, 2) + 0.5 * np.eye(2))
+        model = run_latent_stage(data, init_latents(data, cfg.tau, seed=1), M, cfg)
+        metric, counts = run_metric_stage(model, M, cfg)
+        assert counts["active_set_size"] == 0
+        # the stage returns a new Metric holding the same matrix
+        assert metric.matrix is not M.matrix
+        np.testing.assert_array_equal(metric.matrix, M.matrix)
+        want = replay_stage(data, model, metric, cfg)
+        calls = count_assignments(monkeypatch)
+        got = run_latent_stage(data, model, metric, cfg)
+        assert len(calls) == cfg.latent_em_iters
+        assert_same_bytes(got, want)
+        # another metric, or another Dataset object, assigns in every sweep
+        for args in ((data, model, Metric(2.0 * M.matrix), cfg),
+                     (Dataset(data.features, data.labels), model, metric, cfg)):
+            calls.clear()
+            again = run_latent_stage(*args)
+            assert len(calls) == cfg.latent_em_iters + 1
+        assert_same_bytes(again, got)
