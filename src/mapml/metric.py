@@ -14,12 +14,15 @@ stage; intermediate iterates may be indefinite.
 The SGD kernel never forms an iterate: it holds M_s = a*W + b*M_prev,
 so the shrink, the pull toward M_prev and the ball rescale of each step
 are scalar updates, and it applies the rank-2 hinge updates of every
-``SGD_BLOCK`` steps to W as one GEMM. A stage of S steps costs
-O(S*B*d) scalar work plus O(S*d^2) flops in GEMMs of width 2B, where
-the per-step loop made ~14 memory passes over a d x d matrix each step.
-When M_prev is exactly the identity, as in every run's first stage and in
-the random-triplet baseline, the forms under M_prev are the row norms of
-the difference vectors, and the kernel makes no X M_prev product.
+``SGD_BLOCK`` steps to W as one GEMM. Every update is built from
+differences of the m latents, so W lives in their span, of dimension
+r = min(d, m - 1); when m - 1 < d the kernel runs in an orthonormal basis
+of that span. A stage of S steps costs O(S*B*r) scalar work plus
+O(S*r^2) flops in GEMMs of width 2B, plus O(d^2*r) per stage to enter and
+leave the basis, where the per-step loop made ~14 memory passes over a
+d x d matrix each step. When M_prev is exactly the identity, as in every
+run's first stage and in the random-triplet baseline, the kernel skips
+its product with M_prev.
 
 The terminal projection first tries to certify that the average is
 already positive definite with one Cholesky factorization (O(d^3/3)) and
@@ -187,6 +190,19 @@ def alpha_suffix_average(iterates, S: int) -> np.ndarray:
     return acc * (2.0 / S)
 
 
+def _difference_basis(points: np.ndarray):
+    """Orthonormal d x (n-1) basis of span{x_i - x_0} of the n rows, or None if n - 1 >= d.
+
+    Every difference of two rows lies in this span, so every rank-2
+    update u u^T - v v^T of :func:`proximal_hinge_sgd` is Q (.) Q^T.
+    One reduced QR; rank-deficient rows only leave spare basis vectors.
+    """
+    n, d = points.shape
+    if n - 1 >= d:
+        return None
+    return np.linalg.qr((points[1:] - points[0]).T)[0]
+
+
 def proximal_hinge_sgd(points: np.ndarray, step_triplets: np.ndarray,
                        margins: np.ndarray, M_prev: np.ndarray,
                        lam: float, delta: float):
@@ -212,14 +228,23 @@ def proximal_hinge_sgd(points: np.ndarray, step_triplets: np.ndarray,
     so each hinge test is against the current iterate. At the end of a
     block its updates enter W as one rank-2B GEMM, the suffix sum takes
     its share lazily, a is folded into W and the norms are recomputed
-    exactly. Cost: O(S*B*d) scalar work plus O(S*d^2) flops in GEMMs of
-    width 2B, against ~14 memory passes over a d x d matrix per step for
-    the per-step loop. The arithmetic differs from that loop in rounding
-    only; the test suite holds the two to 1e-9 relative. When ``M_prev`` is
-    exactly the identity (:func:`core.is_identity`), the forms under it are
-    the row norms of X and the kernel makes no X M_prev product; X I is X
-    bit for bit, so the output is the same. W is zero in the first block,
-    so that block makes no X W product either.
+    exactly.
+
+    Every update is built from differences of the n points, so W stays in
+    their span. When n - 1 < d the loop runs in an orthonormal basis Q
+    (d x r, r = n - 1) of span{x_i - x_0} from one reduced QR: the points
+    become ``points @ Q``, W, the suffix sum and the work buffer are r x r,
+    M_prev enters as Q^T M_prev Q, ||M_prev||_F^2 stays the full matrix's,
+    and the output is (2/S) (Q R Q^T + b_sum M_prev). With r = min(d, n - 1)
+    a call costs O(S*B*r) scalar work plus O(S*r^2) flops in GEMMs of width
+    2B, plus O(d^2*r) to enter and leave the basis, against ~14 memory
+    passes over a d x d matrix per step for the per-step loop. Both paths
+    differ from that loop in rounding only; the test suite holds them to
+    1e-9 relative. When ``M_prev`` is exactly the identity
+    (:func:`core.is_identity`), the kernel skips its product with M_prev:
+    in d-space the forms under it are the row norms of X, and in the basis
+    M_prev Q is Q. X I is X bit for bit, so the output is the same. W is
+    zero in the first block, so that block makes no X W product either.
 
     Raises ``ValueError`` unless S is even and positive (the suffix
     average covers the last S/2 iterates), lam > 0 and delta > 0.
@@ -231,14 +256,24 @@ def proximal_hinge_sgd(points: np.ndarray, step_triplets: np.ndarray,
         raise ValueError(f"lam must be > 0, got {lam}")
     if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    P = M_prev
-    identity = core.is_identity(P)
+    identity = core.is_identity(M_prev)
+    Q = _difference_basis(points)
+    if Q is None:
+        P = M_prev
+    else:
+        # W = Q W~ Q^T: run in r coordinates against Q^T M_prev Q. I Q is Q
+        # bit for bit, so the identity skips only that product; its copy keeps
+        # numpy from taking Q^T Q as a transpose pair (syrk), whose rounding
+        # differs from the GEMM of Q^T (M_prev Q)
+        points = points @ Q
+        P = Q.T @ (Q.copy() if identity else M_prev @ Q)
+        identity = False
     W = np.zeros_like(P)
     R = np.zeros_like(P)        # sum of a_s W_s over the suffix iterates
     buf = np.empty_like(P)
     a = b = 1.0
     w_norm2 = wp_dot = 0.0      # ||W||^2 and <W, M_prev> of the current W
-    p_norm2 = float(np.dot(P.ravel(), P.ravel()))
+    p_norm2 = float(np.dot(M_prev.ravel(), M_prev.ravel()))
     b_sum = 0.0                 # sum of b_s over the suffix iterates
     half = S // 2
     delta2 = delta * delta
@@ -310,8 +345,9 @@ def proximal_hinge_sgd(points: np.ndarray, step_triplets: np.ndarray,
         w_norm2 = float(np.dot(W.ravel(), W.ravel()))
         wp_dot = float(np.dot(W.ravel(), P.ravel()))
         done += n
-    np.multiply(P, b_sum, out=buf)
-    R += buf
+    if Q is not None:
+        R = Q @ R @ Q.T
+    R += M_prev * b_sum
     R *= 2.0 / S
     return R, active_steps, ball_clips
 

@@ -55,6 +55,15 @@ class TestMetric:
         with pytest.raises(ValueError, match="asymmetric"):
             Metric([[1.0, 1.0], [0.0, 1.0]])
 
+    def test_reports_max_asymmetry_from_partial_last_panel(self):
+        # d = 130 is checked in row panels of 64, 64 and 2; the largest
+        # asymmetry pairs rows 128 and 129, which only the last panel holds
+        M = np.eye(130)
+        M[3, 70] = 1e-6
+        M[128, 129] = 2.5e-3
+        with pytest.raises(ValueError, match=r"max \|M - M\^T\| = 0\.0025\)"):
+            Metric(M)
+
     def test_accepts_tiny_asymmetry(self):
         M = np.eye(2)
         M[0, 1] = 5e-10

@@ -1,11 +1,13 @@
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from mapml import Dataset, Metric, TrainConfig, assign_membership, compute_margins, \
-    driver, evaluate, full_loss_all, init_latents, run_latent_stage, run_metric_stage, \
-    train_mapml, train_random_triplet_baseline
+from mapml import Dataset, Metric, SyntheticSpec, TrainConfig, assign_membership, \
+    compute_margins, driver, evaluate, full_loss_all, generate_synthetic, init_latents, \
+    run_latent_stage, run_metric_stage, train_mapml, train_random_triplet_baseline
+from mapml import metric as metric_module
 
 from conftest import make_blobs, random_instance
 
@@ -153,6 +155,44 @@ class TestTrainMapml:
             assert r["latent_seconds"] >= 0
             assert r["metric_seconds"] >= r["active_set_seconds"] >= 0
             assert r["loss_seconds"] > 0
+
+
+class TestFewLatentsWideData:
+    """m - 1 < d: both metric stages run the SGD in the span of the latent differences."""
+
+    def train(self):
+        data, _ = generate_synthetic(SyntheticSpec(
+            n_classes=3, latents_per_class=4, dim=60, noise_sigma=0.3,
+            samples_per_latent=25, seed=3))
+        cfg = TrainConfig(tau=4.0, outer_iters=2, inner_iters=600, lam=1.0,
+                          delta=20.0, rng_seed=1)
+        return train_mapml(data, cfg)
+
+    def test_equals_full_path(self):
+        difference_basis = metric_module._difference_basis
+        bases = []
+
+        def spy(points):
+            bases.append(difference_basis(points))
+            return bases[-1]
+
+        with mock.patch.object(metric_module, "_difference_basis", spy):
+            reduced = self.train()
+        assert reduced.latent_model.m == 12
+        assert [Q.shape for Q in bases] == [(60, 11)] * 2
+        assert all(r["active_steps"] > 0 for r in reduced.history)
+        with mock.patch.object(metric_module, "_difference_basis", lambda points: None):
+            full = self.train()
+        np.testing.assert_allclose(reduced.loss_trace, full.loss_trace, rtol=1e-12, atol=0)
+        rel = (np.linalg.norm(reduced.metric.matrix - full.metric.matrix)
+               / np.linalg.norm(full.metric.matrix))
+        assert rel <= 1e-12, rel
+
+    def test_bitwise_reproducible(self):
+        first, second = self.train(), self.train()
+        np.testing.assert_array_equal(first.loss_trace, second.loss_trace)
+        np.testing.assert_array_equal(first.metric.matrix, second.metric.matrix)
+        np.testing.assert_array_equal(first.latent_model.latents, second.latent_model.latents)
 
 
 class TestRandomTripletBaseline:

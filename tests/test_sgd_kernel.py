@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapml import Metric, alpha_suffix_average, core, frobenius_project, hinge_subgradient
+from mapml import metric
 from mapml.metric import SGD_BLOCK, proximal_hinge_sgd
 
 from conftest import make_latent_model, random_psd
@@ -128,6 +129,75 @@ class TestIdentityAnchor:
         np.testing.assert_array_equal(fast[0], generic[0])
         assert fast[1:] == generic[1:]
         assert fast[1] > 0
+
+
+class TestDifferenceSpan:
+    """With n - 1 < d the kernel runs in a basis of span{x_i - x_0}; else in d-space."""
+
+    @staticmethod
+    def reduced(points):
+        return metric._difference_basis(points) is not None
+
+    def test_general_anchor(self):
+        pts, trip, marg, Mp = instance(70, n=20, d=40, S=2 * SGD_BLOCK + 22)
+        assert self.reduced(pts)
+        _, active_steps, _ = assert_matches_oracle(pts, trip, marg, Mp, lam=1.0, delta=100.0)
+        assert active_steps > 0
+
+    def test_general_anchor_with_clipping(self):
+        pts, trip, marg, Mp = instance(71, n=20, d=40, S=2 * SGD_BLOCK + 22)
+        _, _, ball_clips = assert_matches_oracle(pts, trip, marg, Mp, lam=1.0, delta=1.5)
+        assert ball_clips > 0
+
+    @pytest.mark.parametrize("kind", ["duplicate", "collinear"])
+    def test_rank_deficient_points(self, kind):
+        # 8 independent rows, the other 22 repeat them or lie on lines between them
+        pts, trip, marg, Mp = instance(72, n=30, d=40, S=2 * SGD_BLOCK)
+        rng = np.random.default_rng(72)
+        a = rng.integers(0, 8, size=22)
+        if kind == "duplicate":
+            pts[8:] = pts[a]
+        else:
+            b = (a + rng.integers(1, 8, size=22)) % 8
+            t = rng.uniform(-1.0, 2.0, size=(22, 1))
+            pts[8:] = pts[a] + t * (pts[b] - pts[a])
+        assert np.linalg.matrix_rank(pts[1:] - pts[0]) == 7
+        assert_matches_oracle(pts, trip, marg, Mp, lam=1.0, delta=100.0)
+
+    @pytest.mark.parametrize("n, reduced", [(16, True), (17, False)])
+    def test_boundary(self, n, reduced):
+        # n - 1 = d - 1 is reduced, n - 1 = d is not
+        pts, trip, marg, Mp = instance(73 + n, n=n, d=16, S=2 * SGD_BLOCK + 22)
+        assert self.reduced(pts) == reduced
+        assert_matches_oracle(pts, trip, marg, Mp, lam=1.0, delta=10.0)
+
+    def test_identity_anchor_bitwise_under_clipping(self):
+        # ||I||_F = 10 > delta, so every step's rescale reads <W, M_prev>: the
+        # identity must enter the basis as Q^T (I Q), as the generic path has it
+        pts, trip, marg, _ = instance(75, n=40, d=100, S=2 * SGD_BLOCK + 22)
+        args = (pts / 10.0, trip, marg, np.eye(100), 1.0, 5.0)
+        fast = proximal_hinge_sgd(*args)
+        with mock.patch.object(core, "is_identity", lambda matrix: False):
+            generic = proximal_hinge_sgd(*args)
+        np.testing.assert_array_equal(fast[0], generic[0])
+        assert fast[1:] == generic[1:]
+        assert fast[2] == 2 * SGD_BLOCK + 22
+
+    @pytest.mark.parametrize("anchor", ["identity", "general"])
+    def test_equals_full_path_on_wide_input(self, anchor):
+        # m = 100 latents at d = 320; the full path is the kernel with no basis
+        pts, trip, marg, Mp = instance(74, n=100, d=320, S=4 * SGD_BLOCK + 12)
+        pts /= np.sqrt(320)
+        if anchor == "identity":
+            Mp = np.eye(320)
+        args = (pts, trip, marg, Mp, 1.0, 5.0)
+        reduced = proximal_hinge_sgd(*args)
+        with mock.patch.object(metric, "_difference_basis", lambda points: None):
+            full = proximal_hinge_sgd(*args)
+        rel = np.linalg.norm(reduced[0] - full[0]) / np.linalg.norm(full[0])
+        assert rel <= 1e-12, rel
+        assert reduced[1:] == full[1:]
+        assert full[1] > 0
 
 
 class TestArguments:
