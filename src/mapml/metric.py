@@ -16,13 +16,14 @@ so the shrink, the pull toward M_prev and the ball rescale of each step
 are scalar updates, and it applies the rank-2 hinge updates of every
 ``SGD_BLOCK`` steps to W as one GEMM. Every update is built from
 differences of the m latents, so W lives in their span, of dimension
-r = min(d, m - 1); when m - 1 < d the kernel runs in an orthonormal basis
-of that span. A stage of S steps costs O(S*B*r) scalar work plus
-O(S*r^2) flops in GEMMs of width 2B, plus O(d^2*r) per stage to enter and
-leave the basis, where the per-step loop made ~14 memory passes over a
-d x d matrix each step. When M_prev is exactly the identity, as in every
-run's first stage and in the random-triplet baseline, the kernel skips
-its product with M_prev.
+r = min(d, m - 1); when r is small enough against d for the stage's
+length to repay O(d^2*r) flops to enter and leave the basis, the kernel
+runs in an orthonormal basis of that span. A stage of S steps costs
+O(S*B*D) scalar work plus O(S*D^2) flops in GEMMs of width 2B, with D = r
+in the basis and d otherwise, where the per-step loop made ~14 memory
+passes over a d x d matrix each step. In d-space, when M_prev is exactly
+the identity, as in every run's first stage and in the random-triplet
+baseline, the kernel skips its product with M_prev.
 
 The terminal projection first tries to certify that the average is
 already positive definite with one Cholesky factorization (O(d^3/3)) and
@@ -190,15 +191,25 @@ def alpha_suffix_average(iterates, S: int) -> np.ndarray:
     return acc * (2.0 / S)
 
 
-def _difference_basis(points: np.ndarray):
-    """Orthonormal d x (n-1) basis of span{x_i - x_0} of the n rows, or None if n - 1 >= d.
+def _difference_basis(points: np.ndarray, S: int):
+    """Orthonormal d x r basis of span{x_i - x_0} of the n rows (r = n - 1), or None.
 
     Every difference of two rows lies in this span, so every rank-2
     update u u^T - v v^T of :func:`proximal_hinge_sgd` is Q (.) Q^T.
     One reduced QR; rank-deficient rows only leave spare basis vectors.
+
+    None when the basis would not repay itself over S steps. Entering and
+    leaving it costs ~4 d^2 r + 10 d r^2 flops of QR and GEMM; one step of
+    the blocked loop costs about as long as 7.5 d^2 of those flops in
+    d-space and 11 r^2 in the basis (fitted at d = 784, S = 128 to 2000,
+    one BLAS thread). So no r above about 0.83 d is reduced, whatever S,
+    and the largest r taken grows with S: at d = 784, 0.19 d at S = 128,
+    0.42 d at 500 and 0.66 d at 2000, where the two paths measured within
+    10% of each other.
     """
     n, d = points.shape
-    if n - 1 >= d:
+    r = n - 1
+    if d * r * (4 * d + 10 * r) + 11 * S * r * r >= 7.5 * S * d * d:
         return None
     return np.linalg.qr((points[1:] - points[0]).T)[0]
 
@@ -231,20 +242,22 @@ def proximal_hinge_sgd(points: np.ndarray, step_triplets: np.ndarray,
     exactly.
 
     Every update is built from differences of the n points, so W stays in
-    their span. When n - 1 < d the loop runs in an orthonormal basis Q
-    (d x r, r = n - 1) of span{x_i - x_0} from one reduced QR: the points
-    become ``points @ Q``, W, the suffix sum and the work buffer are r x r,
-    M_prev enters as Q^T M_prev Q, ||M_prev||_F^2 stays the full matrix's,
-    and the output is (2/S) (Q R Q^T + b_sum M_prev). With r = min(d, n - 1)
-    a call costs O(S*B*r) scalar work plus O(S*r^2) flops in GEMMs of width
-    2B, plus O(d^2*r) to enter and leave the basis, against ~14 memory
-    passes over a d x d matrix per step for the per-step loop. Both paths
-    differ from that loop in rounding only; the test suite holds them to
-    1e-9 relative. When ``M_prev`` is exactly the identity
-    (:func:`core.is_identity`), the kernel skips its product with M_prev:
-    in d-space the forms under it are the row norms of X, and in the basis
-    M_prev Q is Q. X I is X bit for bit, so the output is the same. W is
-    zero in the first block, so that block makes no X W product either.
+    their span. When n - 1 < d and the call is long enough to repay the
+    change of basis (:func:`_difference_basis`), the loop runs in an
+    orthonormal basis Q (d x r, r = n - 1) of span{x_i - x_0} from one
+    reduced QR: the points become ``points @ Q``, W, the suffix sum and the
+    work buffer are r x r, M_prev enters as Q^T M_prev Q, ||M_prev||_F^2
+    stays the full matrix's, and the output is (2/S) (Q R Q^T + b_sum M_prev).
+    With D = r in the basis and d otherwise, a call costs O(S*B*D) scalar
+    work plus O(S*D^2) flops in GEMMs of width 2B, plus O(d^2*r) to enter
+    and leave the basis, against ~14 memory passes over a d x d matrix per
+    step for the per-step loop. Both paths differ from that loop in
+    rounding only; the test suite holds them to 1e-9 relative. When the
+    matrix the loop runs against is exactly the identity
+    (:func:`core.is_identity`; in practice M_prev = I in d-space), the forms
+    under it are the row norms of X and the kernel makes no X M_prev
+    product; X I is X bit for bit, so the output is the same. W is zero in
+    the first block, so that block makes no X W product either.
 
     Raises ``ValueError`` unless S is even and positive (the suffix
     average covers the last S/2 iterates), lam > 0 and delta > 0.
@@ -256,18 +269,14 @@ def proximal_hinge_sgd(points: np.ndarray, step_triplets: np.ndarray,
         raise ValueError(f"lam must be > 0, got {lam}")
     if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    identity = core.is_identity(M_prev)
-    Q = _difference_basis(points)
+    Q = _difference_basis(points, S)
     if Q is None:
         P = M_prev
     else:
-        # W = Q W~ Q^T: run in r coordinates against Q^T M_prev Q. I Q is Q
-        # bit for bit, so the identity skips only that product; its copy keeps
-        # numpy from taking Q^T Q as a transpose pair (syrk), whose rounding
-        # differs from the GEMM of Q^T (M_prev Q)
+        # W = Q W~ Q^T: run in r coordinates against Q^T M_prev Q
         points = points @ Q
-        P = Q.T @ (Q.copy() if identity else M_prev @ Q)
-        identity = False
+        P = Q.T @ (M_prev @ Q)
+    identity = core.is_identity(P)
     W = np.zeros_like(P)
     R = np.zeros_like(P)        # sum of a_s W_s over the suffix iterates
     buf = np.empty_like(P)

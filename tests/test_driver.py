@@ -172,8 +172,8 @@ class TestFewLatentsWideData:
         difference_basis = metric_module._difference_basis
         bases = []
 
-        def spy(points):
-            bases.append(difference_basis(points))
+        def spy(points, S):
+            bases.append(difference_basis(points, S))
             return bases[-1]
 
         with mock.patch.object(metric_module, "_difference_basis", spy):
@@ -181,7 +181,7 @@ class TestFewLatentsWideData:
         assert reduced.latent_model.m == 12
         assert [Q.shape for Q in bases] == [(60, 11)] * 2
         assert all(r["active_steps"] > 0 for r in reduced.history)
-        with mock.patch.object(metric_module, "_difference_basis", lambda points: None):
+        with mock.patch.object(metric_module, "_difference_basis", lambda points, S: None):
             full = self.train()
         np.testing.assert_allclose(reduced.loss_trace, full.loss_trace, rtol=1e-12, atol=0)
         rel = (np.linalg.norm(reduced.metric.matrix - full.metric.matrix)

@@ -132,15 +132,15 @@ class TestIdentityAnchor:
 
 
 class TestDifferenceSpan:
-    """With n - 1 < d the kernel runs in a basis of span{x_i - x_0}; else in d-space."""
+    """With n - 1 small against d the kernel runs in a basis of span{x_i - x_0}."""
 
     @staticmethod
-    def reduced(points):
-        return metric._difference_basis(points) is not None
+    def reduced(points, S):
+        return metric._difference_basis(points, S) is not None
 
     def test_general_anchor(self):
         pts, trip, marg, Mp = instance(70, n=20, d=40, S=2 * SGD_BLOCK + 22)
-        assert self.reduced(pts)
+        assert self.reduced(pts, len(trip))
         _, active_steps, _ = assert_matches_oracle(pts, trip, marg, Mp, lam=1.0, delta=100.0)
         assert active_steps > 0
 
@@ -152,7 +152,7 @@ class TestDifferenceSpan:
     @pytest.mark.parametrize("kind", ["duplicate", "collinear"])
     def test_rank_deficient_points(self, kind):
         # 8 independent rows, the other 22 repeat them or lie on lines between them
-        pts, trip, marg, Mp = instance(72, n=30, d=40, S=2 * SGD_BLOCK)
+        pts, trip, marg, Mp = instance(72, n=30, d=60, S=2 * SGD_BLOCK)
         rng = np.random.default_rng(72)
         a = rng.integers(0, 8, size=22)
         if kind == "duplicate":
@@ -162,26 +162,28 @@ class TestDifferenceSpan:
             t = rng.uniform(-1.0, 2.0, size=(22, 1))
             pts[8:] = pts[a] + t * (pts[b] - pts[a])
         assert np.linalg.matrix_rank(pts[1:] - pts[0]) == 7
+        assert self.reduced(pts, len(trip))
         assert_matches_oracle(pts, trip, marg, Mp, lam=1.0, delta=100.0)
 
-    @pytest.mark.parametrize("n, reduced", [(16, True), (17, False)])
+    @pytest.mark.parametrize("n, reduced", [(13, True), (14, False)])
     def test_boundary(self, n, reduced):
-        # n - 1 = d - 1 is reduced, n - 1 = d is not
+        # at d = 16 and 150 steps the basis pays up to r = 12
         pts, trip, marg, Mp = instance(73 + n, n=n, d=16, S=2 * SGD_BLOCK + 22)
-        assert self.reduced(pts) == reduced
+        assert self.reduced(pts, len(trip)) == reduced
         assert_matches_oracle(pts, trip, marg, Mp, lam=1.0, delta=10.0)
 
-    def test_identity_anchor_bitwise_under_clipping(self):
-        # ||I||_F = 10 > delta, so every step's rescale reads <W, M_prev>: the
-        # identity must enter the basis as Q^T (I Q), as the generic path has it
-        pts, trip, marg, _ = instance(75, n=40, d=100, S=2 * SGD_BLOCK + 22)
-        args = (pts / 10.0, trip, marg, np.eye(100), 1.0, 5.0)
-        fast = proximal_hinge_sgd(*args)
-        with mock.patch.object(core, "is_identity", lambda matrix: False):
-            generic = proximal_hinge_sgd(*args)
-        np.testing.assert_array_equal(fast[0], generic[0])
-        assert fast[1:] == generic[1:]
-        assert fast[2] == 2 * SGD_BLOCK + 22
+    @pytest.mark.parametrize("n, d, S, reduced", [
+        (100, 784, 500, True),      # wide-train's shape
+        (300, 784, 500, True),
+        (500, 784, 500, False),     # r near d: the basis costs more than it saves
+        (393, 784, 128, False),     # r = d/2 pays only in longer calls
+        (393, 784, 2000, True),
+        (65, 64, 10**9, False),     # r >= d: never, however long the call
+        (2, 1, 10**9, False),
+    ])
+    def test_choice_of_path(self, n, d, S, reduced):
+        pts = np.random.default_rng(76).normal(size=(n, d))
+        assert self.reduced(pts, S) == reduced
 
     @pytest.mark.parametrize("anchor", ["identity", "general"])
     def test_equals_full_path_on_wide_input(self, anchor):
@@ -192,7 +194,7 @@ class TestDifferenceSpan:
             Mp = np.eye(320)
         args = (pts, trip, marg, Mp, 1.0, 5.0)
         reduced = proximal_hinge_sgd(*args)
-        with mock.patch.object(metric, "_difference_basis", lambda points: None):
+        with mock.patch.object(metric, "_difference_basis", lambda points, S: None):
             full = proximal_hinge_sgd(*args)
         rel = np.linalg.norm(reduced[0] - full[0]) / np.linalg.norm(full[0])
         assert rel <= 1e-12, rel
