@@ -5,6 +5,7 @@ works in terms of the types defined here. All distance computations are
 double precision; there is no single-precision fast path.
 """
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -152,6 +153,7 @@ class TrainConfig:
     inner_iters     SGD steps per metric stage (S, even: the suffix average
                     covers the last S/2 iterates)
     latent_em_iters assignment/update sweeps per latent stage
+    rng_seed        seed of every random draw of a run (integer >= 0)
     active_set_cap  maximum number of retained violated triplets
     """
 
@@ -166,6 +168,10 @@ class TrainConfig:
     active_set_cap: int = 200_000
 
     def __post_init__(self):
+        for name in ("tau", "gamma", "lam", "delta"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         # comparisons written so that NaN fails them
         if not 0.0 < self.tau <= 100.0:
             raise ValueError(f"tau must be in (0, 100], got {self.tau}")
@@ -175,10 +181,13 @@ class TrainConfig:
             raise ValueError(f"lam must be > 0, got {self.lam}")
         if not self.delta > 0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
-        for name in ("outer_iters", "inner_iters", "latent_em_iters", "active_set_cap"):
+        for name in ("outer_iters", "inner_iters", "latent_em_iters", "active_set_cap",
+                     "rng_seed"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.outer_iters < 0:
             raise ValueError(f"outer_iters must be >= 0, got {self.outer_iters}")
         if self.inner_iters < 0 or self.inner_iters % 2 != 0:

@@ -256,20 +256,23 @@ def save_model(path, result) -> None:
 def load_model(path) -> ModelFile:
     """Read a model written by :func:`save_model`; bit-exact round trip.
 
-    Raises ``ValueError`` for a bad header, a short payload, bytes after
-    the payload, a non-finite metric entry or latent, and a sidecar that
-    is not a JSON object of known fields or whose ``dim`` or ``m``
-    disagrees with the header, and
-    ``label_names`` that are not finite numbers in strictly increasing
-    order, one at least per latent label code. A missing sidecar is
-    tolerated. A config ``tie_tolerance`` key, which older sidecars carry,
-    is accepted only at ``latent.TIE_TOLERANCE``.
+    Raises ``ValueError`` for a bad header (a format version below 1 or
+    above the supported one), a short payload, bytes after the payload, a
+    non-finite metric entry or latent, and a sidecar that is not a JSON
+    object of known fields, whose ``format_version``, ``dim`` or ``m``
+    disagrees with the header, whose ``loss_trace`` is not a list of
+    finite numbers, or whose ``label_names`` are not finite numbers in
+    strictly increasing order, one at least per latent label code. A
+    missing sidecar is tolerated. A config ``tie_tolerance`` key, which
+    older sidecars carry, is accepted only at ``latent.TIE_TOLERANCE``.
     """
     with open(path, "rb") as f:
         magic = _read_exact(f, 8, "model header")
         if magic != MODEL_MAGIC:
             raise ValueError(f"model magic mismatch: expected {MODEL_MAGIC!r}, got {magic!r}")
         version, d, m = struct.unpack("<III", _read_exact(f, 12, "model header"))
+        if version < 1:
+            raise ValueError(f"model format version {version} is invalid; versions start at 1")
         if version > MODEL_FORMAT_VERSION:
             raise ValueError(
                 f"model format version {version} is newer than supported "
@@ -296,7 +299,7 @@ def load_model(path) -> ModelFile:
             meta = json.load(f)
         if not isinstance(meta, dict):
             raise TypeError(f"expected a JSON object, got {type(meta).__name__}")
-        for key, value in (("dim", d), ("m", m)):
+        for key, value in (("format_version", version), ("dim", d), ("m", m)):
             if key in meta and (type(meta[key]) is not int or meta[key] != value):
                 raise ValueError(
                     f"{key} is {meta[key]!r} but the model header says {value}")
@@ -311,7 +314,11 @@ def load_model(path) -> ModelFile:
                         f"tie_tolerance is {legacy!r}, but models use {TIE_TOLERANCE}")
             config = TrainConfig(**fields)
         if meta.get("loss_trace") is not None:
-            loss_trace = np.asarray(meta["loss_trace"], dtype=np.float64)
+            trace = meta["loss_trace"]
+            if (not isinstance(trace, list) or any(type(v) not in (int, float) for v in trace)
+                    or not np.isfinite(trace).all()):
+                raise ValueError(f"loss_trace must be a list of finite numbers, got {trace!r}")
+            loss_trace = np.asarray(trace, dtype=np.float64)
         names = meta.get("label_names")
         if names is not None:
             if not isinstance(names, list) or any(type(v) not in (int, float) for v in names):

@@ -231,18 +231,6 @@ def _metric_or_none(metric: Metric):
     return None if is_identity(M) else M
 
 
-def assign_membership(data: Dataset, model: LatentModel, metric: Metric) -> LatentModel:
-    """Assign each example to its nearest same-class latent under ``metric``.
-
-    Ties within ``TIE_TOLERANCE`` on the squared distance go to the
-    smaller latent index. Margins are carried over unchanged; call
-    :func:`compute_margins` to refresh them.
-    """
-    M = _metric_or_none(metric)
-    membership, _ = _assign(model, _class_blocks(data, M))
-    return model.replace(membership=membership)
-
-
 def update_latents(data: Dataset, model: LatentModel, z_prev: np.ndarray,
                    gamma: float, *, _blocks: _ClassBlocks = None) -> LatentModel:
     """Closed-form latent update with memberships held fixed.
@@ -335,27 +323,6 @@ def init_latents(data: Dataset, tau: float, seed: int) -> LatentModel:
         per_class_counts=np.asarray(counts, dtype=np.int64),
     )
     return _assign_with_margins(model, _class_blocks(data, None))
-
-
-def surrogate_objective(data: Dataset, model: LatentModel, metric: Metric,
-                        z_prev: np.ndarray, gamma: float, class_r=None) -> float:
-    """Assignment cost plus proximal anchor term.
-
-    This is the quantity each latent-stage sweep must not increase:
-    sum_i D^2(x_i, z_{membership(i)}) + gamma * sum_o D^2(z_o, z_prev_o),
-    either over all classes (default) or restricted to ``class_r``.
-    """
-    if class_r is None:
-        rows = slice(None)
-        lat = slice(None)
-    else:
-        rows = data.labels == class_r
-        lat = model.latent_labels == class_r
-    diffs = data.features[rows] - model.latents[model.membership[rows]]
-    cost = float(np.einsum("ij,ij->i", diffs @ metric.matrix, diffs).sum())
-    zdiff = model.latents[lat] - np.asarray(z_prev, dtype=np.float64)[lat]
-    cost += gamma * float(np.einsum("ij,ij->i", zdiff @ metric.matrix, zdiff).sum())
-    return cost
 
 
 def run_latent_stage(data: Dataset, prev: LatentModel, metric: Metric,

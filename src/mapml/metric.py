@@ -114,38 +114,6 @@ def build_active_set(model: LatentModel, metric_prev: Metric, cap: int, seed: in
     return np.column_stack([o, *np.divmod(pq, m)])
 
 
-def hinge_subgradient(metric: Metric, metric_prev: Metric, triplet,
-                      model: LatentModel, lam: float) -> np.ndarray:
-    """Subgradient of one triplet's term of the stage objective at ``metric``.
-
-    Always contains the proximal part lam * (M - M_prev); the rank-2 hinge
-    part (z_o - z_p)(z_o - z_p)^T - (z_o - z_q)(z_o - z_q)^T is added only
-    when the hinge argument is positive under the *current* metric (the
-    margin stays frozen under ``metric_prev``).
-    """
-    o, p, q = (int(v) for v in triplet)
-    z = model.latents
-    u = z[o] - z[p]
-    v = z[o] - z[q]
-    M = metric.matrix
-    arg = (1.0 + model.cluster_margins[o]) - (float(v @ M @ v) - float(u @ M @ u))
-    g = lam * (metric.matrix - metric_prev.matrix)
-    if arg > 0.0:
-        g = g + np.outer(u, u) - np.outer(v, v)
-    return g
-
-
-def frobenius_project(M: np.ndarray, delta: float) -> np.ndarray:
-    """Scale M back onto the Frobenius ball of radius delta if outside."""
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    M = np.asarray(M, dtype=np.float64)
-    norm = np.linalg.norm(M)
-    if norm <= delta:
-        return M
-    return M * (delta / norm)
-
-
 def psd_project(M: np.ndarray) -> Metric:
     """Nearest PSD matrix: symmetrize, clamp negative eigenvalues to zero.
 
@@ -175,20 +143,6 @@ def psd_project(M: np.ndarray) -> Metric:
     np.maximum(w, 0.0, out=w)
     out = (V * w) @ V.T
     return Metric(0.5 * (out + out.T))
-
-
-def alpha_suffix_average(iterates, S: int) -> np.ndarray:
-    """Mean of the iterates with (1-based) index in (S/2, S]."""
-    if S % 2 != 0:
-        raise ValueError(f"S must be even, got {S}")
-    mats = list(iterates)
-    if len(mats) != S:
-        raise ValueError(f"expected {S} iterates, got {len(mats)}")
-    half = S // 2
-    acc = np.zeros_like(np.asarray(mats[0], dtype=np.float64))
-    for M in mats[half:]:
-        acc += np.asarray(M, dtype=np.float64)
-    return acc * (2.0 / S)
 
 
 def _difference_basis(points: np.ndarray, S: int):

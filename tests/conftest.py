@@ -1,7 +1,12 @@
-"""Shared fixtures and independent oracles.
+"""Shared fixtures, independent oracles and naive references.
 
 The oracles here are deliberately naive (explicit loops, no shared code
-with the library) so they stay independent of the paths they check.
+with the library) so they stay independent of the paths they check. The
+references are the textbook forms of the metric-stage pieces (one
+triplet's subgradient, the Frobenius-ball rescale, the suffix average)
+and of the latent-stage objective, against which the library's fused
+kernels are checked. ``assign_membership`` is a helper, not an oracle:
+it runs the library's own assignment.
 """
 
 import os
@@ -10,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from mapml import Dataset, LatentModel
+from mapml import Dataset, LatentModel, latent
 
 # One profile for every property test: examples derived from the test
 # function (reproducible runs) and no per-example deadline.
@@ -138,6 +143,86 @@ def oracle_psd_clamp(M):
     M = np.asarray(M, dtype=np.float64)
     w, V = np.linalg.eigh(0.5 * (M + M.T))
     return (V * np.maximum(w, 0.0)) @ V.T
+
+
+# ---------------------------------------------------------------- references
+
+def hinge_subgradient(metric, metric_prev, triplet, model, lam):
+    """Subgradient of one triplet's term of the stage objective at ``metric``.
+
+    Always contains the proximal part lam * (M - M_prev); the rank-2 hinge
+    part (z_o - z_p)(z_o - z_p)^T - (z_o - z_q)(z_o - z_q)^T is added only
+    when the hinge argument is positive under the *current* metric (the
+    margin stays frozen under ``metric_prev``).
+    """
+    o, p, q = (int(v) for v in triplet)
+    z = model.latents
+    u = z[o] - z[p]
+    v = z[o] - z[q]
+    M = metric.matrix
+    arg = (1.0 + model.cluster_margins[o]) - (float(v @ M @ v) - float(u @ M @ u))
+    g = lam * (metric.matrix - metric_prev.matrix)
+    if arg > 0.0:
+        g = g + np.outer(u, u) - np.outer(v, v)
+    return g
+
+
+def frobenius_project(M, delta):
+    """Scale M back onto the Frobenius ball of radius delta if outside."""
+    if delta <= 0:
+        raise ValueError(f"delta must be > 0, got {delta}")
+    M = np.asarray(M, dtype=np.float64)
+    norm = np.linalg.norm(M)
+    if norm <= delta:
+        return M
+    return M * (delta / norm)
+
+
+def alpha_suffix_average(iterates, S):
+    """Mean of the iterates with (1-based) index in (S/2, S]."""
+    if S % 2 != 0:
+        raise ValueError(f"S must be even, got {S}")
+    mats = list(iterates)
+    if len(mats) != S:
+        raise ValueError(f"expected {S} iterates, got {len(mats)}")
+    half = S // 2
+    acc = np.zeros_like(np.asarray(mats[0], dtype=np.float64))
+    for M in mats[half:]:
+        acc += np.asarray(M, dtype=np.float64)
+    return acc * (2.0 / S)
+
+
+def surrogate_objective(data, model, metric, z_prev, gamma, class_r=None):
+    """Assignment cost plus proximal anchor term.
+
+    This is the quantity each latent-stage sweep must not increase:
+    sum_i D^2(x_i, z_{membership(i)}) + gamma * sum_o D^2(z_o, z_prev_o),
+    either over all classes (default) or restricted to ``class_r``.
+    """
+    if class_r is None:
+        rows = slice(None)
+        lat = slice(None)
+    else:
+        rows = data.labels == class_r
+        lat = model.latent_labels == class_r
+    diffs = data.features[rows] - model.latents[model.membership[rows]]
+    cost = float(np.einsum("ij,ij->i", diffs @ metric.matrix, diffs).sum())
+    zdiff = model.latents[lat] - np.asarray(z_prev, dtype=np.float64)[lat]
+    cost += gamma * float(np.einsum("ij,ij->i", zdiff @ metric.matrix, zdiff).sum())
+    return cost
+
+
+def assign_membership(data, model, metric):
+    """``model`` with each example moved to its nearest same-class latent under ``metric``.
+
+    One assignment sweep of the library (``latent._assign``): ties within
+    ``latent.TIE_TOLERANCE`` go to the smaller latent index, and margins
+    are carried over unchanged. ``_metric_or_none`` is looked up on the
+    module at call time, so a test that patches it reaches this helper too.
+    """
+    M = latent._metric_or_none(metric)
+    membership, _ = latent._assign(model, latent._class_blocks(data, M))
+    return model.replace(membership=membership)
 
 
 # ---------------------------------------------------------------- builders

@@ -18,16 +18,16 @@ from scipy.optimize import linear_sum_assignment
 
 import mapml.cli
 from mapml import (Dataset, Metric, SyntheticSpec, TrainConfig,
-                   build_active_set, evaluate, frobenius_project,
-                   full_loss_all, generate_synthetic, hinge_subgradient,
-                   psd_project, train_mapml, train_random_triplet_baseline,
-                   update_latents)
+                   build_active_set, evaluate, full_loss_all,
+                   generate_synthetic, metric, psd_project, train_mapml,
+                   train_random_triplet_baseline, update_latents)
+from mapml.metric import proximal_hinge_sgd
 
 from conftest import (build_desk_surrogate, make_latent_model,
                       oracle_active_triplets, oracle_full_loss,
-                      random_instance, random_symmetric)
+                      random_instance, random_psd, random_symmetric)
 from test_latent import numerical_latent_minimizer
-from test_metric import fd_gradient, random_triplet_instance, triplet_term
+from test_metric import fd_gradient, triplet_term
 
 
 @contextlib.contextmanager
@@ -116,18 +116,54 @@ class TestCriterion2LatentOptimality:
                 assert np.abs(got.latents - want).max() <= 1e-6
 
 
+def hinge_arg(M, z, t, margin):
+    u = z[t[0]] - z[t[1]]
+    v = z[t[0]] - z[t[2]]
+    return 1.0 + margin - (v @ M @ v - u @ M @ u)
+
+
+def two_step_instance(rng, d, margin_gap=0.3):
+    """Four latents in two classes, margins, M_prev, lam and two SGD steps.
+
+    Step 1's triplet, anchored at latent 0, is active under M_prev, so the
+    first iterate is M_1 = M_prev - (u u^T - v v^T) / lam. Step 2's,
+    anchored at latent 1, is another triplet: repeating step 1's would make
+    the subgradient at M_1 exactly zero. Finite differences are valid only
+    away from the hinge kink, so both hinge arguments (step 2's under M_1)
+    are drawn at least ``margin_gap`` from zero. Returns the two triplets,
+    M_1 and step 2's argument with the rest.
+    """
+    while True:
+        z = rng.normal(size=(4, d))
+        margins = rng.uniform(0.0, 1.0, size=4)
+        Mp = random_symmetric(rng, d)
+        lam = float(rng.uniform(0.2, 3.0))
+        steps = np.array([(0, 1, rng.integers(2, 4)), (1, 0, rng.integers(2, 4))])
+        u = z[0] - z[1]
+        v = z[0] - z[steps[0, 2]]
+        M1 = Mp - (np.outer(u, u) - np.outer(v, v)) / lam
+        arg = hinge_arg(M1, z, steps[1], margins[1])
+        if hinge_arg(Mp, z, steps[0], margins[0]) > margin_gap and abs(arg) > margin_gap:
+            return z, margins, Mp, lam, steps, M1, arg
+
+
 class TestCriterion3GradientCorrectness:
     def test_subgradient_matches_finite_differences(self):
-        with criterion(3, "hinge subgradient matches finite differences"):
+        # The kernel's step 2 is M_2 = M_1 - g / (2 lam), and with S = 2 its
+        # output is M_2 alone, so g = 2 lam (M_1 - output) is the subgradient
+        # it applied at M_1: the proximal part plus step 2's hinge if active.
+        with criterion(3, "SGD kernel's subgradient matches finite differences"):
             rng = np.random.default_rng(3)
             for _ in range(100):
                 d = int(rng.integers(2, 5))
-                model, M, Mp, t, _ = random_triplet_instance(rng, d=d)
-                lam = float(rng.uniform(0.2, 3.0))
-                got = hinge_subgradient(M, Mp, t, model, lam)
-                fun = lambda A: triplet_term(A, Mp.matrix, model.latents, t,
-                                             model.cluster_margins[t[0]], lam)
-                want = fd_gradient(fun, M.matrix.copy(), step=1e-5)
+                z, margins, Mp, lam, steps, M1, arg = two_step_instance(rng, d)
+                out, active_steps, ball_clips = proximal_hinge_sgd(
+                    z, steps, margins, Mp, lam, delta=1e6)
+                assert ball_clips == 0
+                assert active_steps == 1 + (arg > 0)
+                got = 2.0 * lam * (M1 - out)
+                fun = lambda A: triplet_term(A, Mp, z, steps[1], margins[1], lam)
+                want = fd_gradient(fun, M1.copy(), step=1e-5)
                 rel = np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-8)
                 assert rel <= 1e-4
 
@@ -158,21 +194,34 @@ class TestCriterion4BruteForceEquivalence:
 
 class TestCriterion5ProjectionContracts:
     def test_frobenius_and_psd_contracts(self):
+        # the norm bound on the SGD kernel's output, which the ball clips,
+        # in d-space and in the basis of the latent differences; PSD and
+        # idempotence on the terminal projection
         with criterion(5, "projection contracts (norm bound, PSD, idempotent)"):
             rng = np.random.default_rng(5)
+            clipped = clipped_in_basis = 0
             for _ in range(200):
-                d = int(rng.integers(1, 7))
-                M = rng.normal(size=(d, d)) * float(rng.uniform(0.1, 20))
+                d = int(rng.integers(1, 9))
+                n = int(rng.integers(2, 13))
+                S = 2 * int(rng.integers(1, 41))
+                points = rng.normal(size=(n, d))
+                steps = rng.integers(0, n, size=(S, 3))
+                margins = rng.uniform(0.0, 2.0, size=n)
                 delta = float(rng.uniform(0.2, 5.0))
-                fro = frobenius_project(M, delta)
-                assert np.linalg.norm(fro) <= delta * (1 + 1e-12)
-                again = frobenius_project(fro, delta)
-                assert np.abs(again - fro).max() <= 1e-10
+                lam = float(rng.uniform(0.05, 2.0))
+                out, _, ball_clips = proximal_hinge_sgd(points, steps, margins,
+                                                        random_psd(rng, d), lam, delta)
+                assert np.linalg.norm(out) <= delta * (1 + 1e-12)
+                if ball_clips:
+                    clipped += 1
+                    clipped_in_basis += metric._difference_basis(points, S) is not None
                 sym = random_symmetric(rng, d, scale=5.0)
                 proj = psd_project(sym)
                 assert proj.min_eigenvalue() >= -1e-9
                 twice = psd_project(proj.matrix)
                 assert np.abs(twice.matrix - proj.matrix).max() <= 1e-10
+            # the bound is checked where the ball acts, on both paths
+            assert clipped >= 100 and clipped_in_basis >= 20, (clipped, clipped_in_basis)
 
 
 class TestCriterion6GenerativeRecovery:

@@ -116,6 +116,10 @@ class TestTrainConfig:
         dict(delta=float("nan")), dict(tau=float("inf")),
         dict(outer_iters=2.5), dict(latent_em_iters=1.5), dict(inner_iters=4.0),
         dict(active_set_cap=True),
+        dict(rng_seed="abc"), dict(rng_seed=1.5), dict(rng_seed=-3), dict(rng_seed=None),
+        dict(rng_seed=True), dict(rng_seed=[1]), dict(rng_seed=np.int64(-1)),
+        dict(tau=True), dict(gamma=True), dict(lam=True), dict(delta=True),
+        dict(lam=np.True_), dict(tau="10"), dict(delta=None),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

@@ -292,7 +292,9 @@ class TestModelPersistence:
             load_model(path)
 
     @pytest.mark.parametrize("key,value", [("dim", 3), ("m", 2), ("dim", "2"),
-                                           ("m", None)])
+                                           ("m", None), ("format_version", "x"),
+                                           ("format_version", 2), ("format_version", 0),
+                                           ("format_version", 1.0)])
     def test_sidecar_disagreeing_with_header(self, tmp_path, key, value):
         rng = np.random.default_rng(6)
         path = str(tmp_path / "model.mapml")
@@ -348,6 +350,15 @@ class TestModelPersistence:
         with pytest.raises(ValueError, match=r"version 99.*version 1"):
             load_model(path)
 
+    def test_version_zero_refused(self, tmp_path):
+        path = str(tmp_path / "model.mapml")
+        save_model(path, small_result(np.random.default_rng(2)))
+        raw = bytearray(open(path, "rb").read())
+        raw[8:12] = struct.pack("<I", 0)
+        open(path, "wb").write(bytes(raw))
+        with pytest.raises(ValueError, match=r"version 0 is invalid"):
+            load_model(path)
+
     def test_missing_sidecar_tolerated(self, tmp_path):
         rng = np.random.default_rng(3)
         result = small_result(rng)
@@ -364,6 +375,16 @@ class TestModelPersistence:
         '{"config": {"tau": "ten"}}',
         '{"config": {"lam": NaN}}',
         '{"loss_trace": [{"k": 1}]}',
+        '{"loss_trace": "123"}',
+        '{"loss_trace": 123}',
+        '{"loss_trace": [[1.0, 2.0]]}',
+        '{"loss_trace": [1.0, NaN]}',
+        '{"loss_trace": [Infinity]}',
+        '{"loss_trace": [true, false]}',
+        '{"config": {"rng_seed": "abc"}}',
+        '{"config": {"rng_seed": -3}}',
+        '{"config": {"rng_seed": 1.5}}',
+        '{"config": {"tau": true}}',
         '[1, 2, 3]',
         '"just a string"',
         '{"config": ',

@@ -4,12 +4,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from mapml import Dataset, Metric, SyntheticSpec, TrainConfig, assign_membership, \
-    compute_margins, driver, evaluate, full_loss_all, generate_synthetic, init_latents, \
-    run_latent_stage, run_metric_stage, train_mapml, train_random_triplet_baseline
+from mapml import Dataset, Metric, SyntheticSpec, TrainConfig, compute_margins, driver, \
+    evaluate, full_loss_all, generate_synthetic, init_latents, run_latent_stage, \
+    run_metric_stage, train_mapml, train_random_triplet_baseline
 from mapml import metric as metric_module
 
-from conftest import make_blobs, random_instance
+from conftest import assign_membership, make_blobs, random_instance
 
 
 def trace_non_increasing(trace, rtol=1e-6):

@@ -6,13 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog, minimize
 
-from mapml import Dataset, Metric, TrainConfig, assign_membership, \
-    compute_margins, init_latents, latent, run_latent_stage, run_metric_stage, \
-    update_latents
-from mapml.latent import latents_per_class, surrogate_objective
+from mapml import Dataset, Metric, TrainConfig, compute_margins, init_latents, \
+    latent, run_latent_stage, run_metric_stage, update_latents
+from mapml.latent import latents_per_class
 
-from conftest import (make_blobs, make_latent_model, oracle_farthest_points,
-                      oracle_latent_update, random_instance, random_psd)
+from conftest import (assign_membership, make_blobs, make_latent_model,
+                      oracle_farthest_points, oracle_latent_update, random_instance,
+                      random_psd, surrogate_objective)
 
 
 def numerical_latent_minimizer(X, membership, M, z_prev, gamma):

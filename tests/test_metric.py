@@ -4,10 +4,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from mapml import Metric, TrainConfig, alpha_suffix_average, build_active_set, \
-    frobenius_project, hinge_subgradient, psd_project, run_metric_stage
+from mapml import Metric, TrainConfig, build_active_set, psd_project, run_metric_stage
 
-from conftest import (make_latent_model, oracle_active_triplets, oracle_full_loss,
+from conftest import (alpha_suffix_average, frobenius_project, hinge_subgradient,
+                      make_latent_model, oracle_active_triplets, oracle_full_loss,
                       oracle_psd_clamp, random_psd, random_symmetric)
 
 

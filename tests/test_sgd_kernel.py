@@ -2,9 +2,10 @@
 
 ``proximal_hinge_sgd`` never forms an iterate: it keeps M = a*W + b*M_prev
 and applies each block's rank-2 updates as one GEMM. The oracle here runs
-the textbook loop, one step at a time, from ``hinge_subgradient``,
-``frobenius_project`` and ``alpha_suffix_average``. The two differ in
-rounding only, so they must agree to 1e-9 relative.
+the textbook loop, one step at a time, from the references in
+``conftest``: one triplet's subgradient, the Frobenius-ball rescale and
+the suffix average over stored iterates. The two differ in rounding only,
+so they must agree to 1e-9 relative.
 """
 
 from unittest import mock
@@ -14,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapml import Metric, alpha_suffix_average, core, frobenius_project, hinge_subgradient
-from mapml import metric
+from mapml import Metric, core, metric
 from mapml.metric import SGD_BLOCK, proximal_hinge_sgd
 
-from conftest import make_latent_model, random_psd
+from conftest import (alpha_suffix_average, frobenius_project, hinge_subgradient,
+                      make_latent_model, random_psd)
 
 RTOL = 1e-9
 
