@@ -103,6 +103,8 @@ class Metric:
         matrix = np.array(matrix, dtype=np.float64, order="C")
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"metric matrix must be square, got {matrix.shape}")
+        if matrix.shape[0] == 0:
+            raise ValueError("metric matrix must have dimension >= 1, got 0 x 0")
         if not np.isfinite(matrix).all():
             raise ValueError("metric matrix contains non-finite entries")
         # max |M - M^T| over 64-row panels: the same value without the d x d
@@ -234,8 +236,7 @@ class HingeBlock(NamedTuple):
 
     same         (m_r,) latent indices of the class; row i is anchor same[i]
     diff         (n,) latent indices of every other class, ascending
-    b_sorted     (m_r, n) E[o, diff], each row sorted ascending; None when
-                 the block was built with its ``order``
+    b_sorted     (m_r, n) E[o, diff], each row sorted ascending
     thresholds   (m_r, m_r - 1) t_p = (1 + margin(o)) + E[o, p] for each
                  anchor's same-class partners p != o, in the order of
                  :func:`partner_columns`
@@ -243,8 +244,6 @@ class HingeBlock(NamedTuple):
                  i.e. the count of q with a positive loss hinge t_p - E[o, q].
                  This is the one definition of a violated triplet: the loss
                  sums these hinges and the active set keeps these triplets.
-    order        (m_r, n) columns of ``diff`` that sort each row of E[o, diff]
-                 ascending (``np.argsort``); None unless asked for
     """
 
     same: np.ndarray
@@ -252,7 +251,6 @@ class HingeBlock(NamedTuple):
     b_sorted: np.ndarray
     thresholds: np.ndarray
     below: np.ndarray
-    order: np.ndarray = None
 
 
 def partner_columns(m_r: int) -> np.ndarray:
@@ -261,38 +259,36 @@ def partner_columns(m_r: int) -> np.ndarray:
     return j[None, :] + (j[None, :] >= np.arange(m_r)[:, None])
 
 
-def count_below(rows: np.ndarray, keys: np.ndarray, order=None) -> np.ndarray:
+def count_below(rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """(k, j) count of entries of row k strictly below keys[k, j].
 
-    Equal to ``np.searchsorted(row, key, side="left")`` on each row sorted
-    ascending, for every key that is not NaN, by one exact binary search
-    over all keys at once. ``rows`` is (k, n) with n >= 1; each row is read
-    as sorted, or, given ``order`` (the per-row ``np.argsort``), in the
-    order it gives. With h the largest power of two <= n, the first probe
-    at h - 1 leaves a range of at most h - 1 entries, so the halving steps
-    h/2, ..., 1 never probe past the row: 1 + log2(h) gathers of k*j
-    entries.
+    Equal to ``np.searchsorted(row, key, side="left")`` on each row of
+    ``rows`` (k, n), sorted ascending with n >= 1, for every key that is
+    not NaN, by one exact binary search over all keys at once. With h the
+    largest power of two <= n, the first probe at h - 1 leaves a range of
+    at most h - 1 entries, so the halving steps h/2, ..., 1 never probe
+    past the row: 1 + log2(h) gathers of k*j entries.
     """
     k, n = rows.shape
     flat = rows.ravel()
     at = np.arange(0, k * n, n)[:, None]  # flat index of each row's first entry
-    pick = None if order is None else (order + at).ravel()
-
-    def probe(i):
-        return flat[i if pick is None else pick[i]]
-
     half = 1 << (n.bit_length() - 1)
     # flat index of each key's last entry below it; row start - 1 while none
     start = at - 1
-    last = start + (probe(at + (half - 1)) < keys) * (n - half + 1)
+    last = start + (flat[at + (half - 1)] < keys) * (n - half + 1)
     step = half >> 1
     while step:
-        last += step * (probe(last + step) < keys)
+        last += step * (flat[last + step] < keys)
         step >>= 1
     return last - start
 
 
-def hinge_blocks(E: np.ndarray, labels, margins, with_order: bool = False):
+def other_class_columns(E: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """E[lo:hi, q] for every q outside lo:hi, ascending: a class's other-class distances."""
+    return np.concatenate((E[lo:hi, :lo], E[lo:hi, hi:]), axis=1)
+
+
+def hinge_blocks(E: np.ndarray, labels, margins):
     """Yield a :class:`HingeBlock` per class, one class at a time.
 
     ``E`` is the pairwise latent distance matrix and ``labels`` the class
@@ -305,10 +301,7 @@ def hinge_blocks(E: np.ndarray, labels, margins, with_order: bool = False):
 
     Each anchor sorts its other-class distances once, and every
     same-class partner's hinge boundary comes from :func:`count_below`, so
-    a block costs O(m_r m log m) time and O(m_r m) memory. With
-    ``with_order`` the block is ranked by one ``np.argsort`` instead,
-    which gives both the counts and the ``order`` that
-    :func:`decode_ranks` reads; ``b_sorted`` is then None.
+    a block costs O(m_r m log m) time and O(m_r m) memory.
     """
     labels = np.asarray(labels)
     if labels.ndim != 1 or (labels[1:] < labels[:-1]).any():
@@ -319,35 +312,27 @@ def hinge_blocks(E: np.ndarray, labels, margins, with_order: bool = False):
         m_r = hi - lo
         if m_r < 2 or m_r == m:
             continue
-        rows = E[lo:hi]
         thresholds = (1.0 + margins[lo:hi])[:, None] + np.take_along_axis(
-            rows[:, lo:hi], partner_columns(m_r), axis=1)
-        b = np.concatenate((rows[:, :lo], rows[:, hi:]), axis=1)
-        if with_order:
-            order = np.argsort(b, axis=1)
-            below = count_below(b, thresholds, order)
-            b = None
-        else:
-            order = None
-            b.sort(axis=1)
-            below = count_below(b, thresholds)
+            E[lo:hi, lo:hi], partner_columns(m_r), axis=1)
+        b = other_class_columns(E, lo, hi)
+        b.sort(axis=1)
         diff = np.concatenate((np.arange(lo), np.arange(hi, m)))
-        yield HingeBlock(np.arange(lo, hi), diff, b, thresholds, below, order)
+        yield HingeBlock(np.arange(lo, hi), diff, b, thresholds, count_below(b, thresholds))
 
 
-def decode_ranks(blk: HingeBlock, ranks):
+def decode_ranks(blk: HingeBlock, order: np.ndarray, ranks):
     """Map violator ranks of one class block to (o, p, q) latent indices.
 
-    ``blk`` comes from :func:`hinge_blocks` with ``with_order``, and
-    ``ranks`` are ascending ints in [0, blk.below.sum()), enumerating the
-    violators anchor by anchor, partner by partner (in the order of
-    :func:`partner_columns`), and for each (o, p) by ascending E[o, q].
-    Since the violators of (o, p) are the first below[o, p] entries of
-    the sorted row, rank j within (o, p) is the row's j-th smallest
-    distance, read off ``blk.order``: the same argsort that counted the
-    violators. Which of several tied distances comes first is up to
-    ``np.argsort``; the set of violators, and so the uniformity of a
-    sample of ranks, does not depend on it.
+    ``order`` is ``np.argsort`` of the block's rows, taken over
+    :func:`other_class_columns` of E, and ``ranks`` are ascending ints in
+    [0, blk.below.sum()), enumerating the violators anchor by anchor,
+    partner by partner (in the order of :func:`partner_columns`), and for
+    each (o, p) by ascending E[o, q]. Since the violators of (o, p) are
+    the first below[o, p] entries of the sorted row, rank j within (o, p)
+    is the row's j-th smallest distance, read off ``order``. Which of
+    several tied distances comes first is up to ``np.argsort``; the set of
+    violators, and so the uniformity of a sample of ranks, does not
+    depend on it.
     """
     counts = blk.below.ravel()
     ends = np.cumsum(counts)
@@ -355,7 +340,7 @@ def decode_ranks(blk: HingeBlock, ranks):
     j = ranks - (ends[pair] - counts[pair])
     i, pp = np.divmod(pair, blk.same.size - 1)
     p = blk.same[partner_columns(blk.same.size)[i, pp]]
-    q = blk.diff[blk.order[i, j]]
+    q = blk.diff[order[i, j]]
     return blk.same[i], p, q
 
 

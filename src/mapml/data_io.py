@@ -8,6 +8,7 @@ sidecar.
 
 import gzip
 import json
+import re
 import struct
 import zlib
 from dataclasses import dataclass, asdict
@@ -79,11 +80,12 @@ def load_idx(images_path, labels_path) -> Dataset:
 def load_csv(path, label_column="label") -> Dataset:
     """Load a rectangular numeric CSV into a Dataset.
 
-    ``label_column`` is a header name or a 0-based column index. A header
-    row is auto-detected when the first row fails numeric parsing; a named
-    label column requires one. All cells must be numeric; ragged rows,
-    non-numeric cells and non-finite labels are hard errors naming the
-    (1-based) row.
+    ``label_column`` is a header name or a 0-based column index; a string
+    that names no header column but reads as an integer (such as "2" or
+    "-1") is an index. A header row is auto-detected when the first row
+    fails numeric parsing; a named label column requires one. All cells
+    must be numeric; ragged rows, non-numeric cells and non-finite labels
+    are hard errors naming the (1-based) row.
     """
     import csv as _csv
 
@@ -108,7 +110,8 @@ def load_csv(path, label_column="label") -> Dataset:
             raise ValueError(f"{path}: header but no data rows")
 
     width = len(rows[start])
-    if isinstance(label_column, str):
+    if isinstance(label_column, str) and (label_column in (header or ())
+                                          or not re.fullmatch(r"-?[0-9]+", label_column)):
         if header is None:
             raise ValueError(f"{path}: label column {label_column!r} needs a header row")
         if label_column not in header:
@@ -257,13 +260,13 @@ def load_model(path) -> ModelFile:
     """Read a model written by :func:`save_model`; bit-exact round trip.
 
     Raises ``ValueError`` for a bad header (a format version below 1 or
-    above the supported one), a short payload, bytes after the payload, a
-    non-finite metric entry or latent, and a sidecar that is not a JSON
-    object of known fields, whose ``format_version``, ``dim`` or ``m``
-    disagrees with the header, whose ``loss_trace`` is not a list of
-    finite numbers, or whose ``label_names`` are not finite numbers in
-    strictly increasing order, one at least per latent label code. A
-    missing sidecar is tolerated. A config ``tie_tolerance`` key, which
+    above the supported one, a dimension or latent count of 0), a short
+    payload, bytes after the payload, a non-finite metric entry or latent,
+    and a sidecar that is not a JSON object of known fields, whose
+    ``format_version``, ``dim`` or ``m`` disagrees with the header, whose
+    ``loss_trace`` is not a list of finite numbers, or whose
+    ``label_names`` are not finite numbers in strictly increasing order,
+    one at least per latent label code. A missing sidecar is tolerated. A config ``tie_tolerance`` key, which
     older sidecars carry, is accepted only at ``latent.TIE_TOLERANCE``.
     """
     with open(path, "rb") as f:
@@ -277,6 +280,9 @@ def load_model(path) -> ModelFile:
             raise ValueError(
                 f"model format version {version} is newer than supported "
                 f"version {MODEL_FORMAT_VERSION}")
+        if d == 0 or m == 0:
+            raise ValueError(f"model header has dim {d} and {m} latents; "
+                             f"a model has at least one of each")
         payload = _read_exact(f, d * d * 8 + m * d * 8 + m * 4, "model payload")
         extra = len(f.read())
         if extra:

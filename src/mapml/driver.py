@@ -122,9 +122,13 @@ def train_random_triplet_baseline(data: Dataset, cfg: TrainConfig) -> TrainResul
     hinge SGD as the metric stage with a fixed margin of 1 anchored at the
     identity, and PSD-projects once at the end. With zero steps the
     identity metric is returned. The returned latent model is the trivial
-    identity assignment.
+    identity assignment. Data with fewer than 2 classes, or a class of
+    fewer than 2 examples, has no triplet and raises ``ValueError``.
     """
     S = cfg.inner_iters
+    if data.n_classes < 2:
+        raise ValueError(f"random-triplet baseline needs at least 2 classes, "
+                         f"got {data.n_classes}")
     counts = np.bincount(data.labels, minlength=data.n_classes)
     if (counts < 2).any():
         bad = int(np.argmin(counts))

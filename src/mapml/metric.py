@@ -83,17 +83,19 @@ def build_active_set(model: LatentModel, metric_prev: Metric, cap: int, seed: in
     subsample without replacement (driven by ``seed``) is retained, still
     in ascending order. An empty result is legal.
 
-    One ``np.argsort`` per class block gives both the counts and, through
-    :func:`core.decode_ranks`, the rows of the retained ranks. Time is
-    O(m^2 log m + retained); memory O(m^2).
+    Each class block is counted over its sorted rows and kept only as its
+    ``below``; after sampling, a block that holds a retained rank is
+    re-formed from E and ranked by one ``np.argsort`` for
+    :func:`core.decode_ranks`. Time is O(m^2 log m + retained); memory is
+    E plus one block plus the sample.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     E = pairwise_mahalanobis_sq(metric_prev, model.latents)
-    # each block keeps its argsort for decode_ranks: m_r (m - m_r) ints per
-    # class, no more than E holds in all
-    blocks = list(core.hinge_blocks(E, model.latent_labels, model.cluster_margins,
-                                    with_order=True))
+    # keep what decode_ranks reads: the sorted rows of every block would
+    # hold a second E
+    blocks = [blk._replace(b_sorted=None, thresholds=None) for blk in
+              core.hinge_blocks(E, model.latent_labels, model.cluster_margins)]
     total = sum(int(blk.below.sum()) for blk in blocks)
     if total == 0:
         return np.empty((0, 3), dtype=np.int64)
@@ -106,7 +108,10 @@ def build_active_set(model: LatentModel, metric_prev: Metric, cap: int, seed: in
         size = int(blk.below.sum())
         lo, hi = np.searchsorted(ranks, [base, base + size])
         if hi > lo:
-            o, p, q = core.decode_ranks(blk, ranks[lo:hi] - base)
+            # the block's rows re-formed from E; their argsort is gone before
+            # the next block's is made
+            o, p, q = core.decode_ranks(blk, np.argsort(core.other_class_columns(
+                E, blk.same[0], blk.same[-1] + 1), axis=1), ranks[lo:hi] - base)
             keys.append((o * m + p) * m + q)
         base += size
     # one int64 key per row sorts the rows into ascending (o, p, q)

@@ -83,6 +83,20 @@ class TestTrain:
         assert "m=10" in capsys.readouterr().out
         assert load_model(model_path).latents.shape[0] == 10
 
+    def test_label_column_index_without_header(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        rows = np.column_stack([rng.normal(size=(40, 2)) + np.repeat([[0.0], [3.0]], 20, axis=0),
+                                np.repeat([5, 9], 20)])
+        data_path = tmp_path / "d.csv"
+        np.savetxt(data_path, rows, delimiter=",")
+        model_path = str(tmp_path / "m.mapml")
+        rc = main(["train", "--data", str(data_path), "--label-column", "2", "--tau", "10",
+                   "--outer-iters", "1", "--inner-iters", "200", "--out", model_path])
+        assert rc == 0, capsys.readouterr().err
+        model = load_model(model_path)
+        assert model.latents.shape == (4, 2)
+        np.testing.assert_array_equal(model.label_names, [5, 9])
+
     def test_missing_dataset_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--out", str(tmp_path / "m.mapml")])

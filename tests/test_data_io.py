@@ -137,6 +137,28 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="needs a header"):
             load_csv(str(p), label_column="label")
 
+    @pytest.mark.parametrize("column", ["2", "-1"])
+    def test_integer_string_is_an_index_without_header(self, tmp_path, column):
+        p = tmp_path / "d.csv"
+        p.write_text("1.0,2.0,0\n3.0,4.0,1\n5.0,6.0,0\n")
+        data = load_csv(str(p), label_column=column)
+        assert data.d == 2
+        assert list(data.labels) == [0, 1, 0]
+
+    def test_header_named_like_an_index_resolves_by_name(self, tmp_path):
+        # column "2" is the header's first column, not column index 2
+        p = tmp_path / "d.csv"
+        p.write_text("2,x,y\n0,10.0,20.0\n1,30.0,40.0\n")
+        data = load_csv(str(p), label_column="2")
+        np.testing.assert_allclose(data.features, [[10.0, 20.0], [30.0, 40.0]])
+        assert list(data.labels) == [0, 1]
+
+    def test_integer_string_is_an_index_beside_a_header(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("x,y,label\n1.0,2.0,0\n3.0,4.0,1\n")
+        data = load_csv(str(p), label_column="0")
+        np.testing.assert_allclose(data.features, [[2.0, 0.0], [4.0, 1.0]])
+
     def test_ragged_row(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("1.0,2.0,0\n3.0,1\n")
@@ -358,6 +380,15 @@ class TestModelPersistence:
         open(path, "wb").write(bytes(raw))
         with pytest.raises(ValueError, match=r"version 0 is invalid"):
             load_model(path)
+
+    @pytest.mark.parametrize("d, m", [(0, 3), (2, 0), (0, 0)])
+    def test_empty_header_refused(self, tmp_path, d, m):
+        # a header of d = 0 or m = 0 with a payload of the size it declares
+        path = tmp_path / "model.mapml"
+        path.write_bytes(b"MAPMLBIN" + struct.pack("<III", 1, d, m)
+                         + bytes(d * d * 8 + m * d * 8 + m * 4))
+        with pytest.raises(ValueError, match=rf"dim {d} and {m} latents"):
+            load_model(str(path))
 
     def test_missing_sidecar_tolerated(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -247,6 +247,12 @@ class TestRandomTripletBaseline:
         with pytest.raises(ValueError, match="fewer than 2"):
             train_random_triplet_baseline(data, cfg)
 
+    def test_one_class_rejected(self):
+        data = Dataset([[0.0], [1.0], [2.0]], [4, 4, 4])
+        cfg = TrainConfig(inner_iters=10)
+        with pytest.raises(ValueError, match="at least 2 classes, got 1"):
+            train_random_triplet_baseline(data, cfg)
+
     def test_output_contracts(self):
         rng = np.random.default_rng(11)
         data = make_blobs(rng, 10, [[0.0, 0.0], [1.0, 1.0]], 0.8)

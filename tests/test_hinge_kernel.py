@@ -8,6 +8,7 @@ oracles. Gaussian instances are drawn from a numpy generator seeded by
 hypothesis, as in the acceptance suite.
 """
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapml import Metric, TrainConfig, build_active_set, core, full_loss_all, \
-    run_metric_stage
+    init_latents, run_metric_stage
 
 from conftest import (make_latent_model, oracle_active_triplets,
                       oracle_full_loss, random_symmetric)
@@ -145,10 +146,10 @@ class TestHingeKernel:
         E = core.pairwise_mahalanobis_sq(metric, model.latents)
         want = Counter(oracle_list(model, metric))
         got = []
-        for blk in core.hinge_blocks(E, model.latent_labels, model.cluster_margins,
-                                     with_order=True):
+        for blk in core.hinge_blocks(E, model.latent_labels, model.cluster_margins):
             counts = blk.below
-            o, p, q = core.decode_ranks(blk, np.arange(counts.sum()))
+            rows = core.other_class_columns(E, blk.same[0], blk.same[-1] + 1)
+            o, p, q = core.decode_ranks(blk, np.argsort(rows, axis=1), np.arange(counts.sum()))
             partner = blk.same[core.partner_columns(blk.same.size)]
             pairs = [(a, b) for a, row in zip(blk.same, partner) for b in row]
             assert list(zip(o, p)) == [pr for pr, c in zip(pairs, counts.ravel())
@@ -216,3 +217,27 @@ def test_active_set_is_the_loss_support_at_rounding_boundary():
     got, counts = run_metric_stage(model, identity, TrainConfig(inner_iters=100))
     assert counts["active_set_size"] == 0
     np.testing.assert_array_equal(got.matrix, identity.matrix)
+
+
+def traced_peak(fn):
+    """Peak bytes that numpy and Python allocate while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_triplet_scans_hold_little_beyond_the_distance_matrix(desk_surrogate):
+    # at m = 3000 each scan holds E (69 MiB) plus one class block at a time
+    # and the sample; an E-sized intermediate kept across blocks breaks 1.5 E
+    train, _ = desk_surrogate
+    model = init_latents(train, 30.0, seed=0)
+    assert model.m == 3000
+    identity = Metric.identity(train.d)
+    bound = 1.5 * model.m * model.m * 8
+    active = traced_peak(lambda: build_active_set(model, identity, cap=200_000, seed=0))
+    loss = traced_peak(lambda: full_loss_all(identity, model))
+    assert active <= bound, f"build_active_set peak {active / 2**20:.1f} MiB"
+    assert loss <= bound, f"full_loss_all peak {loss / 2**20:.1f} MiB"
