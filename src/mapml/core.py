@@ -200,8 +200,8 @@ class TrainConfig:
             raise ValueError(f"active_set_cap must be >= 1, got {self.active_set_cap}")
 
 
-def pairwise_mahalanobis_sq(metric: Metric, A, B=None) -> np.ndarray:
-    """All squared Mahalanobis distances between rows of A and rows of B.
+def pairwise_mahalanobis_sq(metric: Metric, A) -> np.ndarray:
+    """All squared Mahalanobis distances between rows of A.
 
     Uses the expansion a^T M a + b^T M b - 2 a^T M b (M symmetric): one
     product into the result, which then takes the quadratic forms and the
@@ -211,21 +211,17 @@ def pairwise_mahalanobis_sq(metric: Metric, A, B=None) -> np.ndarray:
     since they signal an indefinite M, which is legal mid-optimization.
     """
     A = np.asarray(A, dtype=np.float64)
-    B = A if B is None else np.asarray(B, dtype=np.float64)
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != metric.dim or B.shape[1] != metric.dim:
-        raise ValueError(
-            f"expected 2-D arrays with {metric.dim} columns, got {A.shape} and {B.shape}"
-        )
+    if A.ndim != 2 or A.shape[1] != metric.dim:
+        raise ValueError(f"expected a 2-D array with {metric.dim} columns, got {A.shape}")
     AM = A @ metric.matrix
     qa = np.einsum("ij,ij->i", AM, A)
-    qb = qa if B is A else np.einsum("ij,ij->i", B @ metric.matrix, B)
-    out = AM @ B.T
+    out = AM @ A.T
     forms = np.empty((min(PAIRWISE_ROWS, out.shape[0]), out.shape[1]))
     for lo in range(0, out.shape[0], PAIRWISE_ROWS):
         rows = out[lo:lo + PAIRWISE_ROWS]
-        # -2 P is exact, and -2 P + (qa + qb) rounds as (qa + qb) - 2 P
+        # -2 P is exact, and -2 P + (qa_i + qa_j) rounds as (qa_i + qa_j) - 2 P
         rows *= -2.0
-        np.add(qa[lo:lo + PAIRWISE_ROWS, None], qb[None, :], out=forms[:rows.shape[0]])
+        np.add(qa[lo:lo + PAIRWISE_ROWS, None], qa[None, :], out=forms[:rows.shape[0]])
         rows += forms[:rows.shape[0]]
         np.copyto(rows, 0.0, where=(rows > NEG_CLAMP) & (rows < 0.0))
     return out
@@ -309,15 +305,18 @@ def hinge_blocks(E: np.ndarray, labels, margins):
     m = labels.size
     cuts = np.flatnonzero(labels[1:] != labels[:-1]) + 1
     for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), m]):
-        m_r = hi - lo
-        if m_r < 2 or m_r == m:
-            continue
-        thresholds = (1.0 + margins[lo:hi])[:, None] + np.take_along_axis(
-            E[lo:hi, lo:hi], partner_columns(m_r), axis=1)
-        b = other_class_columns(E, lo, hi)
-        b.sort(axis=1)
-        diff = np.concatenate((np.arange(lo), np.arange(hi, m)))
-        yield HingeBlock(np.arange(lo, hi), diff, b, thresholds, count_below(b, thresholds))
+        if 2 <= hi - lo < m:
+            yield _hinge_block(E, lo, hi, margins)
+
+
+def _hinge_block(E, lo, hi, margins) -> HingeBlock:
+    """The block of latents lo:hi, formed outside the generator so its frame holds none."""
+    thresholds = (1.0 + margins[lo:hi])[:, None] + np.take_along_axis(
+        E[lo:hi, lo:hi], partner_columns(hi - lo), axis=1)
+    b = other_class_columns(E, lo, hi)
+    b.sort(axis=1)
+    diff = np.concatenate((np.arange(lo), np.arange(hi, E.shape[0])))
+    return HingeBlock(np.arange(lo, hi), diff, b, thresholds, count_below(b, thresholds))
 
 
 def decode_ranks(blk: HingeBlock, order: np.ndarray, ranks):
@@ -358,9 +357,16 @@ def full_loss_all(metric: Metric, latent_model) -> float:
     if not np.isfinite(E).all():
         return float("nan")
     total = 0.0
-    for blk in hinge_blocks(E, latent_model.latent_labels, latent_model.cluster_margins):
-        prefix = np.zeros((blk.b_sorted.shape[0], blk.b_sorted.shape[1] + 1))
-        np.cumsum(blk.b_sorted, axis=1, out=prefix[:, 1:])
-        below_sum = np.take_along_axis(prefix, blk.below, axis=1)
-        total += float(np.sum(blk.below * blk.thresholds - below_sum))
+    # each block lives only inside _hinge_sum, so the scan holds E plus one block
+    for hinge in map(_hinge_sum, hinge_blocks(E, latent_model.latent_labels,
+                                              latent_model.cluster_margins)):
+        total += hinge
     return total
+
+
+def _hinge_sum(blk: HingeBlock) -> float:
+    """Sum of one block's positive hinges, read off prefix sums of its sorted rows."""
+    prefix = np.zeros((blk.b_sorted.shape[0], blk.b_sorted.shape[1] + 1))
+    np.cumsum(blk.b_sorted, axis=1, out=prefix[:, 1:])
+    below_sum = np.take_along_axis(prefix, blk.below, axis=1)
+    return float(np.sum(blk.below * blk.thresholds - below_sum))

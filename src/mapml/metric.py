@@ -14,16 +14,15 @@ stage; intermediate iterates may be indefinite.
 The SGD kernel never forms an iterate: it holds M_s = a*W + b*M_prev,
 so the shrink, the pull toward M_prev and the ball rescale of each step
 are scalar updates, and it applies the rank-2 hinge updates of every
-``SGD_BLOCK`` steps to W as one GEMM. Every update is built from
+``SGD_BLOCK`` steps to W as one GEMM. M_prev enters a step only as b
+times the triplet's gap E[o, q] - E[o, p] under it, read off one product
+of the points with M_prev per stage. Every update is built from
 differences of the m latents, so W lives in their span, of dimension
 r = min(d, m - 1); when r is small enough against d for the stage's
 length to repay O(d^2*r) flops to enter and leave the basis, the kernel
 runs in an orthonormal basis of that span. A stage of S steps costs
-O(S*B*D) scalar work plus O(S*D^2) flops in GEMMs of width 2B, with D = r
-in the basis and d otherwise, where the per-step loop made ~14 memory
-passes over a d x d matrix each step. In d-space, when M_prev is exactly
-the identity, as in every run's first stage and in the random-triplet
-baseline, the kernel skips its product with M_prev.
+O(S*(B*D + d)) scalar work plus O(S*D^2) flops in GEMMs of width 2B,
+with D = r in the basis and d otherwise.
 
 The terminal projection first tries to certify that the average is
 already positive definite with one Cholesky factorization (O(d^3/3)) and
@@ -191,32 +190,30 @@ def proximal_hinge_sgd(points: np.ndarray, step_triplets: np.ndarray,
     No iterate is ever formed. Each is held as M_s = a*W + b*M_prev, so
     the (1 - 1/s) shrink, the 1/s pull toward M_prev and the ball rescale
     are scalar updates of (a, b), and ||M_s||_F^2 follows from ||W||^2,
-    <W, M_prev> and ||M_prev||^2. Steps run in blocks of ``SGD_BLOCK``:
-    the block's 2B difference vectors X are gathered once, one GEMM each
-    gives their forms under W and M_prev, and the Gram matrix X X^T
-    corrects every step's forms for the block's earlier rank-2 updates,
-    so each hinge test is against the current iterate. At the end of a
-    block its updates enter W as one rank-2B GEMM, the suffix sum takes
-    its share lazily, a is folded into W and the norms are recomputed
-    exactly.
+    <W, M_prev> and ||M_prev||^2. Under M_prev a step's hinge reads one
+    scalar, its gap (z_q - z_p)^T M_prev (z_q + z_p - 2 z_o), taken from
+    Z M_prev (formed once; Z itself when M_prev is exactly the identity,
+    :func:`core.is_identity`), and <W, M_prev> gains k times the gap of
+    each update k (v v^T - u u^T). Steps run in blocks of ``SGD_BLOCK``:
+    the block's 2B difference vectors X are gathered once, one GEMM gives
+    their forms under W, and the Gram matrix X X^T corrects every step's
+    forms for the block's earlier rank-2 updates, so each hinge test is
+    against the current iterate. At the end of a block its updates enter
+    W as one rank-2B GEMM, the suffix sum takes its share lazily, and a is
+    folded into W and into <W, M_prev>. W is zero in the first block, so
+    that block makes no X W product.
 
     Every update is built from differences of the n points, so W stays in
     their span. When n - 1 < d and the call is long enough to repay the
     change of basis (:func:`_difference_basis`), the loop runs in an
     orthonormal basis Q (d x r, r = n - 1) of span{x_i - x_0} from one
-    reduced QR: the points become ``points @ Q``, W, the suffix sum and the
-    work buffer are r x r, M_prev enters as Q^T M_prev Q, ||M_prev||_F^2
-    stays the full matrix's, and the output is (2/S) (Q R Q^T + b_sum M_prev).
-    With D = r in the basis and d otherwise, a call costs O(S*B*D) scalar
-    work plus O(S*D^2) flops in GEMMs of width 2B, plus O(d^2*r) to enter
-    and leave the basis, against ~14 memory passes over a d x d matrix per
-    step for the per-step loop. Both paths differ from that loop in
-    rounding only; the test suite holds them to 1e-9 relative. When the
-    matrix the loop runs against is exactly the identity
-    (:func:`core.is_identity`; in practice M_prev = I in d-space), the forms
-    under it are the row norms of X and the kernel makes no X M_prev
-    product; X I is X bit for bit, so the output is the same. W is zero in
-    the first block, so that block makes no X W product either.
+    reduced QR: X is gathered from ``points @ Q``, W, the suffix sum and
+    the work buffer are r x r, and the output is
+    (2/S) (Q R Q^T + b_sum M_prev). With D = r in the basis and d
+    otherwise, a call costs O(S*(B*D + d)) scalar work plus O(S*D^2) flops
+    in GEMMs of width 2B, plus O(d^2*r) to enter and leave the basis and
+    one O(n*d^2) product with M_prev. It differs from the per-step loop in
+    rounding only; the test suite holds it to 1e-9 relative.
 
     Raises ``ValueError`` unless S is even and positive (the suffix
     average covers the last S/2 iterates), lam > 0 and delta > 0.
@@ -229,16 +226,13 @@ def proximal_hinge_sgd(points: np.ndarray, step_triplets: np.ndarray,
     if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta}")
     Q = _difference_basis(points, S)
-    if Q is None:
-        P = M_prev
-    else:
-        # W = Q W~ Q^T: run in r coordinates against Q^T M_prev Q
-        points = points @ Q
-        P = Q.T @ (M_prev @ Q)
-    identity = core.is_identity(P)
-    W = np.zeros_like(P)
-    R = np.zeros_like(P)        # sum of a_s W_s over the suffix iterates
-    buf = np.empty_like(P)
+    Y = points if Q is None else points @ Q
+    # the only product with M_prev: each step reads it as one gap
+    ZM = points if core.is_identity(M_prev) else points @ M_prev
+    D = Y.shape[1]
+    W = np.zeros((D, D))
+    R = np.zeros((D, D))        # sum of a_s W_s over the suffix iterates
+    buf = np.empty((D, D))
     a = b = 1.0
     w_norm2 = wp_dot = 0.0      # ||W||^2 and <W, M_prev> of the current W
     p_norm2 = float(np.dot(M_prev.ravel(), M_prev.ravel()))
@@ -251,11 +245,13 @@ def proximal_hinge_sgd(points: np.ndarray, step_triplets: np.ndarray,
         o, p, q = step_triplets[done:done + SGD_BLOCK].T
         n = o.shape[0]
         # rows 2j and 2j + 1 are step j's u = z_o - z_p and v = z_o - z_q
-        X = np.empty((2 * n, P.shape[0]))
-        np.subtract(points[o], points[p], out=X[0::2])
-        np.subtract(points[o], points[q], out=X[1::2])
+        X = np.empty((2 * n, D))
+        np.subtract(Y[o], Y[p], out=X[0::2])
+        np.subtract(Y[o], Y[q], out=X[1::2])
         form_w = np.einsum("ij,ij->i", X @ W, X).tolist() if done else [0.0] * (2 * n)
-        form_p = np.einsum("ij,ij->i", X if identity else X @ P, X).tolist()
+        # E[o, q] - E[o, p] under M_prev: (z_q - z_p)^T M_prev (z_q + z_p - 2 z_o)
+        gap = np.einsum("ij,ij->i", ZM[q] - ZM[p],
+                        points[q] + points[p] - 2.0 * points[o]).tolist()
         gram2 = np.square(X @ X.T)
         # ||v v^T - u u^T||_F^2 of each step
         rank2_norm2 = (gram2.diagonal()[0::2] + gram2.diagonal()[1::2]
@@ -269,9 +265,7 @@ def proximal_hinge_sgd(points: np.ndarray, step_triplets: np.ndarray,
             cu, cv = (gram2[2 * j:2 * j + 2] @ g).tolist()
             wu = form_w[2 * j] + cu
             wv = form_w[2 * j + 1] + cv
-            pu = form_p[2 * j]
-            pv = form_p[2 * j + 1]
-            active = hinge0[j] - ((a * wv + b * pv) - (a * wu + b * pu)) > 0.0
+            active = hinge0[j] - (a * (wv - wu) + b * gap[j]) > 0.0
             inv_s = 1.0 / s
             # step 1's shrink drops M_0 = M_prev whole, and W is still zero
             a = a * (1.0 - inv_s) if s > 1 else 1.0
@@ -282,7 +276,7 @@ def proximal_hinge_sgd(points: np.ndarray, step_triplets: np.ndarray,
                 g[2 * j] = -k
                 g[2 * j + 1] = k
                 w_norm2 += 2.0 * k * (wv - wu) + k * k * rank2_norm2[j]
-                wp_dot += k * (pv - pu)
+                wp_dot += k * gap[j]
             norm2 = a * a * w_norm2 + 2.0 * a * b * wp_dot + b * b * p_norm2
             if norm2 > delta2:
                 ball_clips += 1
@@ -309,9 +303,9 @@ def proximal_hinge_sgd(points: np.ndarray, step_triplets: np.ndarray,
         np.matmul((X * g[:, None]).T, X, out=buf)
         W += buf
         W *= a
+        wp_dot *= a
         a = 1.0
         w_norm2 = float(np.dot(W.ravel(), W.ravel()))
-        wp_dot = float(np.dot(W.ravel(), P.ravel()))
         done += n
     if Q is not None:
         R = Q @ R @ Q.T

@@ -9,6 +9,7 @@ kernels are checked. ``assign_membership`` is a helper, not an oracle:
 it runs the library's own assignment.
 """
 
+import importlib.util
 import os
 
 import numpy as np
@@ -317,29 +318,19 @@ def mnist_subset():
     return train_sub, test_sub
 
 
-def build_desk_surrogate(n_train=10_000, n_test=2_000, d_signal=16, d_noise=48,
-                         n_classes=10, latents_per_class=12, seed=777):
-    """MNIST-scale surrogate: latent clusters plus uninformative noise dims.
+def _load_surrogate():
+    """``perfbench/surrogate.py``, loaded by path: the one desk generator."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "surrogate.py")
+    spec = importlib.util.spec_from_file_location("perfbench_surrogate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    Classes live in the first ``d_signal`` dimensions as clusters around
-    per-class latent examples; the remaining dimensions carry pure
-    observation noise, so a Euclidean 3-NN suffers while a learned metric
-    can recover the signal subspace. Same 10k/2k scale as the MNIST
-    subset protocol.
-    """
-    rng = np.random.default_rng(seed)
-    centers = rng.normal(0.0, 0.45, size=(n_classes, d_signal))
-    lat = centers[:, None, :] + rng.normal(0.0, 0.25,
-                                           size=(n_classes, latents_per_class, d_signal))
-    lat = lat.reshape(-1, d_signal)
-    lab = np.repeat(np.arange(n_classes), latents_per_class)
-    n = n_train + n_test
-    pick = rng.integers(0, lat.shape[0], size=n)
-    sig = lat[pick] + rng.normal(0.0, 0.15, size=(n, d_signal))
-    noise = 0.5 + rng.normal(0.0, 0.7, size=(n, d_noise))
-    X = np.concatenate([sig, noise], axis=1)
-    y = lab[pick]
-    return Dataset(X[:n_train], y[:n_train]), Dataset(X[n_train:], y[n_train:])
+
+# MNIST-scale surrogate (10k/2k, latent clusters in 16 signal dimensions
+# plus 48 noise dimensions), shared with the benchmark
+build_desk_surrogate = _load_surrogate().build_desk_surrogate
 
 
 @pytest.fixture(scope="session")

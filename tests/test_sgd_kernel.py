@@ -132,6 +132,42 @@ class TestIdentityAnchor:
         assert fast[1] > 0
 
 
+class MatmulCounter(np.ndarray):
+    """An array that counts the ``np.matmul`` calls it takes part in.
+
+    Every result is a plain ndarray, so only products with this very
+    matrix are counted, not products with arrays made from it.
+    """
+
+    matmuls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            MatmulCounter.matmuls += 1
+        plain = tuple(np.asarray(x) if isinstance(x, MatmulCounter) else x for x in inputs)
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+class TestAnchorProducts:
+    """M_prev enters a call through one product with the points, whatever S is."""
+
+    @pytest.mark.parametrize("n, d, anchor, products", [
+        (50, 10, "general", 1),     # d-space, five blocks
+        (20, 40, "general", 1),     # the difference basis
+        (50, 10, "identity", 0),
+    ])
+    def test_one_product_with_the_anchor_per_call(self, n, d, anchor, products):
+        pts, trip, marg, Mp = instance(80, n=n, d=d, S=300)
+        if anchor == "identity":
+            Mp = np.eye(d)
+        want = proximal_hinge_sgd(pts, trip, marg, Mp, 1.0, 3.0)
+        MatmulCounter.matmuls = 0
+        got = proximal_hinge_sgd(pts, trip, marg, Mp.view(MatmulCounter), 1.0, 3.0)
+        assert MatmulCounter.matmuls == products
+        np.testing.assert_array_equal(np.asarray(got[0]), want[0])
+        assert got[1:] == want[1:]
+
+
 class TestDifferenceSpan:
     """With n - 1 small against d the kernel runs in a basis of span{x_i - x_0}."""
 
