@@ -122,7 +122,23 @@ class Metric:
 
     @classmethod
     def identity(cls, d: int) -> "Metric":
-        return cls(np.eye(d))
+        """The d x d identity, built without the finiteness and symmetry scans."""
+        matrix = np.eye(d)
+        if d == 0:
+            raise ValueError("metric matrix must have dimension >= 1, got 0 x 0")
+        return cls._unchecked(matrix)
+
+    @classmethod
+    def _unchecked(cls, matrix: np.ndarray) -> "Metric":
+        """A Metric holding ``matrix`` itself, which the caller knows is valid.
+
+        ``matrix`` must be a C-contiguous float64 d x d array (d >= 1) that
+        is finite and exactly symmetric; it is made read-only, not copied.
+        """
+        metric = cls.__new__(cls)
+        metric.matrix = matrix
+        metric.matrix.flags.writeable = False
+        return metric
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix)[0])
@@ -203,7 +219,8 @@ class TrainConfig:
 def pairwise_mahalanobis_sq(metric: Metric, A) -> np.ndarray:
     """All squared Mahalanobis distances between rows of A.
 
-    Uses the expansion a^T M a + b^T M b - 2 a^T M b (M symmetric): one
+    Uses the expansion a^T M a + b^T M b - 2 a^T M b (M symmetric): A M
+    (a copy of A when M is exactly the identity, :func:`is_identity`), one
     product into the result, which then takes the quadratic forms and the
     clamp in place, ``PAIRWISE_ROWS`` rows at a time, with no temporary
     as large as the result. Tiny negative results (rounding noise above
@@ -213,7 +230,9 @@ def pairwise_mahalanobis_sq(metric: Metric, A) -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[1] != metric.dim:
         raise ValueError(f"expected a 2-D array with {metric.dim} columns, got {A.shape}")
-    AM = A @ metric.matrix
+    # at an exact identity A M is A; a copy, since numpy computes A @ A.T by
+    # SYRK, whose rounding differs from the GEMM of a general M
+    AM = A.copy() if is_identity(metric.matrix) else A @ metric.matrix
     qa = np.einsum("ij,ij->i", AM, A)
     out = AM @ A.T
     forms = np.empty((min(PAIRWISE_ROWS, out.shape[0]), out.shape[1]))

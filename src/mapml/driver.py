@@ -153,9 +153,9 @@ def train_random_triplet_baseline(data: Dataset, cfg: TrainConfig) -> TrainResul
                 j = int(rows[rng.integers(rows.size)])
             k = int(other_rows[r][rng.integers(other_rows[r].size)])
             triplets[s] = (i, j, k)
-        avg, active_steps, ball_clips = proximal_hinge_sgd(
+        avg, active_steps, ball_clips, span = proximal_hinge_sgd(
             data.features, triplets, np.zeros(data.n), np.eye(data.d), cfg.lam, cfg.delta)
-        metric = psd_project(avg)
+        metric = psd_project(avg, span)
     record = {"k": 1, "loss": None, "latent_seconds": 0.0,
               "metric_seconds": time.perf_counter() - t0, "loss_seconds": 0.0,
               "active_set_size": 0, "active_set_seconds": 0.0,

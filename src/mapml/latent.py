@@ -308,7 +308,7 @@ def init_latents(data: Dataset, tau: float, seed: int) -> LatentModel:
         if idx.size == 0:
             raise ValueError(f"class {r} has no examples")
         m_r = latents_per_class(idx.size, tau)
-        X_r = data.features[idx]
+        X_r = _rows(data.features, idx)
         picks = _farthest_point_indices(X_r, m_r, rng)
         blocks.append(X_r[picks])
         labels.append(np.full(m_r, r, dtype=np.int64))

@@ -25,9 +25,12 @@ O(S*(B*D + d)) scalar work plus O(S*D^2) flops in GEMMs of width 2B,
 with D = r in the basis and d otherwise.
 
 The terminal projection first tries to certify that the average is
-already positive definite with one Cholesky factorization (O(d^3/3)) and
-returns it unchanged if so; only an average that fails the certificate
-pays for an eigendecomposition.
+already positive definite and returns it unchanged if so; only an
+average that fails the certificate pays for an eigendecomposition. At
+the identity anchor in the difference basis the average is
+Q C Q^T + c I, certified by one r x r Cholesky factorization (about
+0.1 ms at d = 784, r = 99); otherwise by one d x d factorization
+(O(d^3/3), about 13 ms at d = 784).
 """
 
 import math
@@ -118,7 +121,7 @@ def build_active_set(model: LatentModel, metric_prev: Metric, cap: int, seed: in
     return np.column_stack([o, *np.divmod(pq, m)])
 
 
-def psd_project(M: np.ndarray) -> Metric:
+def psd_project(M: np.ndarray, span=None) -> Metric:
     """Nearest PSD matrix: symmetrize, clamp negative eigenvalues to zero.
 
     The symmetrized input S is certified first: if the Cholesky
@@ -126,27 +129,58 @@ def psd_project(M: np.ndarray) -> Metric:
     then lambda_min(S) >= 0 up to Cholesky's backward error, S is its own
     nearest PSD matrix, and S is returned bit for bit. Otherwise (and for
     non-finite input) the eigenvalues of S are clamped at zero through a
-    full ``eigh``. At d=784 on one BLAS thread the certificate costs about
-    0.013 s against 0.11-0.15 s for ``eigh``, and an input that fails it
-    pays at most that one factorization on top of ``eigh``.
+    full ``eigh``. At d=784 on one BLAS thread the d x d certificate costs
+    about 0.013 s against 0.11-0.15 s for ``eigh``, and an input that
+    fails it pays at most that one factorization on top of ``eigh``.
+
+    ``span``, which :func:`proximal_hinge_sgd` returns at the identity
+    anchor in its difference basis, is a pair (C, c): M was formed as
+    Q C Q^T + c I, with Q d x r orthonormal and r < d. Its eigenvalues
+    are c + eig(sym C) on the span of Q and c off it, so S is first
+    certified by one r x r Cholesky of sym C + (c - shift) I, with
+    c > shift (:func:`_span_shift`): about 0.1 ms at d = 784, r = 99. An
+    average it does not certify goes on as above.
     """
     M = np.asarray(M, dtype=np.float64)
     sym = 0.5 * (M + M.T)
     d = sym.shape[0]
     tau = d * np.finfo(np.float64).eps * np.linalg.norm(sym)
     if math.isfinite(tau):
-        shifted = sym.copy()
-        shifted.flat[::d + 1] -= tau
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            return Metric(sym)
+        # then S is finite, and it is exactly symmetric: it needs no check
+        if span is not None:
+            C, c = span
+            shift = _span_shift(C, d, tau)
+            if c > shift and _factors(0.5 * (C + C.T), c - shift):
+                return Metric._unchecked(sym)
+        if _factors(sym.copy(), -tau):
+            return Metric._unchecked(sym)
     w, V = np.linalg.eigh(sym)
     np.maximum(w, 0.0, out=w)
     out = (V * w) @ V.T
     return Metric(0.5 * (out + out.T))
+
+
+def _span_shift(C: np.ndarray, d: int, tau: float) -> float:
+    """Shift of :func:`psd_project`'s r x r certificate of Q C Q^T + c I at dimension d.
+
+    tau, the d x d certificate's shift, plus the rounding of the
+    expansion: the two GEMMs of Q C Q^T (inner dimension r, and
+    ||Q||_F^2 = r) move its eigenvalues by at most 2 r^2 eps ||C||_F, and
+    Q's columns, orthonormal to d r eps (Householder QR), move the span's
+    eigenvalues by at most d r eps ||C||_F more.
+    """
+    r = C.shape[0]
+    return tau + (2 * r + d) * r * np.finfo(np.float64).eps * np.linalg.norm(C)
+
+
+def _factors(A: np.ndarray, diag: float) -> bool:
+    """True when the Cholesky factorization of A + diag * I succeeds; A is overwritten."""
+    A.flat[::A.shape[0] + 1] += diag
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _difference_basis(points: np.ndarray, S: int):
@@ -157,17 +191,19 @@ def _difference_basis(points: np.ndarray, S: int):
     One reduced QR; rank-deficient rows only leave spare basis vectors.
 
     None when the basis would not repay itself over S steps. Entering and
-    leaving it costs ~4 d^2 r + 10 d r^2 flops of QR and GEMM; one step of
-    the blocked loop costs about as long as 7.5 d^2 of those flops in
-    d-space and 11 r^2 in the basis (fitted at d = 784, S = 128 to 2000,
-    one BLAS thread). So no r above about 0.83 d is reduced, whatever S,
-    and the largest r taken grows with S: at d = 784, 0.19 d at S = 128,
-    0.42 d at 500 and 0.66 d at 2000, where the two paths measured within
-    10% of each other.
+    leaving it (one QR, ``points @ Q`` and ``Q R Q^T``) takes about as long
+    as d r (2d + 3r) flops of GEMM; one step of the blocked loop about as
+    long as 7.5 d^2 of them in d-space and 11 r^2 in the basis (fitted at
+    d = 784, S = 128 to 2000, one BLAS thread). So no r above about
+    0.83 d is reduced, whatever S, and the largest r taken grows with S:
+    at d = 784, 0.34 d at S = 128, 0.60 d at 500 and 0.75 d at 2000. At
+    the first two edges the paths measured within 10% of each other; at
+    the third the basis was still 21% faster, so long calls err toward
+    d-space.
     """
     n, d = points.shape
     r = n - 1
-    if d * r * (4 * d + 10 * r) + 11 * S * r * r >= 7.5 * S * d * d:
+    if d * r * (2 * d + 3 * r) + 11 * S * r * r >= 7.5 * S * d * d:
         return None
     return np.linalg.qr((points[1:] - points[0]).T)[0]
 
@@ -177,9 +213,10 @@ def proximal_hinge_sgd(points: np.ndarray, step_triplets: np.ndarray,
                        lam: float, delta: float):
     """Projected SGD on the proximal hinge objective.
 
-    Returns ``(average, active_steps, ball_clips)``: the suffix average,
-    the number of steps whose hinge was active, and the number of steps
-    the Frobenius ball rescaled.
+    Returns ``(average, active_steps, ball_clips, span)``: the suffix
+    average, the number of steps whose hinge was active, the number of
+    steps the Frobenius ball rescaled, and the average's factors for
+    :func:`psd_project` (below), or None.
 
     Visits ``step_triplets`` rows (o, p, q into ``points``) in order, one
     per step s = 1..S, with step size 1/(lam*s), a Frobenius-ball check
@@ -209,10 +246,13 @@ def proximal_hinge_sgd(points: np.ndarray, step_triplets: np.ndarray,
     orthonormal basis Q (d x r, r = n - 1) of span{x_i - x_0} from one
     reduced QR: X is gathered from ``points @ Q``, W, the suffix sum and
     the work buffer are r x r, and the output is
-    (2/S) (Q R Q^T + b_sum M_prev). With D = r in the basis and d
-    otherwise, a call costs O(S*(B*D + d)) scalar work plus O(S*D^2) flops
-    in GEMMs of width 2B, plus O(d^2*r) to enter and leave the basis and
-    one O(n*d^2) product with M_prev. It differs from the per-step loop in
+    (2/S) (Q R Q^T + b_sum M_prev). At the identity anchor b_sum goes onto
+    the diagonal, and ``span`` is ((2/S) R, (2/S) b_sum), so that
+    :func:`psd_project` certifies the average in r x r; elsewhere ``span``
+    is None. With D = r in the basis and d otherwise, a call costs
+    O(S*(B*D + d)) scalar work plus O(S*D^2) flops in GEMMs of width 2B,
+    plus O(d^2*r) to enter and leave the basis and one O(n*d^2) product
+    with M_prev (none at the identity). It differs from the per-step loop in
     rounding only; the test suite holds it to 1e-9 relative.
 
     Raises ``ValueError`` unless S is even and positive (the suffix
@@ -227,8 +267,9 @@ def proximal_hinge_sgd(points: np.ndarray, step_triplets: np.ndarray,
         raise ValueError(f"delta must be > 0, got {delta}")
     Q = _difference_basis(points, S)
     Y = points if Q is None else points @ Q
+    identity = core.is_identity(M_prev)
     # the only product with M_prev: each step reads it as one gap
-    ZM = points if core.is_identity(M_prev) else points @ M_prev
+    ZM = points if identity else points @ M_prev
     D = Y.shape[1]
     W = np.zeros((D, D))
     R = np.zeros((D, D))        # sum of a_s W_s over the suffix iterates
@@ -307,11 +348,18 @@ def proximal_hinge_sgd(points: np.ndarray, step_triplets: np.ndarray,
         a = 1.0
         w_norm2 = float(np.dot(W.ravel(), W.ravel()))
         done += n
+    span = None
     if Q is not None:
+        if identity:
+            # the average is Q C Q^T + c I, which psd_project certifies in r x r
+            span = (R * (2.0 / S), b_sum * (2.0 / S))
         R = Q @ R @ Q.T
-    R += M_prev * b_sum
+    if identity:
+        R.flat[::R.shape[0] + 1] += b_sum
+    else:
+        R += M_prev * b_sum
     R *= 2.0 / S
-    return R, active_steps, ball_clips
+    return R, active_steps, ball_clips, span
 
 
 def run_metric_stage(model: LatentModel, metric_prev: Metric, cfg: TrainConfig,
@@ -340,7 +388,7 @@ def run_metric_stage(model: LatentModel, metric_prev: Metric, cfg: TrainConfig,
         return psd_project(metric_prev.matrix), counts
     rng = np.random.default_rng(s_sgd)
     picks = rng.integers(0, len(triplets), size=S)
-    avg, counts["active_steps"], counts["ball_clips"] = proximal_hinge_sgd(
+    avg, counts["active_steps"], counts["ball_clips"], span = proximal_hinge_sgd(
         model.latents, triplets[picks], model.cluster_margins,
         metric_prev.matrix, cfg.lam, cfg.delta)
-    return psd_project(avg), counts
+    return psd_project(avg, span), counts

@@ -228,6 +228,22 @@ def assign_membership(data, model, metric):
 
 # ---------------------------------------------------------------- builders
 
+class MatmulCounter(np.ndarray):
+    """An array that counts the ``np.matmul`` calls it takes part in.
+
+    Every result is a plain ndarray, so only products with this very
+    matrix are counted, not products with arrays made from it.
+    """
+
+    matmuls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            MatmulCounter.matmuls += 1
+        plain = tuple(np.asarray(x) if isinstance(x, MatmulCounter) else x for x in inputs)
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
 def random_psd(rng, d, scale=1.0):
     A = rng.normal(size=(d, d))
     return scale * (A @ A.T) / d

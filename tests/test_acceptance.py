@@ -157,7 +157,7 @@ class TestCriterion3GradientCorrectness:
             for _ in range(100):
                 d = int(rng.integers(2, 5))
                 z, margins, Mp, lam, steps, M1, arg = two_step_instance(rng, d)
-                out, active_steps, ball_clips = proximal_hinge_sgd(
+                out, active_steps, ball_clips, _ = proximal_hinge_sgd(
                     z, steps, margins, Mp, lam, delta=1e6)
                 assert ball_clips == 0
                 assert active_steps == 1 + (arg > 0)
@@ -209,8 +209,8 @@ class TestCriterion5ProjectionContracts:
                 margins = rng.uniform(0.0, 2.0, size=n)
                 delta = float(rng.uniform(0.2, 5.0))
                 lam = float(rng.uniform(0.05, 2.0))
-                out, _, ball_clips = proximal_hinge_sgd(points, steps, margins,
-                                                        random_psd(rng, d), lam, delta)
+                out, _, ball_clips, _ = proximal_hinge_sgd(points, steps, margins,
+                                                           random_psd(rng, d), lam, delta)
                 assert np.linalg.norm(out) <= delta * (1 + 1e-12)
                 if ball_clips:
                     clipped += 1
@@ -382,22 +382,32 @@ def surrogate_csv(tmp_path_factory):
 class TestCriterion9ComplexityScaling:
     def test_bench_logs_show_subquadratic_latent_and_cubic_active(
             self, surrogate_csv, tmp_path, capsys):
+        # each tau's stage times are the median of three bench runs, so one
+        # run slowed by other load on the machine does not decide a ratio
         with criterion(9, "stage-cost scaling over an m-doubling tau sweep"):
-            out_csv = str(tmp_path / "scaling.csv")
-            rc = mapml.cli.main([
-                "bench", "--data", surrogate_csv, "--methods", "mapml",
-                "--trials", "1", "--outer-iters", "2", "--inner-iters", "1000",
-                "--lambda", "10", "--delta", "30", "--latent-em-iters", "5",
-                "--tau-sweep", "2.5,5,10", "--seed", "0",
-                "--csv-out", out_csv,
-            ])
-            capsys.readouterr()
-            assert rc == 0
-            with open(out_csv, newline="") as f:
-                rows = list(csv.DictReader(f))
-            assert [r["tau"] for r in rows] == ["2.5", "5", "10"]
-            latent = [float(r["latent_stage_seconds"]) for r in rows]
-            active = [float(r["active_set_seconds"]) for r in rows]
+            runs = []
+            for i in range(3):
+                out_csv = str(tmp_path / f"scaling{i}.csv")
+                rc = mapml.cli.main([
+                    "bench", "--data", surrogate_csv, "--methods", "mapml",
+                    "--trials", "1", "--outer-iters", "2", "--inner-iters", "1000",
+                    "--lambda", "10", "--delta", "30", "--latent-em-iters", "5",
+                    "--tau-sweep", "2.5,5,10", "--seed", "0",
+                    "--csv-out", out_csv,
+                ])
+                capsys.readouterr()
+                assert rc == 0
+                with open(out_csv, newline="") as f:
+                    rows = list(csv.DictReader(f))
+                assert [r["tau"] for r in rows] == ["2.5", "5", "10"]
+                runs.append(rows)
+
+            def medians(key):
+                return [float(np.median([float(rows[t][key]) for rows in runs]))
+                        for t in range(3)]
+
+            latent = medians("latent_stage_seconds")
+            active = medians("active_set_seconds")
             print(f"\n  latent stage s: {latent}\n  active build s: {active}")
             for a, b in zip(latent, latent[1:]):
                 assert b <= 2.5 * a, f"latent stage scaling {b / a:.2f}x > 2.5x"

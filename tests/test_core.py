@@ -1,14 +1,18 @@
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapml import (Dataset, Metric, TrainConfig, build_active_set,
+from mapml import (Dataset, Metric, TrainConfig, build_active_set, core,
                    full_loss_all, pairwise_mahalanobis_sq)
 from mapml.core import count_below, hinge_blocks, is_identity, other_class_columns
 
-from conftest import (make_latent_model, oracle_full_loss, oracle_mahalanobis,
-                      oracle_valid_triplets, random_psd, random_symmetric)
+from conftest import (MatmulCounter, make_latent_model, oracle_full_loss,
+                      oracle_mahalanobis, oracle_valid_triplets, random_psd,
+                      random_symmetric)
 
 
 def pair_distance(metric, a, b):
@@ -50,6 +54,22 @@ class TestMetric:
         m = Metric.identity(3)
         assert m.dim == 3
         np.testing.assert_array_equal(m.matrix, np.eye(3))
+
+    def test_identity_skips_the_scans(self):
+        # the identity is valid by construction: no finiteness or symmetry scan
+        with mock.patch.object(np, "isfinite", side_effect=AssertionError("scanned")), \
+                mock.patch.object(np, "abs", side_effect=AssertionError("scanned")):
+            m = Metric.identity(784)
+        assert m.matrix.dtype == np.float64 and m.matrix.flags.c_contiguous
+        assert is_identity(m.matrix)
+        with pytest.raises(ValueError):
+            m.matrix[0, 0] = 2.0
+
+    def test_identity_refuses_bad_dimensions(self):
+        with pytest.raises(ValueError, match="dimension >= 1"):
+            Metric.identity(0)
+        with pytest.raises(TypeError):
+            Metric.identity(2.5)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="asymmetric"):
@@ -185,6 +205,34 @@ class TestMahalanobisSq:
         np.copyto(want, 0.0, where=(want > -1e-9) & (want < 0.0))
         got = pairwise_mahalanobis_sq(M, A)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestPairwiseAtIdentity:
+    """At an exact identity A M is A: no product with the metric, the same bytes."""
+
+    @staticmethod
+    def counted(matrix):
+        return SimpleNamespace(dim=matrix.shape[0], matrix=matrix.view(MatmulCounter))
+
+    # at (65, 200) numpy's A @ A.T (SYRK) rounds differently from the GEMM
+    @pytest.mark.parametrize("n, d", [(1, 3), (65, 200), (130, 16)])
+    def test_no_product_and_equal_to_the_product_path(self, n, d):
+        A = np.random.default_rng(n).normal(size=(n, d))
+        MatmulCounter.matmuls = 0
+        got = pairwise_mahalanobis_sq(self.counted(np.eye(d)), A)
+        assert MatmulCounter.matmuls == 0
+        with mock.patch.object(core, "is_identity", lambda matrix: False):
+            want = pairwise_mahalanobis_sq(Metric.identity(d), A)
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_ulp_off_the_identity_takes_the_product(self):
+        M = np.eye(5)
+        M[1, 3] = M[3, 1] = np.nextafter(0.0, 1.0)
+        A = np.random.default_rng(9).normal(size=(20, 5))
+        MatmulCounter.matmuls = 0
+        got = pairwise_mahalanobis_sq(self.counted(M), A)
+        assert MatmulCounter.matmuls == 1
+        assert got.tobytes() == pairwise_mahalanobis_sq(Metric(M), A).tobytes()
 
 
 class TestTripletUniverse:

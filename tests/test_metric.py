@@ -3,8 +3,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mapml import Metric, TrainConfig, build_active_set, psd_project, run_metric_stage
+from mapml import (Metric, TrainConfig, build_active_set, metric, psd_project,
+                   run_metric_stage)
 
 from conftest import (alpha_suffix_average, frobenius_project, hinge_subgradient,
                       make_latent_model, oracle_active_triplets, oracle_full_loss,
@@ -275,6 +278,96 @@ class TestPsdProjectPaths:
         M[1, 2] = bad
         with pytest.raises(ValueError, match="metric matrix contains non-finite entries"):
             psd_project(M)
+
+
+class FactorLog:
+    """Stand-in for ``np.linalg.cholesky`` and ``eigh`` that records (kind, size, ok)."""
+
+    def __init__(self):
+        self.calls = []
+        self.cholesky, self.eigh = np.linalg.cholesky, np.linalg.eigh
+
+    def _logged(self, kind, fn, a):
+        try:
+            out = fn(a)
+        except np.linalg.LinAlgError:
+            self.calls.append((kind, a.shape[0], False))
+            raise
+        self.calls.append((kind, a.shape[0], True))
+        return out
+
+    def __enter__(self):
+        self.patches = [
+            mock.patch.object(np.linalg, "cholesky",
+                              lambda a: self._logged("cholesky", self.cholesky, a)),
+            mock.patch.object(np.linalg, "eigh", lambda a: self._logged("eigh", self.eigh, a))]
+        for p in self.patches:
+            p.start()
+        return self
+
+    def __exit__(self, *exc):
+        for p in self.patches:
+            p.stop()
+
+
+class TestPsdProjectInSpan:
+    """The average Q C Q^T + c I is certified by one r x r Cholesky, or goes on as before."""
+
+    @settings(max_examples=300)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40), r_share=st.floats(0.0, 1.0),
+           b_exp=st.floats(-17.0, 1.0), gap=st.floats(-1.0, 1.0),
+           gap_exp=st.integers(-17, 0), S=st.integers(1, 5000).map(lambda h: 2 * h))
+    def test_certificate_against_eigvalsh(self, seed, d, r_share, b_exp, gap, gap_exp, S):
+        # M is formed as the SGD kernel forms its average at the identity
+        # anchor: (Q R Q^T + b I) * (2/S), with the pair ((2/S) R, (2/S) b).
+        # lambda_min is (2/S) min(b, b + gap * 10^gap_exp), swept across zero
+        rng = np.random.default_rng(seed)
+        r = min(int(r_share * d), d - 1)
+        Q = np.linalg.qr(rng.normal(size=(d, r)))[0]
+        V = np.linalg.qr(rng.normal(size=(r, r)))[0]
+        b = 10.0 ** b_exp
+        w = -b + gap * 10.0 ** gap_exp + rng.uniform(0.0, 3.0, size=r)
+        if r:
+            w[0] = -b + gap * 10.0 ** gap_exp
+        R = (V * w) @ V.T
+        scale = 2.0 / S
+        M = Q @ R @ Q.T
+        M.flat[::d + 1] += b
+        M *= scale
+        C, c = R * scale, b * scale
+        with FactorLog() as log:
+            got = psd_project(M, (C, c)).matrix
+        plain = psd_project(M).matrix
+        sym = 0.5 * (M + M.T)
+        tau = d * np.finfo(np.float64).eps * np.linalg.norm(sym)
+        bound = metric._span_shift(C, d, tau)
+        accepted = log.calls[:1] == [("cholesky", r, True)]
+        exact_min = scale * np.append(b + w, b).min()
+        if accepted:
+            assert got.tobytes() == sym.tobytes()
+            assert np.linalg.eigvalsh(got)[0] >= -bound
+            assert len(log.calls) == 1
+        else:
+            assert got.tobytes() == plain.tobytes()
+        if exact_min < -1e3 * bound:
+            assert not accepted
+            assert ("eigh", d, True) in log.calls
+        if exact_min > 1e3 * bound:
+            assert accepted
+
+    def test_identity_anchored_stage_factors_nothing_larger_than_r(self):
+        # m = 30 latents at d = 300: the SGD runs in the 29-dimensional
+        # span of their differences, and so does the terminal certificate
+        rng = np.random.default_rng(41)
+        model = make_latent_model(rng.normal(size=(30, 300)) / np.sqrt(300), [10, 10, 10],
+                                  margins=rng.uniform(0.0, 1.0, size=30))
+        cfg = TrainConfig(inner_iters=200, lam=10.0, delta=100.0)
+        assert metric._difference_basis(model.latents, cfg.inner_iters) is not None
+        with FactorLog() as log:
+            got, counts = run_metric_stage(model, Metric.identity(300), cfg)
+        assert counts["active_set_size"] > 0 and counts["active_steps"] > 0
+        assert log.calls == [("cholesky", 29, True)]
+        assert got.min_eigenvalue() > 0.0
 
 
 class TestAlphaSuffixAverage:

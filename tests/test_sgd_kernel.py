@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from mapml import Metric, core, metric
 from mapml.metric import SGD_BLOCK, proximal_hinge_sgd
 
-from conftest import (alpha_suffix_average, frobenius_project, hinge_subgradient,
-                      make_latent_model, random_psd)
+from conftest import (MatmulCounter, alpha_suffix_average, frobenius_project,
+                      hinge_subgradient, make_latent_model, random_psd)
 
 RTOL = 1e-9
 
@@ -43,7 +43,7 @@ def assert_matches_oracle(points, triplets, margins, M_prev, lam, delta):
     want = oracle_sgd(points, triplets, margins, M_prev, lam, delta)
     rel = np.linalg.norm(out[0] - want) / np.linalg.norm(want)
     assert rel <= RTOL, rel
-    return out
+    return out[:3]
 
 
 def instance(seed, n, d, S, margin_lo=0.0, margin_hi=0.5, prev_norm=1.0):
@@ -128,24 +128,8 @@ class TestIdentityAnchor:
         with mock.patch.object(core, "is_identity", lambda matrix: False):
             generic = proximal_hinge_sgd(*args)
         np.testing.assert_array_equal(fast[0], generic[0])
-        assert fast[1:] == generic[1:]
+        assert fast[1:3] == generic[1:3]
         assert fast[1] > 0
-
-
-class MatmulCounter(np.ndarray):
-    """An array that counts the ``np.matmul`` calls it takes part in.
-
-    Every result is a plain ndarray, so only products with this very
-    matrix are counted, not products with arrays made from it.
-    """
-
-    matmuls = 0
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul:
-            MatmulCounter.matmuls += 1
-        plain = tuple(np.asarray(x) if isinstance(x, MatmulCounter) else x for x in inputs)
-        return getattr(ufunc, method)(*plain, **kwargs)
 
 
 class TestAnchorProducts:
@@ -235,7 +219,7 @@ class TestDifferenceSpan:
             full = proximal_hinge_sgd(*args)
         rel = np.linalg.norm(reduced[0] - full[0]) / np.linalg.norm(full[0])
         assert rel <= 1e-12, rel
-        assert reduced[1:] == full[1:]
+        assert reduced[1:3] == full[1:3]
         assert full[1] > 0
 
 
