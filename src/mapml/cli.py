@@ -42,7 +42,8 @@ def _load_dataset(args, prefix="") -> Dataset:
     if images is not None:
         labels = get("idx-labels")
         if labels is None:
-            raise ValueError("IDX input needs both --idx-images and --idx-labels")
+            raise ValueError(f"IDX input needs both --{prefix}idx-images "
+                             f"and --{prefix}idx-labels")
         return load_idx(resolve_path(images), resolve_path(labels))
     data = get("data")
     if data is None:
@@ -142,11 +143,10 @@ def _score(refs, metric, latents, label_names, train, test, k):
 
 
 def cmd_eval(args, parser) -> int:
-    if args.test is None and args.test_idx_images is None:
+    if args.test_data is None and args.test_idx_images is None:
         parser.error("a test set is required (--test or --test-idx-images)")
     model = load_model(resolve_path(args.model))
-    test = _load_dataset(args, prefix="test-") if args.test_idx_images \
-        else load_csv(resolve_path(args.test), args.label_column)
+    test = _load_dataset(args, "test-")
     # latent label codes are named by the model; example codes by the data
     names = model.label_names if args.refs == "latent" else None
     train = None
@@ -226,8 +226,7 @@ def _sweep_inputs(args, parser):
     if args.trials < 1:
         parser.error(f"--trials must be >= 1, got {args.trials}")
     train_data = _load_dataset(args)
-    test = load_csv(resolve_path(args.test), args.label_column) if args.test \
-        else train_data
+    test = _load_dataset(args, "test-") if args.test_data else train_data
     return methods, train_data, test, _trial_seeds(args.seed, args.trials)
 
 
@@ -321,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="kNN error rate of a trained model")
     p.add_argument("--model", required=True)
-    p.add_argument("--test", help="test data CSV")
+    p.add_argument("--test", dest="test_data", help="test data CSV")
     p.add_argument("--test-idx-images")
     p.add_argument("--test-idx-labels")
     _add_data_flags(p)
@@ -342,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="compare methods over seeded trials")
     _add_data_flags(p)
     _add_train_flags(p)
-    p.add_argument("--test", help="held-out test CSV (defaults to the training data)")
+    p.add_argument("--test", dest="test_data",
+                   help="held-out test CSV (defaults to the training data)")
     p.add_argument("--methods", default="euclid,mapml,mapml-o",
                    help="comma list of: " + ", ".join(KNOWN_METHODS))
     p.add_argument("--trials", type=int, default=5)
@@ -355,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("noise-sweep", help="robustness to training noise")
     _add_data_flags(p)
     _add_train_flags(p)
-    p.add_argument("--test", help="clean test CSV (defaults to the training data)")
+    p.add_argument("--test", dest="test_data",
+                   help="clean test CSV (defaults to the training data)")
     p.add_argument("--sigmas", default="50/255,100/255,150/255,200/255,250/255",
                    help="comma list; fractions like 50/255 are accepted")
     p.add_argument("--methods", default="mapml,random-triplet")

@@ -8,6 +8,7 @@ sidecar.
 
 import gzip
 import json
+import numbers
 import re
 import struct
 import zlib
@@ -162,11 +163,18 @@ class SyntheticSpec:
     true_latents: np.ndarray = None
 
     def __post_init__(self):
+        for name in ("n_classes", "latents_per_class", "dim", "samples_per_latent", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_classes < 1 or self.latents_per_class < 1 or self.dim < 1 \
                 or self.samples_per_latent < 1:
             raise ValueError("all synthetic counts must be >= 1")
-        if not self.noise_sigma >= 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        sigma = self.noise_sigma
+        # written so that NaN fails it
+        if not isinstance(sigma, numbers.Real) or isinstance(sigma, bool) \
+                or not 0 <= sigma < np.inf:
+            raise ValueError(f"noise_sigma must be >= 0 and finite, got {sigma!r}")
 
 
 def generate_synthetic(spec: SyntheticSpec):

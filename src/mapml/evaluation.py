@@ -44,16 +44,17 @@ BLOCK_SCORES = 2 ** 18
 MIN_BLOCK_ROWS = 128
 
 
-def _check_refs(refs_features, refs_labels, metric: Metric, k: int):
-    """References, vote codes and classes, validated against the metric and k.
+def _references(refs_features, refs_labels, metric: Metric, k: int):
+    """R M, the quadratic forms r^T M r and the labels: what ranking needs of the refs.
 
-    ``k`` must be an integer (a numpy integer will do, a bool will not).
-
-    The vote is sized by the largest code: labels reaching the reference
-    count are coded 0..C-1, with ``classes[code]`` the label; smaller ones
-    are their own codes, ``classes`` None, and need no ``np.unique``.
-    Non-finite references are refused by ``_index``, from the n_refs
-    quadratic forms rather than an n_refs x d scan.
+    Labels must be integer-valued, one per reference, and non-negative:
+    ``evaluate`` marks a test row whose label the references lack with
+    target -1, so a reference labelled -1 would score that row as correct.
+    ``k`` must be an integer in [1, n_refs] (a numpy integer will do, a
+    bool will not). A reference with a non-finite entry has a non-finite
+    form (each of its terms is inf or NaN), so checking the n_refs forms
+    refuses it, and a form that overflows, without an n_refs x d scan.
+    Each fault raises ``ValueError``.
     """
     refs_features = np.asarray(refs_features, dtype=np.float64)
     refs_labels = np.asarray(refs_labels)
@@ -76,48 +77,37 @@ def _check_refs(refs_features, refs_labels, metric: Metric, k: int):
         raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= refs_features.shape[0]:
         raise ValueError(f"k must be in [1, {refs_features.shape[0]}], got {k}")
-    classes = None
-    # codes below n_refs keep a block's vote counts no larger than its
-    # scores: max(2 MiB, MIN_BLOCK_ROWS x n_refs x 8 bytes)
-    if refs_labels.max() >= refs_labels.shape[0]:
-        classes, refs_labels = np.unique(refs_labels, return_inverse=True)
-    return refs_features, refs_labels, classes
-
-
-def _index(refs, metric: Metric):
-    """R M and the reference quadratic forms r^T M r: what ranking needs of the refs.
-
-    A reference with a non-finite entry has a non-finite form (each of its
-    terms is inf or NaN), so checking the n_refs forms refuses it, and a
-    form that overflows, with ``ValueError``.
-    """
-    RM = refs @ metric.matrix
-    rq = np.einsum("ij,ij->i", RM, refs)
+    RM = refs_features @ metric.matrix
+    rq = np.einsum("ij,ij->i", RM, refs_features)
     if not np.isfinite(rq).all():
         bad = int(np.flatnonzero(~np.isfinite(rq))[0])
         raise ValueError(f"reference {bad} has a non-finite entry or its "
                          "quadratic form r^T M r overflows")
-    return RM, rq
+    return RM, rq, refs_labels
 
 
-def _knn_labels(X, index, labels, k: int) -> np.ndarray:
-    """k-nearest-neighbor vote for each row of X against an ``_index``.
+def _knn_labels(X, refs, k: int) -> np.ndarray:
+    """k-nearest-neighbor vote for each row of X against ``_references``.
 
     Row x ranks reference r by r^T M r - 2 x^T M r, which differs from the
     squared distance by x^T M x alone. Selection is k passes over the
     scores, each taking every row's ``argmin`` and then setting it to inf:
     O(k * n_refs) per row. ``argmin`` returns the first of equal minima, so
     the picks come in ascending (score, reference index) order and equal
-    scores go to the smaller reference index by construction. A vote tie
-    goes to the tied class whose nearest member ranks first. Against a
+    scores go to the smaller reference index by construction. Against a
     partial selection (``argpartition``, in-process, 500 and 10k
     references at d = 64) this was faster up to k = 10 and slower at
     k = 25, or from k = 15 against the 10k references.
 
+    The vote compares each row's k picked labels with one another, one
+    column per pass: O(k) memory and O(k^2) time per row, under the
+    selection's, whatever the label values. A vote tie goes to the tied
+    label whose nearest member ranks first.
+
     A non-finite picked score (NaN is picked first; +inf could pick a
     reference twice) raises ``ValueError``.
     """
-    RM, rq = index
+    RM, rq, labels = refs
     S = (-2.0 * X) @ RM.T  # scaling X by -2 is exact, and cheaper than scaling S
     S += rq
     rows = np.arange(S.shape[0])
@@ -130,29 +120,27 @@ def _knn_labels(X, index, labels, k: int) -> np.ndarray:
     if not np.isfinite(picked).all():
         raise ValueError("a query's scores against its nearest references overflow")
     L = labels[top]
-    C = int(L.max()) + 1
-    counts = np.bincount((rows[:, None] * C + L).ravel(),
-                         minlength=S.shape[0] * C).reshape(-1, C)
-    wins = counts[rows[:, None], L] == counts.max(axis=1, keepdims=True)
-    return L[rows, wins.argmax(axis=1)]
+    votes = np.zeros(L.shape, dtype=np.intp)  # votes[:, a]: picks labelled L[:, a]
+    for j in range(k):
+        votes += L == L[:, j:j + 1]
+    return L[rows, (votes == votes.max(axis=1, keepdims=True)).argmax(axis=1)]
 
 
 def knn_predict(query, refs_features, refs_labels, metric: Metric, k: int) -> int:
     """Label of ``query`` by k-nearest-neighbor vote among the references.
 
     Equal distances go to the smaller reference index; equal votes go to
-    the tied class whose nearest member is closest. A label with a
-    non-integer value, a non-integer ``k``, a non-finite query or a
-    non-finite reference raises ``ValueError``.
+    the tied label whose nearest member is closest. A label with a
+    negative or non-integer value, a non-integer ``k``, a non-finite query
+    or a non-finite reference raises ``ValueError``.
     """
-    refs_features, codes, classes = _check_refs(refs_features, refs_labels, metric, k)
+    refs = _references(refs_features, refs_labels, metric, k)
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (metric.dim,):
         raise ValueError(f"query must have shape ({metric.dim},), got {query.shape}")
     if not np.isfinite(query).all():
         raise ValueError("query contains non-finite entries")
-    code = _knn_labels(query[None, :], _index(refs_features, metric), codes, k)[0]
-    return int(code if classes is None else classes[code])
+    return int(_knn_labels(query[None, :], refs, k)[0])
 
 
 def evaluate(test: Dataset, refs_features, refs_labels, metric: Metric,
@@ -160,12 +148,12 @@ def evaluate(test: Dataset, refs_features, refs_labels, metric: Metric,
              refs_label_names=None) -> EvalReport:
     """Error rate of kNN classification over a whole test set.
 
-    The index (R M and the reference quadratic forms) is built once up
-    front and is not timed. The test rows are then ranked in blocks of
-    ``max(MIN_BLOCK_ROWS, BLOCK_SCORES // n_refs)`` rows, one matrix
-    product per block, and the k nearest of each row are picked by k
-    ``argmin`` passes over the block's scores, with the same tie rules as
-    ``knn_predict``; each query costs O(n_refs * (d + k)). The row floor
+    ``_references`` (R M, the reference quadratic forms and the labels)
+    is built once up front and is not timed. The test rows are then ranked
+    in blocks of ``max(MIN_BLOCK_ROWS, BLOCK_SCORES // n_refs)`` rows, one
+    matrix product per block, and the k nearest of each row are picked by
+    k ``argmin`` passes over the block's scores, with the same tie rules
+    as ``knn_predict``; each query costs O(n_refs * (d + k)). The row floor
     exists because each product repacks the whole reference panel, which
     a short block cannot amortise; it bounds a block's scores by
     max(2 MiB, MIN_BLOCK_ROWS x n_refs x 8 bytes), 10 MB at 10k
@@ -183,7 +171,8 @@ def evaluate(test: Dataset, refs_features, refs_labels, metric: Metric,
     and strictly increasing, or fewer than the largest reference label
     + 1, raise ``ValueError``.
     """
-    refs_features, codes, classes = _check_refs(refs_features, refs_labels, metric, k)
+    refs = _references(refs_features, refs_labels, metric, k)
+    labels = refs[2]
     if test.n < 1:
         raise ValueError("test set is empty")
     if test.d != metric.dim:
@@ -192,20 +181,17 @@ def evaluate(test: Dataset, refs_features, refs_labels, metric: Metric,
     if refs_label_names is None:
         targets = test.labels
     else:
-        top = codes.max() if classes is None else classes[-1]
-        names = check_label_names(refs_label_names, top + 1, "refs_label_names")
+        names = check_label_names(refs_label_names, int(labels.max()) + 1,
+                                 "refs_label_names")
         values = test.label_names[test.labels]
         pos = np.clip(np.searchsorted(names, values), 0, len(names) - 1)
         targets = np.where(names[pos] == values, pos, -1)
-    index = _index(refs_features, metric)
-    block = max(MIN_BLOCK_ROWS, BLOCK_SCORES // refs_features.shape[0])
+    block = max(MIN_BLOCK_ROWS, BLOCK_SCORES // len(labels))
     errors = 0
     block_times = []
     for lo in range(0, test.n, block):
         t0 = time.perf_counter()
-        pred = _knn_labels(test.features[lo:lo + block], index, codes, k)
-        if classes is not None:
-            pred = classes[pred]
+        pred = _knn_labels(test.features[lo:lo + block], refs, k)
         block_times.append(time.perf_counter() - t0)
         errors += int(np.count_nonzero(pred != targets[lo:lo + block]))
     sizes = np.minimum(block, test.n - np.arange(0, test.n, block))

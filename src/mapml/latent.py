@@ -18,7 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset, Metric, TrainConfig, is_identity
+from . import core
+from .core import Dataset, Metric, TrainConfig
 
 # Assignment ties: squared distances within this absolute tolerance of the
 # row's minimum go to the smaller latent index.
@@ -228,7 +229,7 @@ def _assign_with_margins(model: LatentModel, blocks: _ClassBlocks) -> LatentMode
 def _metric_or_none(metric: Metric):
     """``metric.matrix``, or None when it is exactly I: then X I is X, bit for bit."""
     M = metric.matrix
-    return None if is_identity(M) else M
+    return None if core.is_identity(M) else M
 
 
 def update_latents(data: Dataset, model: LatentModel, z_prev: np.ndarray,

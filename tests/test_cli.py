@@ -47,6 +47,13 @@ class TestSynth:
         assert capsys.readouterr().err.startswith("error: noise_sigma must be >= 0")
         assert not out.exists()
 
+    def test_infinite_sigma_clean_error(self, tmp_path, capsys):
+        # refused by the spec, which names the field
+        rc = main(["synth", "--sigma", "inf", "--out", str(tmp_path / "d.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: noise_sigma must be >= 0 and finite, got inf\n"
+
 
 class TestTrain:
     def test_happy_path(self, tmp_path, synth_csv, capsys):
@@ -191,6 +198,17 @@ class TestEval:
             main(["eval", "--model", model_path, "--test", synth_csv,
                   "--refs", "original"])
         assert exc.value.code == 2
+
+    def test_test_idx_images_without_labels_names_test_flags(self, tmp_path, synth_csv,
+                                                             capsys):
+        model_path = str(tmp_path / "model.mapml")
+        main(["train", "--data", synth_csv, "--outer-iters", "1",
+              "--inner-iters", "200", "--out", model_path])
+        rc = main(["eval", "--model", model_path, "--test-idx-images",
+                   str(tmp_path / "imgs")])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: IDX input needs both --test-idx-images and --test-idx-labels\n"
 
 
     def test_latent_refs_take_label_names_from_model(self, tmp_path, capsys):

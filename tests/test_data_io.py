@@ -236,6 +236,21 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
             SyntheticSpec(noise_sigma=float("nan"))
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_classes", 2.5), ("dim", 2.0), ("samples_per_latent", np.float64(3)),
+        ("seed", 1.5), ("latents_per_class", True),
+        ("noise_sigma", np.inf), ("noise_sigma", True), ("noise_sigma", "0.1")])
+    def test_rejects_mistyped_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SyntheticSpec(**{field: value})
+
+    def test_numpy_scalars_accepted(self):
+        spec = SyntheticSpec(n_classes=np.int64(2), latents_per_class=np.uint8(1),
+                             dim=np.int32(3), noise_sigma=np.float32(0.1),
+                             samples_per_latent=np.int64(4), seed=np.uint32(3))
+        data, _ = generate_synthetic(spec)
+        assert (data.n, data.d, data.n_classes) == (8, 3, 2)
+
 
 def small_result(rng):
     z = rng.normal(size=(3, 2))

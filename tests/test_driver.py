@@ -7,6 +7,7 @@ import pytest
 from mapml import Dataset, Metric, SyntheticSpec, TrainConfig, compute_margins, driver, \
     evaluate, full_loss_all, generate_synthetic, init_latents, run_latent_stage, \
     run_metric_stage, train_mapml, train_random_triplet_baseline
+from mapml import core
 from mapml import metric as metric_module
 
 from conftest import assign_membership, make_blobs, random_instance
@@ -193,6 +194,29 @@ class TestFewLatentsWideData:
         np.testing.assert_array_equal(first.loss_trace, second.loss_trace)
         np.testing.assert_array_equal(first.metric.matrix, second.metric.matrix)
         np.testing.assert_array_equal(first.latent_model.latents, second.latent_model.latents)
+
+
+class TestIdentityShortcuts:
+    # d = 300, m = 30 runs the SGD in the difference basis; d = 16, m = 100 in d-space
+    @pytest.mark.parametrize("n_classes, latents_per_class, dim", [(3, 10, 300), (4, 25, 16)])
+    def test_train_equals_a_run_without_them(self, n_classes, latents_per_class, dim):
+        """Every shortcut taken at an exact identity (core's distance matrix,
+        latent's sweeps, the SGD kernel and its r x r certificate) reads
+        ``core.is_identity``; switched off there, a run gives equal outputs."""
+        data, _ = generate_synthetic(SyntheticSpec(
+            n_classes=n_classes, latents_per_class=latents_per_class, dim=dim,
+            noise_sigma=0.5, samples_per_latent=10, seed=5))
+        cfg = TrainConfig(tau=10.0, outer_iters=2, inner_iters=400, lam=1.0, delta=20.0,
+                          rng_seed=1)
+        fast = train_mapml(data, cfg)
+        with mock.patch.object(core, "is_identity", lambda matrix: False):
+            slow = train_mapml(data, cfg)
+        assert fast.latent_model.m == n_classes * latents_per_class
+        for name in ("latents", "membership", "cluster_margins"):
+            np.testing.assert_array_equal(getattr(fast.latent_model, name),
+                                          getattr(slow.latent_model, name))
+        np.testing.assert_array_equal(fast.metric.matrix, slow.metric.matrix)
+        np.testing.assert_array_equal(fast.loss_trace, slow.loss_trace)
 
 
 class TestRandomTripletBaseline:

@@ -129,8 +129,8 @@ class TestEvaluate:
                      refs_label_names=names)
 
     def test_refs_label_names_cover_coded_labels(self):
-        # labels reaching the reference count are coded; the names must
-        # still reach the largest label value
+        # labels beyond the reference count: the names must still reach
+        # the largest label value
         test = Dataset([[9.9]], [5])
         refs, labels = [[0.0], [10.0]], [0, 3]
         with pytest.raises(ValueError, match="refs_label_names has 3 entries"):
@@ -185,12 +185,14 @@ class TestEvaluate:
 def agrees_row_by_row(queries, want, refs, labels, metric, k):
     """True when ``evaluate`` predicts ``want[i]`` for every row i.
 
-    The test set is labelled with ``want``; ``refs_label_names`` maps each
-    raw reference label to itself, so any disagreement counts as an error.
+    The test set is labelled with ``want``; the references carry their
+    labels' positions among the distinct values, which ``refs_label_names``
+    names, so any disagreement counts as an error. (Naming the raw values
+    instead would take max(labels) + 1 names.)
     """
     test = Dataset(queries, want)
-    report = evaluate(test, refs, labels, metric, k=k,
-                      refs_label_names=np.arange(max(labels) + 1))
+    names, codes = np.unique(labels, return_inverse=True)
+    report = evaluate(test, refs, codes, metric, k=k, refs_label_names=names)
     return report.error_rate == 0.0
 
 
@@ -232,7 +234,9 @@ class TestTieRules:
         refs = np.array(data.draw(st.lists(coords, min_size=n * d, max_size=n * d)))
         queries = np.array(data.draw(st.lists(coords, min_size=q * d, max_size=q * d)))
         refs, queries = refs.reshape(n, d), queries.reshape(q, d)
-        labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        # values at and beyond n: the vote compares labels, never indexes by them
+        labels = data.draw(st.lists(st.sampled_from([0, 1, 7, 2 ** 40]),
+                                    min_size=n, max_size=n))
         # the identity, or a diagonal in {1, 2, 3}: scores stay exact integers
         diag = data.draw(st.one_of(st.just([1] * d),
                                    st.lists(st.integers(1, 3), min_size=d, max_size=d)))
@@ -344,6 +348,16 @@ class TestReferenceValidation:
         with pytest.raises(ValueError, match="integer"):
             evaluate(Dataset([[0.0]], [0]), refs, labels, Metric.identity(1), k=1)
 
+    def test_negative_labels(self):
+        # the test label 7 is not among the names, so its target is -1: the
+        # nearest reference, labelled -1, would score it as correct
+        refs = [[1.0], [2.0]]
+        with pytest.raises(ValueError, match="non-negative"):
+            knn_predict([0.0], refs, [0, -1], Metric.identity(1), k=1)
+        with pytest.raises(ValueError, match="non-negative"):
+            evaluate(Dataset([[2.1]], [7]), refs, [0, -1], Metric.identity(1), k=1,
+                     refs_label_names=[0, 1])
+
     def test_integral_float_labels_accepted(self):
         refs = [[1.0], [2.0]]
         assert knn_predict([2.1], refs, [0.0, 1.0], Metric.identity(1), k=1) == 1
@@ -352,7 +366,7 @@ class TestReferenceValidation:
         assert rep.error_rate == 0.0
 
     def test_label_values_beyond_reference_count(self):
-        # the vote is sized by the coded labels, not by the largest value
+        # the vote compares labels, so its memory does not grow with their value
         refs = [[0.0], [1.0]]
         test = Dataset([[0.1], [0.9]], [0, 1])
         preds = [knn_predict(x, refs, [0, 2 ** 62], Metric.identity(1), k=1)
