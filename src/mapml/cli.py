@@ -104,6 +104,9 @@ def _require_data(args, parser):
 
 def cmd_train(args, parser) -> int:
     _require_data(args, parser)
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):
+        raise ValueError(f"output directory {out_dir!r} does not exist")
     data = _load_dataset(args)
     cfg = _config_from_args(args)
     def sink(rec):

@@ -6,6 +6,7 @@ double precision; there is no single-precision fast path.
 """
 
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -204,6 +205,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            # a Python int: numpy integers would reach the JSON sidecar
+            setattr(self, name, operator.index(value))
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.outer_iters < 0:
@@ -249,9 +252,11 @@ def pairwise_mahalanobis_sq(metric: Metric, A) -> np.ndarray:
 class HingeBlock(NamedTuple):
     """One class's slice of the latent-triplet hinge, rows sorted for search.
 
-    same         (m_r,) latent indices of the class; row i is anchor same[i]
-    diff         (n,) latent indices of every other class, ascending
-    b_sorted     (m_r, n) E[o, diff], each row sorted ascending
+    lo, hi       the class's latents are rows lo:hi of E; row i is anchor
+                 lo + i, and the other classes' latents are every index
+                 outside lo:hi
+    b_sorted     (m_r, m - m_r) :func:`other_class_columns` of E, each row
+                 sorted ascending
     thresholds   (m_r, m_r - 1) t_p = (1 + margin(o)) + E[o, p] for each
                  anchor's same-class partners p != o, in the order of
                  :func:`partner_columns`
@@ -261,8 +266,8 @@ class HingeBlock(NamedTuple):
                  sums these hinges and the active set keeps these triplets.
     """
 
-    same: np.ndarray
-    diff: np.ndarray
+    lo: int
+    hi: int
     b_sorted: np.ndarray
     thresholds: np.ndarray
     below: np.ndarray
@@ -303,28 +308,23 @@ def other_class_columns(E: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.concatenate((E[lo:hi, :lo], E[lo:hi, hi:]), axis=1)
 
 
-def hinge_blocks(E: np.ndarray, labels, margins):
+def hinge_blocks(E: np.ndarray, counts, margins):
     """Yield a :class:`HingeBlock` per class, one class at a time.
 
-    ``E`` is the pairwise latent distance matrix and ``labels`` the class
-    of each latent, grouped into ascending contiguous runs as
-    ``LatentModel.latent_labels`` holds them; other labels raise
-    ``ValueError``. A class's rows are the slice E[lo:hi], so its block
-    needs no gather beyond one copy of its other-class columns. Classes
-    with fewer than two latents or no other class contribute no triplet
-    and are skipped.
+    ``E`` is the pairwise latent distance matrix and ``counts`` the number
+    of latents of each class, whose rows are grouped in label order as
+    ``LatentModel.per_class_counts`` counts them. A class's rows are the
+    slice E[lo:hi], so its block needs no gather beyond one copy of its
+    other-class columns. Classes with fewer than two latents or no other
+    class contribute no triplet and are skipped.
 
     Each anchor sorts its other-class distances once, and every
     same-class partner's hinge boundary comes from :func:`count_below`, so
     a block costs O(m_r m log m) time and O(m_r m) memory.
     """
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or (labels[1:] < labels[:-1]).any():
-        raise ValueError("labels must be 1-D and grouped into ascending contiguous runs")
-    m = labels.size
-    cuts = np.flatnonzero(labels[1:] != labels[:-1]) + 1
-    for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), m]):
-        if 2 <= hi - lo < m:
+    ends = np.cumsum(counts).tolist()
+    for lo, hi in zip([0, *ends[:-1]], ends):
+        if 2 <= hi - lo < E.shape[0]:
             yield _hinge_block(E, lo, hi, margins)
 
 
@@ -334,8 +334,7 @@ def _hinge_block(E, lo, hi, margins) -> HingeBlock:
         E[lo:hi, lo:hi], partner_columns(hi - lo), axis=1)
     b = other_class_columns(E, lo, hi)
     b.sort(axis=1)
-    diff = np.concatenate((np.arange(lo), np.arange(hi, E.shape[0])))
-    return HingeBlock(np.arange(lo, hi), diff, b, thresholds, count_below(b, thresholds))
+    return HingeBlock(lo, hi, b, thresholds, count_below(b, thresholds))
 
 
 def decode_ranks(blk: HingeBlock, order: np.ndarray, ranks):
@@ -356,10 +355,11 @@ def decode_ranks(blk: HingeBlock, order: np.ndarray, ranks):
     ends = np.cumsum(counts)
     pair = np.searchsorted(ends, ranks, side="right")
     j = ranks - (ends[pair] - counts[pair])
-    i, pp = np.divmod(pair, blk.same.size - 1)
-    p = blk.same[partner_columns(blk.same.size)[i, pp]]
-    q = blk.diff[order[i, j]]
-    return blk.same[i], p, q
+    m_r = blk.hi - blk.lo
+    i, pp = np.divmod(pair, m_r - 1)
+    # column c of the other-class columns is latent c below lo, c + m_r above
+    c = order[i, j]
+    return blk.lo + i, blk.lo + partner_columns(m_r)[i, pp], c + (c >= blk.lo) * m_r
 
 
 def full_loss_all(metric: Metric, latent_model) -> float:
@@ -377,7 +377,7 @@ def full_loss_all(metric: Metric, latent_model) -> float:
         return float("nan")
     total = 0.0
     # each block lives only inside _hinge_sum, so the scan holds E plus one block
-    for hinge in map(_hinge_sum, hinge_blocks(E, latent_model.latent_labels,
+    for hinge in map(_hinge_sum, hinge_blocks(E, latent_model.per_class_counts,
                                               latent_model.cluster_margins)):
         total += hinge
     return total

@@ -9,6 +9,7 @@ sidecar.
 import gzip
 import json
 import numbers
+import operator
 import re
 import struct
 import zlib
@@ -167,6 +168,8 @@ class SyntheticSpec:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            # a Python int: products of narrow numpy integers overflow
+            setattr(self, name, operator.index(value))
         if self.n_classes < 1 or self.latents_per_class < 1 or self.dim < 1 \
                 or self.samples_per_latent < 1:
             raise ValueError("all synthetic counts must be >= 1")

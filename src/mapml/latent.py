@@ -124,7 +124,7 @@ def _rows(A: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """A[idx] for ascending ``idx``, as a view when the rows are one contiguous run.
 
     Data sorted by class, as ``generate_synthetic`` writes it, then needs no
-    n x d copy per stage or per update.
+    n x d copy per stage.
     """
     if idx.size and idx[-1] - idx[0] + 1 == idx.size:
         return A[idx[0]:idx[-1] + 1]
@@ -232,8 +232,8 @@ def _metric_or_none(metric: Metric):
     return None if core.is_identity(M) else M
 
 
-def update_latents(data: Dataset, model: LatentModel, z_prev: np.ndarray,
-                   gamma: float, *, _blocks: _ClassBlocks = None) -> LatentModel:
+def update_latents(blocks: _ClassBlocks, model: LatentModel, z_prev: np.ndarray,
+                   gamma: float) -> LatentModel:
     """Closed-form latent update with memberships held fixed.
 
     Each latent moves to (sum of members + gamma * previous-outer-iterate
@@ -241,14 +241,11 @@ def update_latents(data: Dataset, model: LatentModel, z_prev: np.ndarray,
     previous outer iteration, not the previous sweep. An empty cluster
     with gamma = 0 keeps its anchor row.
 
-    Member sums take one m_r x n_r one-hot product per latent class, a
-    fixed summation order for a fixed input: O(n*m_r*d) in all. The rows
-    of latent class r are those whose latent is in class r: one scan of
-    the membership finds them, and they are gathered from ``data``. A
-    latent stage passes its :func:`_class_blocks` as ``_blocks`` instead:
-    there every row's latent is of the row's own class, so class r's rows
-    are the ones the blocks already hold, and a sweep makes no scan and
-    no n x d gather.
+    ``blocks`` is the stage's :func:`_class_blocks`, and every row's
+    latent must be of the row's own class, as :func:`_assign` makes it:
+    then class r's members are the rows the blocks hold for class r. Member
+    sums take one m_r x n_r one-hot product per class, a fixed summation
+    order for a fixed input: O(n*m_r*d) in all, with no n x d gather.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
@@ -257,18 +254,11 @@ def update_latents(data: Dataset, model: LatentModel, z_prev: np.ndarray,
         raise ValueError(f"z_prev shape {z_prev.shape} != latents shape {model.latents.shape}")
     m = model.m
     counts = np.bincount(model.membership, minlength=m).astype(np.float64)
-    sums = np.zeros((m, data.d))
-    if _blocks is None:
-        owner = model.latent_labels[model.membership]  # class of each row's latent
-        members = (np.flatnonzero(owner == r) for r in range(model.per_class_counts.size))
-        classes = ((rows, _rows(data.features, rows)) for rows in members)
-    else:
-        classes = (blk[:2] for blk in _blocks.rows)
+    sums = np.zeros((m, model.d))
     lo = 0
-    for (rows, X_r), m_r in zip(classes, model.per_class_counts):
-        if rows.size:
-            onehot = np.arange(lo, lo + m_r)[:, None] == model.membership[rows]
-            sums[lo:lo + m_r] = onehot.astype(np.float64) @ X_r
+    for (idx, X_r, _, _), m_r in zip(blocks.rows, model.per_class_counts):
+        onehot = np.arange(lo, lo + m_r)[:, None] == model.membership[idx]
+        sums[lo:lo + m_r] = onehot.astype(np.float64) @ X_r
         lo += m_r
     denom = counts + gamma
     z_new = np.where((denom > 0)[:, None],
@@ -352,7 +342,7 @@ def run_latent_stage(data: Dataset, prev: LatentModel, metric: Metric,
     for _ in range(cfg.latent_em_iters):
         if membership is None:
             membership, _ = _assign(model, blocks)
-        model = update_latents(data, model.replace(membership=membership), z_anchor,
-                               cfg.gamma, _blocks=blocks)
+        model = update_latents(blocks, model.replace(membership=membership), z_anchor,
+                               cfg.gamma)
         membership = None
     return _assign_with_margins(model, blocks)

@@ -97,7 +97,7 @@ def build_active_set(model: LatentModel, metric_prev: Metric, cap: int, seed: in
     # keep what decode_ranks reads: the sorted rows of every block would
     # hold a second E
     blocks = [blk._replace(b_sorted=None, thresholds=None) for blk in
-              core.hinge_blocks(E, model.latent_labels, model.cluster_margins)]
+              core.hinge_blocks(E, model.per_class_counts, model.cluster_margins)]
     total = sum(int(blk.below.sum()) for blk in blocks)
     if total == 0:
         return np.empty((0, 3), dtype=np.int64)
@@ -113,7 +113,7 @@ def build_active_set(model: LatentModel, metric_prev: Metric, cap: int, seed: in
             # the block's rows re-formed from E; their argsort is gone before
             # the next block's is made
             o, p, q = core.decode_ranks(blk, np.argsort(core.other_class_columns(
-                E, blk.same[0], blk.same[-1] + 1), axis=1), ranks[lo:hi] - base)
+                E, blk.lo, blk.hi), axis=1), ranks[lo:hi] - base)
             keys.append((o * m + p) * m + q)
         base += size
     # one int64 key per row sorts the rows into ascending (o, p, q)
@@ -363,7 +363,7 @@ def proximal_hinge_sgd(points: np.ndarray, step_triplets: np.ndarray,
 
 
 def run_metric_stage(model: LatentModel, metric_prev: Metric, cfg: TrainConfig,
-                     seed=None):
+                     seed: int):
     """One metric stage: active-set SGD, suffix average, terminal PSD projection.
 
     Samples uniformly with replacement from the active set built under
@@ -372,10 +372,9 @@ def run_metric_stage(model: LatentModel, metric_prev: Metric, cfg: TrainConfig,
     Returns ``(metric, counts)``; ``counts`` holds ``active_set_size``,
     ``active_set_seconds`` (build time) and the SGD's ``active_steps`` and
     ``ball_clips``, both 0 when SGD does not run.
-    Identical seeds give bitwise-identical outputs.
+    ``seed`` drives the active-set sample and the SGD draws; identical
+    seeds give bitwise-identical outputs.
     """
-    if seed is None:
-        seed = cfg.rng_seed
     s_build, s_sgd = np.random.SeedSequence(seed).spawn(2)
     t0 = time.perf_counter()
     triplets = build_active_set(model, metric_prev, cfg.active_set_cap,

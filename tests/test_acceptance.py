@@ -17,11 +17,11 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import mapml.cli
-from mapml import (Dataset, Metric, SyntheticSpec, TrainConfig,
-                   build_active_set, evaluate, full_loss_all,
-                   generate_synthetic, metric, psd_project, train_mapml,
-                   train_random_triplet_baseline, update_latents)
-from mapml.metric import proximal_hinge_sgd
+from mapml import (Dataset, Metric, SyntheticSpec, TrainConfig, evaluate,
+                   generate_synthetic, latent, metric, train_mapml,
+                   train_random_triplet_baseline)
+from mapml.core import full_loss_all
+from mapml.metric import build_active_set, proximal_hinge_sgd, psd_project
 
 from conftest import (build_desk_surrogate, make_latent_model,
                       oracle_active_triplets, oracle_full_loss,
@@ -111,7 +111,8 @@ class TestCriterion2LatentOptimality:
                 M = A @ A.T / d + 0.3 * np.eye(d)
                 data = Dataset(X, np.zeros(n))
                 model = make_latent_model(z_prev.copy(), [m], membership=membership)
-                got = update_latents(data, model, z_prev, gamma=gamma)
+                got = latent.update_latents(latent._class_blocks(data, None), model,
+                                            z_prev, gamma=gamma)
                 want = numerical_latent_minimizer(X, membership, M, z_prev, gamma)
                 assert np.abs(got.latents - want).max() <= 1e-6
 

@@ -47,7 +47,7 @@ def test_metric_stage_calls_sgd_and_projection_once_through_module(monkeypatch):
         monkeypatch.setattr(metric, name, spy)
     model = make_latent_model(np.random.default_rng(0).normal(size=(4, 2)) * 0.4, [2, 2])
     cfg = TrainConfig(inner_iters=100, lam=1.0, delta=5.0)
-    _, counts = metric.run_metric_stage(model, Metric.identity(2), cfg)
+    _, counts = metric.run_metric_stage(model, Metric.identity(2), cfg, seed=cfg.rng_seed)
     assert counts["active_set_size"] > 0
     assert calls == {"proximal_hinge_sgd": 1, "psd_project": 1}
 

@@ -109,6 +109,22 @@ class TestTrain:
             main(["train", "--out", str(tmp_path / "m.mapml")])
         assert exc.value.code == 2
 
+    def test_missing_output_directory_fails_before_training(self, tmp_path, synth_csv,
+                                                            monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trained or loaded data despite a bad --out")
+
+        for name in ("_load_dataset", "train_mapml", "train_random_triplet_baseline"):
+            monkeypatch.setattr(cli, name, refuse)
+        out = tmp_path / "missing" / "m.mapml"
+        for baseline in ("none", "random-triplet"):
+            rc = main(["train", "--data", synth_csv, "--baseline", baseline,
+                       "--out", str(out)])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: output directory") and "missing" in err
+        assert not out.parent.exists()
+
     def test_bad_path_runtime_error(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "m.mapml")])

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapml import (Dataset, Metric, TrainConfig, build_active_set, core,
-                   full_loss_all, pairwise_mahalanobis_sq)
-from mapml.core import count_below, hinge_blocks, is_identity, other_class_columns
+from mapml import Dataset, Metric, TrainConfig, core
+from mapml.core import (count_below, full_loss_all, hinge_blocks, is_identity,
+                        other_class_columns, pairwise_mahalanobis_sq)
+from mapml.metric import build_active_set
 
 from conftest import (MatmulCounter, make_latent_model, oracle_full_loss,
                       oracle_mahalanobis, oracle_valid_triplets, random_psd,
@@ -349,34 +350,18 @@ class TestHingeBlockLabels:
         E = pairwise_mahalanobis_sq(Metric.identity(2), Z)
         return E, np.full(len(labels), 0.2)
 
-    @pytest.mark.parametrize("labels", [[0, 1, 0], [1, 1, 0], [0, 0, 1, 1, 0],
-                                        [[0, 0], [1, 1]]])
-    def test_refuses_labels_not_in_ascending_runs(self, labels):
-        E, margins = self.instance(np.ravel(labels))
-        with pytest.raises(ValueError, match="contiguous runs"):
-            list(hinge_blocks(E, labels, margins))
-
-    def test_label_values_need_not_be_consecutive(self):
-        # runs of labels 3 and 7 slice the same blocks as labels 0 and 1
-        E, margins = self.instance([0] * 3 + [1] * 4)
-        got = list(hinge_blocks(E, [3] * 3 + [7] * 4, margins))
-        want = list(hinge_blocks(E, [0] * 3 + [1] * 4, margins))
-        assert len(got) == len(want) == 2
-        for a, b in zip(got, want):
-            for x, y in zip(a, b):
-                np.testing.assert_array_equal(x, y)
-
     def test_slices_match_class_gathers(self):
-        # each block is the class's rows of E: same, diff, sorted rows; the
+        # each block is the class's rows of E: lo, hi, sorted rows; the
         # rows that decode_ranks argsorts are the same columns, unsorted
+        counts = [3, 2, 4]
         E, margins = self.instance([0] * 3 + [1] * 2 + [2] * 4)
-        labels = np.repeat([0, 1, 2], [3, 2, 4])
-        blocks = list(hinge_blocks(E, labels, margins))
+        labels = np.repeat([0, 1, 2], counts)
+        blocks = list(hinge_blocks(E, counts, margins))
+        assert len(blocks) == 3
         for r, blk in enumerate(blocks):
             same = np.flatnonzero(labels == r)
             diff = np.flatnonzero(labels != r)
-            np.testing.assert_array_equal(blk.same, same)
-            np.testing.assert_array_equal(blk.diff, diff)
+            assert (blk.lo, blk.hi) == (same[0], same[-1] + 1)
             np.testing.assert_array_equal(blk.b_sorted, np.sort(E[np.ix_(same, diff)], axis=1))
-            np.testing.assert_array_equal(other_class_columns(E, same[0], same[-1] + 1),
+            np.testing.assert_array_equal(other_class_columns(E, blk.lo, blk.hi),
                                           E[np.ix_(same, diff)])

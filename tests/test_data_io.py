@@ -251,6 +251,14 @@ class TestGenerateSynthetic:
         data, _ = generate_synthetic(spec)
         assert (data.n, data.d, data.n_classes) == (8, 3, 2)
 
+    def test_narrow_numpy_integers_do_not_overflow(self):
+        # 100 * 2 latents overflow int8 unless the counts are Python ints
+        spec = SyntheticSpec(n_classes=np.int8(100), latents_per_class=np.int8(2), dim=2,
+                             samples_per_latent=np.int8(1))
+        assert type(spec.n_classes) is type(spec.latents_per_class) is int
+        data, truth = generate_synthetic(spec)
+        assert (data.n, data.n_classes, truth.m) == (200, 100, 200)
+
 
 def small_result(rng):
     z = rng.normal(size=(3, 2))
@@ -286,6 +294,20 @@ class TestModelPersistence:
         np.testing.assert_array_equal(loaded.label_names, result.label_names)
         assert loaded.config == result.config
         assert loaded.format_version == 1
+
+    def test_numpy_integer_config_round_trips(self, tmp_path):
+        # the sidecar is JSON: the config must hold Python ints
+        result = small_result(np.random.default_rng(2))
+        result.config = TrainConfig(outer_iters=np.int64(2), inner_iters=np.int64(20),
+                                    latent_em_iters=np.int32(3), rng_seed=np.uint8(9),
+                                    active_set_cap=np.int64(50))
+        path = str(tmp_path / "model.mapml")
+        save_model(path, result)
+        loaded = load_model(path)
+        assert loaded.config == result.config
+        assert all(type(getattr(loaded.config, name)) is int
+                   for name in ("outer_iters", "inner_iters", "latent_em_iters",
+                                "rng_seed", "active_set_cap"))
 
     def test_magic_mismatch(self, tmp_path):
         path = tmp_path / "bad.mapml"

@@ -4,11 +4,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from mapml import Dataset, Metric, SyntheticSpec, TrainConfig, compute_margins, driver, \
-    evaluate, full_loss_all, generate_synthetic, init_latents, run_latent_stage, \
-    run_metric_stage, train_mapml, train_random_triplet_baseline
-from mapml import core
+from mapml import Dataset, Metric, SyntheticSpec, TrainConfig, core, driver, evaluate, \
+    generate_synthetic, init_latents, run_latent_stage, train_mapml, \
+    train_random_triplet_baseline
 from mapml import metric as metric_module
+from mapml.core import full_loss_all
+from mapml.latent import compute_margins
+from mapml.metric import run_metric_stage
 
 from conftest import assign_membership, make_blobs, random_instance
 

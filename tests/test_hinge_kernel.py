@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapml import Metric, TrainConfig, build_active_set, core, full_loss_all, \
-    init_latents, run_metric_stage
+from mapml import Metric, TrainConfig, core, init_latents
+from mapml.core import full_loss_all
+from mapml.metric import build_active_set, run_metric_stage
 
 from conftest import (make_latent_model, oracle_active_triplets,
                       oracle_full_loss, random_symmetric)
@@ -68,13 +69,21 @@ def oracle_list(model, metric):
                                   model.cluster_margins)
 
 
+def block_indices(blk, m):
+    """(same, diff, partner) latent indices of a block: its class, the rest, and
+    each anchor's partners in the order of ``core.partner_columns``."""
+    same = np.arange(blk.lo, blk.hi)
+    diff = np.r_[0:blk.lo, blk.hi:m]
+    return same, diff, same[core.partner_columns(same.size)]
+
+
 def kernel_pair_counts(model, metric):
     """{(o, p): HingeBlock.below} from the kernel, for every same-class pair."""
     E = core.pairwise_mahalanobis_sq(metric, model.latents)
     out = {}
-    for blk in core.hinge_blocks(E, model.latent_labels, model.cluster_margins):
-        partner = blk.same[core.partner_columns(blk.same.size)]
-        for i, o in enumerate(blk.same):
+    for blk in core.hinge_blocks(E, model.per_class_counts, model.cluster_margins):
+        same, _, partner = block_indices(blk, model.m)
+        for i, o in enumerate(same):
             for j, p in enumerate(partner[i]):
                 out[(int(o), int(p))] = int(blk.below[i, j])
     return out
@@ -108,7 +117,6 @@ class TestHingeKernel:
         rng = np.random.default_rng(seed)
         s, n = int(rng.integers(2, 5)), int(rng.integers(1, 8))
         m = s + n
-        labels = np.repeat([0, 1], [s, n])
         margins = rng.choice([0.1, 0.2, 0.7, 1.3], size=m)
         E = rng.choice([0.1, 0.3, 0.7, 2.9], size=(m, m))
         for o in range(s):
@@ -116,10 +124,10 @@ class TestHingeKernel:
                 p = (o + int(rng.integers(1, s))) % s
                 edge = E[o, p] + (1.0 + margins[o])
                 E[o, q] = edge + int(rng.integers(-3, 4)) * np.spacing(edge)
-        for blk in core.hinge_blocks(E, labels, margins):
-            partner = blk.same[core.partner_columns(blk.same.size)]
-            for i, o in enumerate(blk.same):
-                row = E[o, blk.diff]
+        for blk in core.hinge_blocks(E, [s, n], margins):
+            same, diff, partner = block_indices(blk, m)
+            for i, o in enumerate(same):
+                row = E[o, diff]
                 ranked = np.sort(row)
                 for j, p in enumerate(partner[i]):
                     t = (1.0 + margins[o]) + E[o, p]
@@ -146,12 +154,12 @@ class TestHingeKernel:
         E = core.pairwise_mahalanobis_sq(metric, model.latents)
         want = Counter(oracle_list(model, metric))
         got = []
-        for blk in core.hinge_blocks(E, model.latent_labels, model.cluster_margins):
+        for blk in core.hinge_blocks(E, model.per_class_counts, model.cluster_margins):
             counts = blk.below
-            rows = core.other_class_columns(E, blk.same[0], blk.same[-1] + 1)
+            rows = core.other_class_columns(E, blk.lo, blk.hi)
             o, p, q = core.decode_ranks(blk, np.argsort(rows, axis=1), np.arange(counts.sum()))
-            partner = blk.same[core.partner_columns(blk.same.size)]
-            pairs = [(a, b) for a, row in zip(blk.same, partner) for b in row]
+            same, _, partner = block_indices(blk, model.m)
+            pairs = [(a, b) for a, row in zip(same, partner) for b in row]
             assert list(zip(o, p)) == [pr for pr, c in zip(pairs, counts.ravel())
                                        for _ in range(c)]
             for a, b in set(zip(o, p)):
@@ -214,7 +222,8 @@ def test_active_set_is_the_loss_support_at_rounding_boundary():
     identity = Metric.identity(1)
     assert full_loss_all(identity, model) == 0.0
     assert build_active_set(model, identity, cap=10, seed=0).shape == (0, 3)
-    got, counts = run_metric_stage(model, identity, TrainConfig(inner_iters=100))
+    cfg = TrainConfig(inner_iters=100)
+    got, counts = run_metric_stage(model, identity, cfg, seed=cfg.rng_seed)
     assert counts["active_set_size"] == 0
     np.testing.assert_array_equal(got.matrix, identity.matrix)
 

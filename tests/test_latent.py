@@ -6,9 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog, minimize
 
-from mapml import Dataset, Metric, TrainConfig, compute_margins, init_latents, \
-    latent, run_latent_stage, run_metric_stage, update_latents
-from mapml.latent import latents_per_class
+from mapml import Dataset, Metric, TrainConfig, init_latents, latent, run_latent_stage
+from mapml.latent import LatentModel, compute_margins, latents_per_class, update_latents
+from mapml.metric import run_metric_stage
 
 from conftest import (assign_membership, make_blobs, make_latent_model,
                       oracle_farthest_points, oracle_latent_update, random_instance,
@@ -43,6 +43,17 @@ def numerical_latent_minimizer(X, membership, M, z_prev, gamma):
     res = minimize(fun, x0, jac=grad, method="L-BFGS-B",
                    options={"gtol": 1e-12, "ftol": 1e-16, "maxiter": 2000})
     return res.x.reshape(m, d)
+
+
+class TestLatentModel:
+    @pytest.mark.parametrize("labels,counts", [
+        ([0, 1, 0], [2, 1]), ([1, 0, 0], [2, 1]), ([1, 1, 0], [1, 2]), ([0, 0, 0], [2, 1])])
+    def test_refuses_rows_not_grouped_by_class_in_label_order(self, labels, counts):
+        # the triplet scans slice each class's rows by per_class_counts alone
+        with pytest.raises(ValueError, match="grouped by class in label order"):
+            LatentModel(latents=np.zeros((3, 2)), latent_labels=labels,
+                        membership=np.zeros(1, dtype=np.int64),
+                        cluster_margins=np.zeros(3), per_class_counts=counts)
 
 
 class TestLatentsPerClass:
@@ -157,7 +168,7 @@ class TestUpdateLatents:
         data = Dataset([[0.0, 0.0], [2.0, 0.0]], [0, 0])
         model = make_latent_model([[5.0, 5.0]], [1],
                                   membership=np.zeros(2, dtype=np.int64))
-        got = update_latents(data, model, model.latents, gamma=0.0)
+        got = update_latents(latent._class_blocks(data, None), model, model.latents, gamma=0.0)
         np.testing.assert_allclose(got.latents[0], [1.0, 0.0])
 
     def test_proximal_pull(self):
@@ -165,7 +176,7 @@ class TestUpdateLatents:
         model = make_latent_model([[4.0, 0.0]], [1],
                                   membership=np.zeros(2, dtype=np.int64))
         z_prev = np.array([[4.0, 0.0]])
-        got = update_latents(data, model, z_prev, gamma=2.0)
+        got = update_latents(latent._class_blocks(data, None), model, z_prev, gamma=2.0)
         np.testing.assert_allclose(got.latents[0], [2.5, 0.0])
         # numerical minimizer of the proximal objective agrees
         oracle = numerical_latent_minimizer(
@@ -178,7 +189,7 @@ class TestUpdateLatents:
                                   membership=np.zeros(1, dtype=np.int64))
         z_prev = np.array([[0.0], [7.0]])
         for gamma in (0.0, 3.0):
-            got = update_latents(data, model, z_prev, gamma=gamma)
+            got = update_latents(latent._class_blocks(data, None), model, z_prev, gamma=gamma)
             assert got.latents[1, 0] == 7.0
 
     def test_negative_gamma_raises(self):
@@ -186,7 +197,7 @@ class TestUpdateLatents:
         model = make_latent_model([[0.0]], [1],
                                   membership=np.zeros(1, dtype=np.int64))
         with pytest.raises(ValueError):
-            update_latents(data, model, model.latents, gamma=-0.5)
+            update_latents(latent._class_blocks(data, None), model, model.latents, gamma=-0.5)
 
     def test_matches_numerical_minimizer(self):
         rng = np.random.default_rng(5)
@@ -201,7 +212,7 @@ class TestUpdateLatents:
             M = random_psd(rng, d) + 0.5 * np.eye(d)
             data = Dataset(X, np.zeros(n))
             model = make_latent_model(z_prev.copy(), [m], membership=membership)
-            got = update_latents(data, model, z_prev, gamma=gamma)
+            got = update_latents(latent._class_blocks(data, None), model, z_prev, gamma=gamma)
             oracle = numerical_latent_minimizer(X, membership, M, z_prev, gamma)
             np.testing.assert_allclose(got.latents, oracle, atol=1e-6)
 
@@ -259,11 +270,12 @@ class TestRunLatentStage:
         anchor = prev.latents.copy()
         # replay the sweeps through the public ops, scoring each half-step
         model = prev
+        blocks = latent._class_blocks(data, None)
         values = [surrogate_objective(data, assign_membership(data, model, M),
                                       M, anchor, cfg.gamma)]
         for _ in range(8):
             model = assign_membership(data, model, M)
-            model = update_latents(data, model, anchor, cfg.gamma)
+            model = update_latents(blocks, model, anchor, cfg.gamma)
             values.append(surrogate_objective(data, model, M, anchor, cfg.gamma))
             reassigned = assign_membership(data, model, M)
             values.append(surrogate_objective(data, reassigned, M, anchor, cfg.gamma))
@@ -283,9 +295,10 @@ class TestRunLatentStage:
         prev = init_latents(data, cfg.tau, seed=3)
         got = run_latent_stage(data, prev, M, cfg)
         model = prev
+        blocks = latent._class_blocks(data, None)
         for _ in range(cfg.latent_em_iters):
             model = assign_membership(data, model, M)
-            model = update_latents(data, model, prev.latents, cfg.gamma)
+            model = update_latents(blocks, model, prev.latents, cfg.gamma)
         model = assign_membership(data, model, M)
         model = compute_margins(data, model, M)
         np.testing.assert_array_equal(got.latents, model.latents)
@@ -360,13 +373,19 @@ class TestLatentKernelProperties:
     def test_update_matches_naive_mean(self, seed, n, d, sizes, gamma):
         rng = np.random.default_rng(seed)
         m = sum(sizes)
-        X = rng.normal(size=(n, d))
-        # members of at most half the latents: empty clusters are common
-        membership = rng.choice(m, size=max(1, m // 2), replace=False)[rng.integers(
-            0, max(1, m // 2), size=n)]
+        # members of at most half of each class's latents: empty clusters
+        # are common
+        chosen = [lo + rng.choice(s, size=max(1, s // 2), replace=False)
+                  for lo, s in zip(np.cumsum([0, *sizes[:-1]]), sizes)]
+        pool = np.concatenate(chosen)
+        # one row of each class first: every class of a Dataset has rows
+        membership = np.r_[[c[0] for c in chosen], pool[rng.integers(0, pool.size, size=n)]]
+        X = rng.normal(size=(membership.size, d))
         z_prev = rng.normal(size=(m, d))
         model = make_latent_model(rng.normal(size=(m, d)), sizes, membership=membership)
-        got = update_latents(Dataset(X, rng.integers(0, 2, size=n)), model, z_prev, gamma)
+        # each row's class is its latent's, as the latent stage assigns it
+        data = Dataset(X, model.latent_labels[membership])
+        got = update_latents(latent._class_blocks(data, None), model, z_prev, gamma)
         want = oracle_latent_update(X, membership, z_prev, gamma)
         np.testing.assert_allclose(got.latents, want, rtol=1e-12, atol=1e-14)
 
@@ -411,15 +430,12 @@ def shuffled_blobs(seed, centers, sigma):
 
 
 def replay_stage(data, prev, metric, cfg):
-    """``run_latent_stage`` replayed with every sweep's assignment made afresh.
-
-    Each update finds its class rows from the membership (no ``_blocks``).
-    """
+    """``run_latent_stage`` replayed with every sweep's assignment made afresh."""
     blocks = latent._class_blocks(data, latent._metric_or_none(metric))
     model = prev.replace()  # a copy that forgets how prev's membership was made
     for _ in range(cfg.latent_em_iters):
         membership, _ = latent._assign(model, blocks)
-        model = update_latents(data, model.replace(membership=membership),
+        model = update_latents(blocks, model.replace(membership=membership),
                                prev.latents, cfg.gamma)
     return latent._assign_with_margins(model, blocks)
 
@@ -465,7 +481,7 @@ class TestStageReusesAssignment:
         cfg = TrainConfig(tau=20.0, gamma=0.5, latent_em_iters=3, inner_iters=100)
         M = Metric(random_psd(rng, 2) + 0.5 * np.eye(2))
         model = run_latent_stage(data, init_latents(data, cfg.tau, seed=1), M, cfg)
-        metric, counts = run_metric_stage(model, M, cfg)
+        metric, counts = run_metric_stage(model, M, cfg, seed=cfg.rng_seed)
         assert counts["active_set_size"] == 0
         # the stage returns a new Metric holding the same matrix
         assert metric.matrix is not M.matrix

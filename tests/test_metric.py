@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapml import (Metric, TrainConfig, build_active_set, metric, psd_project,
-                   run_metric_stage)
+from mapml import Metric, TrainConfig, metric
+from mapml.metric import build_active_set, psd_project, run_metric_stage
 
 from conftest import (alpha_suffix_average, frobenius_project, hinge_subgradient,
                       make_latent_model, oracle_active_triplets, oracle_full_loss,
@@ -364,7 +364,7 @@ class TestPsdProjectInSpan:
         cfg = TrainConfig(inner_iters=200, lam=10.0, delta=100.0)
         assert metric._difference_basis(model.latents, cfg.inner_iters) is not None
         with FactorLog() as log:
-            got, counts = run_metric_stage(model, Metric.identity(300), cfg)
+            got, counts = run_metric_stage(model, Metric.identity(300), cfg, seed=cfg.rng_seed)
         assert counts["active_set_size"] > 0 and counts["active_steps"] > 0
         assert log.calls == [("cholesky", 29, True)]
         assert got.min_eigenvalue() > 0.0
@@ -406,7 +406,7 @@ class TestRunMetricStage:
         model = make_latent_model([[0.0], [2.0], [100.0]], [2, 1])
         Mp = Metric(np.array([[1.5]]))
         cfg = TrainConfig(inner_iters=100, lam=1.0, delta=10.0)
-        got, _ = run_metric_stage(model, Mp, cfg)
+        got, _ = run_metric_stage(model, Mp, cfg, seed=cfg.rng_seed)
         np.testing.assert_allclose(got.matrix, psd_project(Mp.matrix).matrix, atol=1e-12)
 
     def test_empty_active_set_returns_pd_prev_bitwise(self):
@@ -417,7 +417,8 @@ class TestRunMetricStage:
         Mp = Metric(random_psd(rng, 3) + 0.5 * np.eye(3))
         cfg = TrainConfig(inner_iters=100, lam=1.0, delta=10.0)
         assert len(build_active_set(model, Mp, cap=cfg.active_set_cap, seed=0)) == 0
-        np.testing.assert_array_equal(run_metric_stage(model, Mp, cfg)[0].matrix, Mp.matrix)
+        got, _ = run_metric_stage(model, Mp, cfg, seed=cfg.rng_seed)
+        np.testing.assert_array_equal(got.matrix, Mp.matrix)
 
     def test_single_triplet_descends(self):
         # exactly one violated triplet: anchor 0 sees the other class at
@@ -428,7 +429,7 @@ class TestRunMetricStage:
         triplets = build_active_set(model, Mp, cap=10, seed=0)
         assert [tuple(r) for r in triplets] == [(0, 1, 2)]
         cfg = TrainConfig(inner_iters=1000, lam=1.0, delta=10.0, rng_seed=3)
-        got, _ = run_metric_stage(model, Mp, cfg)
+        got, _ = run_metric_stage(model, Mp, cfg, seed=cfg.rng_seed)
         before = stage_value(Mp, Mp, triplets, model, cfg.lam)
         after = stage_value(got, Mp, triplets, model, cfg.lam)
         assert after <= before
@@ -442,7 +443,7 @@ class TestRunMetricStage:
             triplets = build_active_set(model, Mp, cap=cfg.active_set_cap, seed=0)
             if len(triplets) == 0:
                 continue
-            got, _ = run_metric_stage(model, Mp, cfg)
+            got, _ = run_metric_stage(model, Mp, cfg, seed=cfg.rng_seed)
             before = stage_value(Mp, Mp, triplets, model, cfg.lam)
             after = stage_value(got, Mp, triplets, model, cfg.lam)
             assert after <= before + 1e-8
@@ -453,7 +454,7 @@ class TestRunMetricStage:
             model = self.make_violating_instance(rng, d=3)
             Mp = Metric.identity(3)
             cfg = TrainConfig(inner_iters=500, lam=0.5, delta=2.0, rng_seed=seed)
-            got, _ = run_metric_stage(model, Mp, cfg)
+            got, _ = run_metric_stage(model, Mp, cfg, seed=cfg.rng_seed)
             assert np.linalg.norm(got.matrix) <= cfg.delta + 1e-9
             assert got.min_eigenvalue() >= -1e-9
 
@@ -462,21 +463,22 @@ class TestRunMetricStage:
         model = self.make_violating_instance(rng)
         Mp = Metric.identity(2)
         cfg = TrainConfig(inner_iters=800, lam=1.0, delta=5.0, rng_seed=9)
-        a, _ = run_metric_stage(model, Mp, cfg)
-        b, _ = run_metric_stage(model, Mp, cfg)
+        a, _ = run_metric_stage(model, Mp, cfg, seed=cfg.rng_seed)
+        b, _ = run_metric_stage(model, Mp, cfg, seed=cfg.rng_seed)
         np.testing.assert_array_equal(a.matrix, b.matrix)
 
     def test_stats_reported(self):
         rng = np.random.default_rng(24)
         model = self.make_violating_instance(rng)
         cfg = TrainConfig(inner_iters=100, lam=1.0, delta=5.0)
-        _, counts = run_metric_stage(model, Metric.identity(2), cfg)
+        _, counts = run_metric_stage(model, Metric.identity(2), cfg, seed=cfg.rng_seed)
         assert counts["active_set_size"] >= 0
         assert counts["active_set_seconds"] >= 0.0
         assert 0 < counts["active_steps"] <= cfg.inner_iters
         assert 0 <= counts["ball_clips"] <= cfg.inner_iters
         # without SGD the counts still carry every key
-        _, counts = run_metric_stage(model, Metric.identity(2), TrainConfig(inner_iters=0))
+        cfg = TrainConfig(inner_iters=0)
+        _, counts = run_metric_stage(model, Metric.identity(2), cfg, seed=cfg.rng_seed)
         assert counts["active_set_size"] > 0
         assert counts["active_steps"] == counts["ball_clips"] == 0
 
@@ -485,7 +487,7 @@ class TestRunMetricStage:
         model = self.make_violating_instance(rng)
         Mp = Metric.identity(2)
         cfg = TrainConfig(inner_iters=0)
-        got, _ = run_metric_stage(model, Mp, cfg)
+        got, _ = run_metric_stage(model, Mp, cfg, seed=cfg.rng_seed)
         np.testing.assert_allclose(got.matrix, Mp.matrix, atol=1e-12)
 
     def replay_stage(self, model, Mp, cfg):
@@ -514,7 +516,7 @@ class TestRunMetricStage:
         model = self.make_violating_instance(np.random.default_rng(23))
         Mp = Metric.identity(2)
         cfg = TrainConfig(inner_iters=400, lam=1.0, delta=1.0, rng_seed=1)
-        got, counts = run_metric_stage(model, Mp, cfg)
+        got, counts = run_metric_stage(model, Mp, cfg, seed=cfg.rng_seed)
         assert counts["ball_clips"] > 0
         assert np.linalg.norm(got.matrix) <= cfg.delta * (1 + 1e-12)
         np.testing.assert_array_equal(got.matrix, got.matrix.T)
@@ -527,6 +529,6 @@ class TestRunMetricStage:
         model = self.make_violating_instance(np.random.default_rng(26))
         Mp = Metric.identity(2)
         cfg = TrainConfig(inner_iters=200, lam=1.0, delta=5.0, rng_seed=17)
-        got, _ = run_metric_stage(model, Mp, cfg)
+        got, _ = run_metric_stage(model, Mp, cfg, seed=cfg.rng_seed)
         want = self.replay_stage(model, Mp, cfg)
         np.testing.assert_allclose(got.matrix, want.matrix, atol=1e-12)
