@@ -102,11 +102,24 @@ def _require_data(args, parser):
         parser.error("a dataset is required (--data or --idx-images/--idx-labels)")
 
 
-def cmd_train(args, parser) -> int:
-    _require_data(args, parser)
-    out_dir = os.path.dirname(args.out) or "."
+def _check_out_path(path, flag):
+    """Refuse an output ``path`` whose directory is missing or that is a directory.
+
+    Commands call this before they load data or train, so a bad path costs
+    no run. ``path`` None (an optional output not asked for) passes.
+    """
+    if path is None:
+        return
+    out_dir = os.path.dirname(path) or "."
     if not os.path.isdir(out_dir):
         raise ValueError(f"output directory {out_dir!r} does not exist")
+    if os.path.isdir(path):
+        raise ValueError(f"{flag} {path!r} is a directory")
+
+
+def cmd_train(args, parser) -> int:
+    _require_data(args, parser)
+    _check_out_path(args.out, "--out")
     data = _load_dataset(args)
     cfg = _config_from_args(args)
     def sink(rec):
@@ -169,6 +182,7 @@ def cmd_eval(args, parser) -> int:
 
 
 def cmd_synth(args, parser) -> int:
+    _check_out_path(args.out, "--out")
     spec = SyntheticSpec(
         n_classes=args.classes,
         latents_per_class=args.latents_per_class,
@@ -228,6 +242,7 @@ def _sweep_inputs(args, parser):
             parser.error(f"unknown method {m!r} (choose from {', '.join(KNOWN_METHODS)})")
     if args.trials < 1:
         parser.error(f"--trials must be >= 1, got {args.trials}")
+    _check_out_path(args.csv_out, "--csv-out")
     train_data = _load_dataset(args)
     test = _load_dataset(args, "test-") if args.test_data else train_data
     return methods, train_data, test, _trial_seeds(args.seed, args.trials)

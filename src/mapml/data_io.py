@@ -196,19 +196,15 @@ def generate_synthetic(spec: SyntheticSpec):
             raise ValueError(f"true_latents must have shape {(m, spec.dim)}, got {latents.shape}")
     else:
         latents = rng.uniform(size=(m, spec.dim))
-    latent_labels = np.repeat(np.arange(spec.n_classes, dtype=np.int64),
-                              spec.latents_per_class)
     membership = np.repeat(np.arange(m, dtype=np.int64), spec.samples_per_latent)
     noise = rng.normal(0.0, spec.noise_sigma, size=(m * spec.samples_per_latent, spec.dim))
-    features = latents[membership] + noise
-    data = Dataset(features, latent_labels[membership])
     truth = LatentModel(
         latents=latents,
-        latent_labels=latent_labels,
         membership=membership,
         cluster_margins=np.zeros(m),
         per_class_counts=np.full(spec.n_classes, spec.latents_per_class, dtype=np.int64),
     )
+    data = Dataset(latents[membership] + noise, truth.latent_labels[membership])
     truth = compute_margins(data, truth, Metric.identity(spec.dim))
     return data, truth
 

@@ -107,7 +107,6 @@ def _trivial_latent_model(data: Dataset) -> LatentModel:
     rank[order] = np.arange(data.n)
     return LatentModel(
         latents=data.features[order],
-        latent_labels=data.labels[order],
         membership=rank,
         cluster_margins=np.zeros(data.n),
         per_class_counts=counts,

@@ -10,8 +10,8 @@ Cost, for n rows of dimension d, m latents and m_r latents per class: a
 latent stage makes one n*d^2 product (X M, skipped when M is exactly the
 identity) plus O(sweeps * (n*m_r*d + m*d^2)). Init makes no d x d
 product: farthest-point picks take one GEMV per pick, and its assignment
-runs under the identity on X directly. Init and every stage end in the
-same step, whose margins come from the final assignment's distances.
+runs under the identity on X directly. Init and every sweep end in the
+same assignment step, whose margins come from its distances.
 """
 
 from typing import NamedTuple
@@ -30,40 +30,39 @@ class LatentModel:
     """Latent examples for every class, plus memberships and margins.
 
     latents          (m, d) latent example matrix, rows grouped by class
-    latent_labels    (m,) class of each latent row
     membership       (n,) index of the latent each original example is
                      assigned to (always one of its own class)
     cluster_margins  (m,) empirical mean squared distance of members to
                      their latent; 0 for empty clusters
-    per_class_counts (C,) number of latents per class
+    per_class_counts (C,) number of latents per class: class r owns the
+                     rows after those of classes 0..r-1
+    latent_labels    (m,) class of each latent row, derived from
+                     ``per_class_counts``
     """
 
-    def __init__(self, latents, latent_labels, membership, cluster_margins,
-                 per_class_counts):
+    def __init__(self, latents, membership, cluster_margins, per_class_counts):
         self.latents = np.array(latents, dtype=np.float64, order="C")
-        self.latent_labels = np.array(latent_labels, dtype=np.int64)
         self.membership = np.array(membership, dtype=np.int64)
         self.cluster_margins = np.array(cluster_margins, dtype=np.float64)
         self.per_class_counts = np.array(per_class_counts, dtype=np.int64)
         m = self.latents.shape[0]
-        if self.latent_labels.shape != (m,) or self.cluster_margins.shape != (m,):
-            raise ValueError("latent_labels and cluster_margins must have one entry per latent")
+        if self.cluster_margins.shape != (m,):
+            raise ValueError("cluster_margins must have one entry per latent")
         if self.per_class_counts.sum() != m:
             raise ValueError("per_class_counts must sum to the number of latents")
         if (self.per_class_counts < 1).any():
             raise ValueError("every class must own at least one latent")
-        expected = np.repeat(np.arange(self.per_class_counts.size), self.per_class_counts)
-        if not np.array_equal(self.latent_labels, expected):
-            raise ValueError("latent rows must be grouped by class in label order")
         if (self.cluster_margins < 0).any():
             raise ValueError("cluster margins must be nonnegative")
         if self.membership.min(initial=0) < 0 or self.membership.max(initial=-1) >= m:
             raise IndexError("membership index out of range")
+        self.latent_labels = np.repeat(np.arange(self.per_class_counts.size),
+                                       self.per_class_counts)
         for arr in (self.latents, self.latent_labels, self.membership,
                     self.cluster_margins, self.per_class_counts):
             arr.flags.writeable = False
         # (data, M) of the _ClassBlocks this membership was assigned from on
-        # these latents, set by _assign_with_margins; None when made elsewhere
+        # these latents, set by _assign; None when made elsewhere
         self._assigned_under = None
 
     @property
@@ -77,9 +76,8 @@ class LatentModel:
     def replace(self, **kwargs) -> "LatentModel":
         """Copy with some fields swapped out."""
         fields = dict(
-            latents=self.latents, latent_labels=self.latent_labels,
-            membership=self.membership, cluster_margins=self.cluster_margins,
-            per_class_counts=self.per_class_counts,
+            latents=self.latents, membership=self.membership,
+            cluster_margins=self.cluster_margins, per_class_counts=self.per_class_counts,
         )
         fields.update(kwargs)
         return LatentModel(**fields)
@@ -163,11 +161,11 @@ def _class_blocks(data: Dataset, M) -> _ClassBlocks:
 
 
 def _assigned_from(model: LatentModel, blocks: _ClassBlocks) -> bool:
-    """True when ``model.membership`` is what ``_assign(model, blocks)`` returns.
+    """True when ``model`` is what ``_assign(model, blocks)`` returns.
 
-    That holds when :func:`_assign_with_margins` made it on these latents
-    from the same data under an equal metric matrix; arrays in both are
-    read-only, so the equal inputs give the same assignment bit for bit.
+    That holds when :func:`_assign` made it on these latents from the same
+    data under an equal metric matrix; arrays in both are read-only, so
+    the equal inputs give the same assignment bit for bit.
     """
     if model._assigned_under is None:
         return False
@@ -176,11 +174,15 @@ def _assigned_from(model: LatentModel, blocks: _ClassBlocks) -> bool:
                                     and np.array_equal(M, blocks.M))
 
 
-def _assign(model: LatentModel, blocks: _ClassBlocks):
-    """Membership, and each row's clamped D^2 to its latent, given ``_class_blocks``.
+def _assign(model: LatentModel, blocks: _ClassBlocks) -> LatentModel:
+    """``model`` with each row moved to its nearest own-class latent under ``blocks.M``.
 
-    Ties within ``TIE_TOLERANCE`` go to the smaller latent index. Costs
-    O(n*m_r*d + m*d^2): Z M is formed once for all m latents.
+    Ties within ``TIE_TOLERANCE`` go to the smaller latent index. Margins
+    are the per-cluster means of the members' clamped D^2: equal to
+    :func:`compute_margins` up to rounding, without its n x d pass. The
+    result remembers the data and metric of ``blocks`` for
+    :func:`_assigned_from`. Costs O(n*m_r*d + m*d^2): Z M is formed once
+    for all m latents.
     """
     Z = model.latents
     M = blocks.M
@@ -201,7 +203,10 @@ def _assign(model: LatentModel, blocks: _ClassBlocks):
         dist[idx] = d2[np.arange(idx.size), local]
         lo = hi
     np.maximum(dist, 0.0, out=dist)
-    return membership, dist
+    out = model.replace(membership=membership,
+                        cluster_margins=_cluster_means(membership, dist, model.m))
+    out._assigned_under = (blocks.data, blocks.M)
+    return out
 
 
 def _cluster_means(membership: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
@@ -209,21 +214,6 @@ def _cluster_means(membership: np.ndarray, vals: np.ndarray, m: int) -> np.ndarr
     counts = np.bincount(membership, minlength=m).astype(np.float64)
     sums = np.bincount(membership, weights=vals, minlength=m)
     return np.divide(sums, counts, out=np.zeros(m), where=counts > 0)
-
-
-def _assign_with_margins(model: LatentModel, blocks: _ClassBlocks) -> LatentModel:
-    """``_assign``, with margins the per-cluster means of its clamped distances.
-
-    Equal to :func:`compute_margins` up to rounding, without its n x d pass.
-    The result remembers the data and metric of ``blocks``, so a stage
-    that starts from it under an equal metric can take its first
-    assignment as it is.
-    """
-    membership, dist = _assign(model, blocks)
-    out = model.replace(membership=membership,
-                        cluster_margins=_cluster_means(membership, dist, model.m))
-    out._assigned_under = (blocks.data, blocks.M)
-    return out
 
 
 def _metric_or_none(metric: Metric):
@@ -284,65 +274,47 @@ def init_latents(data: Dataset, tau: float, seed: int) -> LatentModel:
     """Seed latent examples by within-class farthest-point selection.
 
     Each class r gets max(1, round(tau/100 * n_r)) latents chosen greedily
-    under Euclidean distance; membership and margins then come from one
-    assignment under the identity metric, as at the end of a latent stage.
-    No d x d product: O(n*m_r*d) in all.
+    under Euclidean distance from its rows in the identity-metric
+    :func:`_class_blocks`; membership and margins then come from one
+    :func:`_assign` on the same blocks, the step that ends every sweep of
+    a latent stage. No d x d product: O(n*m_r*d) in all.
     """
     if not 0.0 < tau <= 100.0:
         raise ValueError(f"tau must be in (0, 100], got {tau}")
     rng = np.random.default_rng(seed)
-    blocks = []
-    labels = []
-    counts = []
-    for r in range(data.n_classes):
-        idx = data.class_indices(r)
-        if idx.size == 0:
-            raise ValueError(f"class {r} has no examples")
-        m_r = latents_per_class(idx.size, tau)
-        X_r = _rows(data.features, idx)
-        picks = _farthest_point_indices(X_r, m_r, rng)
-        blocks.append(X_r[picks])
-        labels.append(np.full(m_r, r, dtype=np.int64))
-        counts.append(m_r)
-    latents = np.concatenate(blocks, axis=0)
-    latent_labels = np.concatenate(labels)
-    model = LatentModel(
-        latents=latents,
-        latent_labels=latent_labels,
-        membership=np.zeros(data.n, dtype=np.int64),
-        cluster_margins=np.zeros(latents.shape[0]),
-        per_class_counts=np.asarray(counts, dtype=np.int64),
-    )
-    return _assign_with_margins(model, _class_blocks(data, None))
+    blocks = _class_blocks(data, None)
+    counts = [latents_per_class(idx.size, tau) for idx, *_ in blocks.rows]
+    latents = np.concatenate([X_r[_farthest_point_indices(X_r, m_r, rng)]
+                              for (_, X_r, _, _), m_r in zip(blocks.rows, counts)])
+    model = LatentModel(latents=latents, membership=np.zeros(data.n, dtype=np.int64),
+                        cluster_margins=np.zeros(latents.shape[0]), per_class_counts=counts)
+    return _assign(model, blocks)
 
 
 def run_latent_stage(data: Dataset, prev: LatentModel, metric: Metric,
                      cfg: TrainConfig) -> LatentModel:
     """One latent stage: EM sweeps from the previous outer iterate.
 
-    Starts at z = prev.latents (which doubles as the proximal anchor for
-    every sweep), alternates assignment and closed-form update
-    ``cfg.latent_em_iters`` times, then refreshes membership once more so
-    the returned margins (computed under ``metric``) match the final
-    latents, through the same step as :func:`init_latents`.
+    ``prev`` is assigned under ``metric``; then each of the
+    ``cfg.latent_em_iters`` sweeps is a closed-form :func:`update_latents`,
+    anchored at ``prev.latents``, followed by one :func:`_assign`, the step
+    that ends :func:`init_latents` too: the margins match the final
+    latents. A model or metric whose class count or dimension is not the
+    data's raises ``ValueError``.
 
-    The data's per-class rows, and X M, are made once for the stage and
-    serve every assignment and every :func:`update_latents` call. When
-    ``prev`` left :func:`init_latents` or a stage under a metric equal to
-    ``metric`` on this data, as stage 1 does under the identity, its
-    membership is already the first sweep's assignment and is taken as it
-    is; the result is the same bit for bit. Cost: one n*d^2 product, X M,
-    none when M is exactly the identity; then
-    O(sweeps * (n*m_r*d + m*d^2)).
+    The per-class rows, and X M, are made once for the stage. A ``prev``
+    that :func:`_assign` made on this data under an equal metric, as
+    :func:`init_latents` makes stage 1's, is its own first assignment, bit
+    for bit. Cost: one n*d^2 product, X M, none when M is exactly the
+    identity; then O(sweeps * (n*m_r*d + m*d^2)).
     """
-    z_anchor = prev.latents
+    for what, got, want in (("latent model's class count", prev.per_class_counts.size,
+                             data.n_classes), ("latent model's dimension", prev.d, data.d),
+                            ("metric's dimension", metric.dim, data.d)):
+        if got != want:
+            raise ValueError(f"the {what} is {got}, but the data's is {want}")
     blocks = _class_blocks(data, _metric_or_none(metric))
-    model = prev
-    membership = prev.membership if _assigned_from(prev, blocks) else None
+    model = prev if _assigned_from(prev, blocks) else _assign(prev, blocks)
     for _ in range(cfg.latent_em_iters):
-        if membership is None:
-            membership, _ = _assign(model, blocks)
-        model = update_latents(blocks, model.replace(membership=membership), z_anchor,
-                               cfg.gamma)
-        membership = None
-    return _assign_with_margins(model, blocks)
+        model = _assign(update_latents(blocks, model, prev.latents, cfg.gamma), blocks)
+    return model

@@ -222,8 +222,8 @@ def assign_membership(data, model, metric):
     module at call time, so a test that patches it reaches this helper too.
     """
     M = latent._metric_or_none(metric)
-    membership, _ = latent._assign(model, latent._class_blocks(data, M))
-    return model.replace(membership=membership)
+    assigned = latent._assign(model, latent._class_blocks(data, M))
+    return model.replace(membership=assigned.membership)
 
 
 # ---------------------------------------------------------------- builders
@@ -258,11 +258,9 @@ def make_latent_model(latents, class_sizes, membership=None, margins=None):
     """LatentModel with rows grouped by class; margins default to zero."""
     latents = np.asarray(latents, dtype=np.float64)
     counts = np.asarray(class_sizes, dtype=np.int64)
-    labels = np.repeat(np.arange(counts.size), counts)
     m = latents.shape[0]
     return LatentModel(
         latents=latents,
-        latent_labels=labels,
         membership=np.zeros(1, dtype=np.int64) if membership is None else membership,
         cluster_margins=np.zeros(m) if margins is None else np.asarray(margins, float),
         per_class_counts=counts,

@@ -11,6 +11,7 @@ import contextlib
 import csv
 import logging
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -459,8 +460,8 @@ class TestCriterion11Determinism:
                     "--inner-iters", "600", "--seed", "21"]
             assert mapml.cli.main(argv + ["--out", a]) == 0
             assert mapml.cli.main(argv + ["--out", b]) == 0
-            assert open(a, "rb").read() == open(b, "rb").read()
-            assert open(a + ".loss.csv").read() == open(b + ".loss.csv").read()
+            assert Path(a).read_bytes() == Path(b).read_bytes()
+            assert Path(a + ".loss.csv").read_text() == Path(b + ".loss.csv").read_text()
 
             bench_a, bench_b = str(tmp_path / "ba.csv"), str(tmp_path / "bb.csv")
             argv = ["bench", "--data", data_csv, "--methods",

@@ -5,6 +5,7 @@ import os
 import re
 import struct
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ class TestSynth:
         main(["synth", "--classes", "2", "--latents-per-class", "2",
               "--dim", "3", "--sigma", "0.08", "--samples-per-latent", "30",
               "--seed", "3", "--out", other])
-        assert open(synth_csv).read() == open(other).read()
+        assert Path(synth_csv).read_text() == Path(other).read_text()
 
     def test_nan_sigma_clean_error(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
@@ -174,8 +175,8 @@ class TestTrain:
                 "--inner-iters", "300", "--seed", "5"]
         assert main(argv + ["--out", a]) == 0
         assert main(argv + ["--out", b]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
-        assert open(a + ".loss.csv").read() == open(b + ".loss.csv").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
+        assert Path(a + ".loss.csv").read_text() == Path(b + ".loss.csv").read_text()
 
 
 class TestEval:
@@ -272,10 +273,10 @@ class TestEval:
         main(["train", "--data", synth_csv, "--outer-iters", "1",
               "--inner-iters", "200", "--out", model_path])
         d = load_model(model_path).metric.dim
-        raw = bytearray(open(model_path, "rb").read())
+        raw = bytearray(Path(model_path).read_bytes())
         off = 20 + d * d * 8  # latents[0, 0], after the header and the metric
         raw[off:off + 8] = struct.pack("<d", float("nan"))
-        open(model_path, "wb").write(bytes(raw))
+        Path(model_path).write_bytes(bytes(raw))
         capsys.readouterr()
         rc = main(["eval", "--model", model_path, "--test", synth_csv,
                    "--refs", "latent"])
@@ -488,6 +489,39 @@ class TestNoiseSweep:
                    "--trials", "1", "--sigmas", "1/0"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestOutputPaths:
+    """Every output path is checked before any data is loaded or made, or trained on.
+
+    ``TestTrain`` checks ``train --out`` into a missing directory.
+    """
+
+    @pytest.mark.parametrize("argv,missing", [
+        (["train", "--data", "{csv}", "--out"], False),
+        (["bench", "--data", "{csv}", "--trials", "1", "--csv-out"], True),
+        (["bench", "--data", "{csv}", "--trials", "1", "--csv-out"], False),
+        (["noise-sweep", "--data", "{csv}", "--trials", "1", "--csv-out"], True),
+        (["noise-sweep", "--data", "{csv}", "--trials", "1", "--csv-out"], False),
+        (["synth", "--out"], True),
+        (["synth", "--out"], False)])
+    def test_bad_output_path_fails_before_any_run(self, tmp_path, synth_csv, monkeypatch,
+                                                 capsys, argv, missing):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran despite a bad output path")
+
+        for name in ("_load_dataset", "generate_synthetic", "train_mapml",
+                     "train_random_triplet_baseline"):
+            monkeypatch.setattr(cli, name, refuse)
+        path = tmp_path / "missing" / "out.csv" if missing else tmp_path
+        capsys.readouterr()
+        rc = main([a.format(csv=synth_csv) for a in argv] + [str(path)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        want = (f"output directory {str(path.parent)!r} does not exist" if missing
+                else f"{argv[-1]} {str(path)!r} is a directory")
+        assert (out, err) == ("", f"error: {want}\n")
+        assert not (tmp_path / "missing").exists()
 
 
 class TestDataDirEnv:

@@ -1,6 +1,7 @@
 import gzip
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,16 +70,16 @@ class TestLoadIdx:
 
     def test_truncated_gzip(self, tmp_path):
         ip, lp = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1], gz=True)
-        raw = open(ip, "rb").read()
-        open(ip, "wb").write(raw[:-12])
+        raw = Path(ip).read_bytes()
+        Path(ip).write_bytes(raw[:-12])
         with pytest.raises(ValueError, match="imgs.gz"):
             load_idx(ip, lp)
 
     def test_corrupt_deflate(self, tmp_path):
         ip, lp = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1], gz=True)
-        raw = open(lp, "rb").read()
+        raw = Path(lp).read_bytes()
         # first deflate byte after the 10-byte gzip header: reserved block type
-        open(lp, "wb").write(raw[:10] + b"\xff" + raw[11:])
+        Path(lp).write_bytes(raw[:10] + b"\xff" + raw[11:])
         with pytest.raises(ValueError, match="labs.gz"):
             load_idx(ip, lp)
 
@@ -263,7 +264,7 @@ class TestGenerateSynthetic:
 def small_result(rng):
     z = rng.normal(size=(3, 2))
     model = LatentModel(
-        latents=z, latent_labels=np.array([0, 0, 1]),
+        latents=z,
         membership=np.zeros(4, dtype=np.int64),
         cluster_margins=np.abs(rng.normal(size=3)),
         per_class_counts=np.array([2, 1]),
@@ -320,8 +321,8 @@ class TestModelPersistence:
         result = small_result(rng)
         path = str(tmp_path / "model.mapml")
         save_model(path, result)
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:-5])
+        raw = Path(path).read_bytes()
+        Path(path).write_bytes(raw[:-5])
         with pytest.raises(ValueError, match="unexpected end of payload"):
             load_model(path)
 
@@ -343,10 +344,10 @@ class TestModelPersistence:
         # header 20 bytes, then the 2 x 2 metric, then the 3 x 2 latents
         path = str(tmp_path / "model.mapml")
         save_model(path, small_result(np.random.default_rng(9)))
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         off = 20 + (2 * 2 * 8 if where == "latent" else 0)
         raw[off:off + 8] = struct.pack("<d", value)
-        open(path, "wb").write(bytes(raw))
+        Path(path).write_bytes(bytes(raw))
         with pytest.raises(ValueError, match=match):
             load_model(path)
 
@@ -403,18 +404,18 @@ class TestModelPersistence:
         result = small_result(rng)
         path = str(tmp_path / "model.mapml")
         save_model(path, result)
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[8:12] = struct.pack("<I", 99)
-        open(path, "wb").write(bytes(raw))
+        Path(path).write_bytes(bytes(raw))
         with pytest.raises(ValueError, match=r"version 99.*version 1"):
             load_model(path)
 
     def test_version_zero_refused(self, tmp_path):
         path = str(tmp_path / "model.mapml")
         save_model(path, small_result(np.random.default_rng(2)))
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[8:12] = struct.pack("<I", 0)
-        open(path, "wb").write(bytes(raw))
+        Path(path).write_bytes(bytes(raw))
         with pytest.raises(ValueError, match=r"version 0 is invalid"):
             load_model(path)
 

@@ -46,14 +46,17 @@ def numerical_latent_minimizer(X, membership, M, z_prev, gamma):
 
 
 class TestLatentModel:
-    @pytest.mark.parametrize("labels,counts", [
-        ([0, 1, 0], [2, 1]), ([1, 0, 0], [2, 1]), ([1, 1, 0], [1, 2]), ([0, 0, 0], [2, 1])])
-    def test_refuses_rows_not_grouped_by_class_in_label_order(self, labels, counts):
+    @pytest.mark.parametrize("counts", [[1], [2, 1], [1, 3, 2]])
+    def test_labels_derive_from_counts(self, counts):
         # the triplet scans slice each class's rows by per_class_counts alone
-        with pytest.raises(ValueError, match="grouped by class in label order"):
-            LatentModel(latents=np.zeros((3, 2)), latent_labels=labels,
-                        membership=np.zeros(1, dtype=np.int64),
-                        cluster_margins=np.zeros(3), per_class_counts=counts)
+        m = sum(counts)
+        model = LatentModel(latents=np.zeros((m, 2)), membership=np.zeros(1, dtype=np.int64),
+                            cluster_margins=np.zeros(m), per_class_counts=counts)
+        want = np.repeat(np.arange(len(counts)), counts)
+        for got in (model.latent_labels, model.replace(latents=np.ones((m, 2))).latent_labels):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable
 
 
 class TestLatentsPerClass:
@@ -259,6 +262,23 @@ class TestRunLatentStage:
         got = run_latent_stage(data, prev, Metric.identity(2), cfg)
         np.testing.assert_allclose(got.latents, prev.latents, rtol=1e-6)
 
+    def test_refuses_model_or_metric_that_does_not_fit_the_data(self):
+        rng = np.random.default_rng(5)
+        three = make_blobs(rng, 10, [[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]], 0.5)
+        two = Dataset(three.features[:20], three.labels[:20])
+        wide = Dataset(rng.normal(size=(30, 3)), three.labels)
+        cfg = TrainConfig(tau=20.0, latent_em_iters=2)
+        model = init_latents(three, cfg.tau, seed=1)
+        cases = [(two, model, Metric.identity(2), "latent model's class count is 3, "
+                                                  "but the data's is 2"),
+                 (wide, model, Metric.identity(3), "latent model's dimension is 2, "
+                                                   "but the data's is 3"),
+                 (three, model, Metric.identity(3), "metric's dimension is 3, "
+                                                    "but the data's is 2")]
+        for data, prev, metric, message in cases:
+            with pytest.raises(ValueError, match=message):
+                run_latent_stage(data, prev, metric, cfg)
+
     def test_surrogate_objective_non_increasing(self):
         rng = np.random.default_rng(8)
         data = Dataset(rng.normal(size=(30, 3)),
@@ -434,10 +454,8 @@ def replay_stage(data, prev, metric, cfg):
     blocks = latent._class_blocks(data, latent._metric_or_none(metric))
     model = prev.replace()  # a copy that forgets how prev's membership was made
     for _ in range(cfg.latent_em_iters):
-        membership, _ = latent._assign(model, blocks)
-        model = update_latents(blocks, model.replace(membership=membership),
-                               prev.latents, cfg.gamma)
-    return latent._assign_with_margins(model, blocks)
+        model = update_latents(blocks, latent._assign(model, blocks), prev.latents, cfg.gamma)
+    return latent._assign(model, blocks)
 
 
 def assert_same_bytes(got, want):
