@@ -14,13 +14,35 @@ import time
 
 import numpy as np
 
-from .core import Dataset, Metric, TrainConfig
+from .core import Dataset, Metric, TrainConfig, check_nonneg_finite
 from .data_io import SyntheticSpec, generate_synthetic, load_csv, load_idx, \
     load_model, save_model
 from .driver import train_mapml, train_random_triplet_baseline
 from .evaluation import add_gaussian_noise, evaluate
 
 KNOWN_METHODS = ("euclid", "mapml", "mapml-o", "random-triplet")
+
+# flag and help of each config field the CLI sets; bench and noise-sweep
+# seed each trial from --seed
+TRAIN_FLAGS = {
+    "tau": ("--tau", "latent/original ratio in percent"),
+    "gamma": ("--gamma", "proximal weight of the latent stage"),
+    "lam": ("--lambda", "strong-convexity weight of the metric stage"),
+    "delta": ("--delta", "Frobenius-norm bound on the metric"),
+    "outer_iters": ("--outer-iters", "alternations K"),
+    "inner_iters": ("--inner-iters", "SGD steps S per metric stage"),
+    "latent_em_iters": ("--latent-em-iters", "assignment/update sweeps per latent stage"),
+    "active_set_cap": ("--active-set-cap", "max retained violated triplets"),
+    "rng_seed": ("--seed", "seed of every random draw"),
+}
+SYNTH_FLAGS = {
+    "n_classes": ("--classes", "number of classes"),
+    "latents_per_class": ("--latents-per-class", "true latents per class"),
+    "dim": ("--dim", "feature dimension"),
+    "noise_sigma": ("--sigma", "standard deviation of the noise"),
+    "samples_per_latent": ("--samples-per-latent", "examples drawn per latent"),
+    "seed": ("--seed", "seed of every random draw"),
+}
 
 
 def resolve_path(path):
@@ -45,24 +67,11 @@ def _load_dataset(args, prefix="") -> Dataset:
             raise ValueError(f"IDX input needs both --{prefix}idx-images "
                              f"and --{prefix}idx-labels")
         return load_idx(resolve_path(images), resolve_path(labels))
-    data = get("data")
-    if data is None:
-        raise ValueError("no dataset given")
-    return load_csv(resolve_path(data), args.label_column)
+    return load_csv(resolve_path(get("data")), args.label_column)
 
 
 def _config_from_args(args) -> TrainConfig:
-    return TrainConfig(
-        tau=args.tau,
-        gamma=args.gamma,
-        lam=args.lam,
-        delta=args.delta,
-        outer_iters=args.outer_iters,
-        inner_iters=args.inner_iters,
-        latent_em_iters=args.latent_em_iters,
-        rng_seed=args.seed,
-        active_set_cap=args.active_set_cap,
-    )
+    return TrainConfig(**{name: getattr(args, name) for name in TRAIN_FLAGS})
 
 
 def _trial_seeds(base_seed: int, trials: int) -> list:
@@ -70,23 +79,13 @@ def _trial_seeds(base_seed: int, trials: int) -> list:
     return [int(s) for s in np.random.SeedSequence(base_seed).generate_state(trials)]
 
 
-def _add_train_flags(p):
-    p.add_argument("--tau", type=float, default=10.0,
-                   help="latent/original ratio in percent (default 10)")
-    p.add_argument("--gamma", type=float, default=1.0,
-                   help="proximal weight of the latent stage (default 1)")
-    p.add_argument("--lambda", dest="lam", type=float, default=10.0,
-                   help="strong-convexity weight of the metric stage (default 10)")
-    p.add_argument("--delta", type=float, default=100.0,
-                   help="Frobenius-norm bound on the metric (default 100)")
-    p.add_argument("--outer-iters", type=int, default=10,
-                   help="alternations K (default 10)")
-    p.add_argument("--inner-iters", type=int, default=10_000,
-                   help="SGD steps S per metric stage (default 10000)")
-    p.add_argument("--latent-em-iters", type=int, default=10,
-                   help="assignment/update sweeps per latent stage (default 10)")
-    p.add_argument("--active-set-cap", type=int, default=200_000,
-                   help="max retained violated triplets (default 200000)")
+def _add_field_flags(p, config_type, flags):
+    """One flag per field of ``config_type`` in ``flags``, with the field's type and default."""
+    fields = {field.name: field for field in dataclasses.fields(config_type)}
+    for name, (flag, text) in flags.items():
+        p.add_argument(flag, dest=name, metavar=flag[2:].upper().replace("-", "_"),
+                       type=fields[name].type, default=fields[name].default,
+                       help=text + " (default %(default)s)")
 
 
 def _add_data_flags(p):
@@ -158,7 +157,14 @@ def _score(refs, metric, latents, label_names, train, test, k):
                     refs_label_names=label_names)
 
 
+def _require_positive(args, parser, *flags):
+    for flag in flags:
+        if getattr(args, flag) < 1:
+            parser.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+
+
 def cmd_eval(args, parser) -> int:
+    _require_positive(args, parser, "k")
     if args.test_data is None and args.test_idx_images is None:
         parser.error("a test set is required (--test or --test-idx-images)")
     model = load_model(resolve_path(args.model))
@@ -183,15 +189,8 @@ def cmd_eval(args, parser) -> int:
 
 def cmd_synth(args, parser) -> int:
     _check_out_path(args.out, "--out")
-    spec = SyntheticSpec(
-        n_classes=args.classes,
-        latents_per_class=args.latents_per_class,
-        dim=args.dim,
-        noise_sigma=args.sigma,
-        samples_per_latent=args.samples_per_latent,
-        seed=args.seed,
-    )
-    data, _ = generate_synthetic(spec)
+    data, _ = generate_synthetic(
+        SyntheticSpec(**{name: getattr(args, name) for name in SYNTH_FLAGS}))
     with open(args.out, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow([f"f{j}" for j in range(data.d)] + ["label"])
@@ -240,12 +239,11 @@ def _sweep_inputs(args, parser):
     for m in methods:
         if m not in KNOWN_METHODS:
             parser.error(f"unknown method {m!r} (choose from {', '.join(KNOWN_METHODS)})")
-    if args.trials < 1:
-        parser.error(f"--trials must be >= 1, got {args.trials}")
+    _require_positive(args, parser, "trials", "k")
     _check_out_path(args.csv_out, "--csv-out")
     train_data = _load_dataset(args)
     test = _load_dataset(args, "test-") if args.test_data else train_data
-    return methods, train_data, test, _trial_seeds(args.seed, args.trials)
+    return methods, train_data, test, _trial_seeds(args.rng_seed, args.trials)
 
 
 def _write_table(header, rows, csv_out):
@@ -289,16 +287,10 @@ def cmd_bench(args, parser) -> int:
 
 
 def _parse_sigma(token: str) -> float:
-    if "/" in token:
-        num, den = token.split("/", 1)
-        if float(den) == 0.0:
-            raise ValueError(f"sigma {token!r} divides by zero")
-        sigma = float(num) / float(den)
-    else:
-        sigma = float(token)
-    if not sigma >= 0:
-        raise ValueError(f"sigma must be >= 0, got {token!r}")
-    return sigma
+    num, slash, den = token.partition("/")
+    if slash and float(den) == 0.0:
+        raise ValueError(f"sigma {token!r} divides by zero")
+    return check_nonneg_finite(float(num) / float(den) if slash else float(num), "sigma")
 
 
 def cmd_noise_sweep(args, parser) -> int:
@@ -321,6 +313,18 @@ def cmd_noise_sweep(args, parser) -> int:
     return 0
 
 
+def _add_sweep_flags(p, methods):
+    """The flags bench and noise-sweep share."""
+    _add_data_flags(p)
+    _add_field_flags(p, TrainConfig, TRAIN_FLAGS)
+    p.add_argument("--test", dest="test_data", help="test CSV (defaults to the training data)")
+    p.add_argument("--methods", default=methods,
+                   help="comma list of: " + ", ".join(KNOWN_METHODS))
+    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--csv-out", help="also write the table as CSV")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mapml",
@@ -329,8 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="learn a metric and latent examples")
     _add_data_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    _add_field_flags(p, TrainConfig, TRAIN_FLAGS)
     p.add_argument("--baseline", choices=["none", "random-triplet"], default="none",
                    help="train the random-triplet baseline instead")
     p.add_argument("--out", required=True, help="model output path")
@@ -347,41 +350,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate synthetic data with known latents")
-    p.add_argument("--classes", type=int, default=2)
-    p.add_argument("--latents-per-class", type=int, default=3)
-    p.add_argument("--dim", type=int, default=5)
-    p.add_argument("--sigma", type=float, default=0.05)
-    p.add_argument("--samples-per-latent", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    _add_field_flags(p, SyntheticSpec, SYNTH_FLAGS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("bench", help="compare methods over seeded trials")
-    _add_data_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--test", dest="test_data",
-                   help="held-out test CSV (defaults to the training data)")
-    p.add_argument("--methods", default="euclid,mapml,mapml-o",
-                   help="comma list of: " + ", ".join(KNOWN_METHODS))
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    _add_sweep_flags(p, "euclid,mapml,mapml-o")
     p.add_argument("--tau-sweep", help="comma list of tau values (overrides --tau)")
-    p.add_argument("--csv-out", help="also write the table as CSV")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("noise-sweep", help="robustness to training noise")
-    _add_data_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--test", dest="test_data",
-                   help="clean test CSV (defaults to the training data)")
+    _add_sweep_flags(p, "mapml,random-triplet")
     p.add_argument("--sigmas", default="50/255,100/255,150/255,200/255,250/255",
                    help="comma list; fractions like 50/255 are accepted")
-    p.add_argument("--methods", default="mapml,random-triplet")
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--csv-out")
     p.set_defaults(func=cmd_noise_sweep)
     return parser
 

@@ -159,21 +159,42 @@ def is_identity(matrix: np.ndarray) -> bool:
             and np.count_nonzero(matrix) == matrix.shape[0])
 
 
+def check_int_fields(obj, **lows) -> None:
+    """Make each field of ``obj`` named in ``lows`` an int >= its bound, or raise ValueError."""
+    for name, low in lows.items():
+        value = getattr(obj, name)
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        # a Python int: narrow numpy integers overflow, and would reach the JSON sidecar
+        value = operator.index(value)
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+        setattr(obj, name, value)
+
+
+def check_nonneg_finite(value, name: str):
+    """``value`` if it is a real number, finite and >= 0, else ValueError naming ``name``."""
+    # written so that NaN fails it
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 <= value < np.inf:
+        raise ValueError(f"{name} must be >= 0 and finite, got {value!r}")
+    return value
+
+
 @dataclass
 class TrainConfig:
-    """Hyperparameters for the alternating trainer.
+    """Hyperparameters for the alternating trainer; the CLI's defaults.
 
     tau             percent ratio of latent to original examples (0 < tau <= 100)
     gamma           proximal weight anchoring latents to the previous outer
-                    iterate (>= 0)
+                    iterate (finite, >= 0)
     lam             strong-convexity weight of the metric subproblem (> 0)
     delta           Frobenius-norm bound on the metric (> 0)
-    outer_iters     alternations of the latent and metric stages (K)
-    inner_iters     SGD steps per metric stage (S, even: the suffix average
-                    covers the last S/2 iterates)
-    latent_em_iters assignment/update sweeps per latent stage
+    outer_iters     alternations of the latent and metric stages (K, integer >= 0)
+    inner_iters     SGD steps per metric stage (S, even integer >= 0: the suffix
+                    average covers the last S/2 iterates)
+    latent_em_iters assignment/update sweeps per latent stage (integer >= 1)
     rng_seed        seed of every random draw of a run (integer >= 0)
-    active_set_cap  maximum number of retained violated triplets
+    active_set_cap  maximum number of retained violated triplets (integer >= 1)
     """
 
     tau: float = 10.0
@@ -187,36 +208,22 @@ class TrainConfig:
     active_set_cap: int = 200_000
 
     def __post_init__(self):
-        for name in ("tau", "gamma", "lam", "delta"):
+        for name in ("tau", "lam", "delta"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a number, got {value!r}")
         # comparisons written so that NaN fails them
         if not 0.0 < self.tau <= 100.0:
             raise ValueError(f"tau must be in (0, 100], got {self.tau}")
-        if not self.gamma >= 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        check_nonneg_finite(self.gamma, "gamma")
         if not self.lam > 0:
             raise ValueError(f"lam must be > 0, got {self.lam}")
         if not self.delta > 0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
-        for name in ("outer_iters", "inner_iters", "latent_em_iters", "active_set_cap",
-                     "rng_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            # a Python int: numpy integers would reach the JSON sidecar
-            setattr(self, name, operator.index(value))
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        if self.outer_iters < 0:
-            raise ValueError(f"outer_iters must be >= 0, got {self.outer_iters}")
-        if self.inner_iters < 0 or self.inner_iters % 2 != 0:
-            raise ValueError(f"inner_iters must be even and >= 0, got {self.inner_iters}")
-        if self.latent_em_iters < 1:
-            raise ValueError(f"latent_em_iters must be >= 1, got {self.latent_em_iters}")
-        if self.active_set_cap < 1:
-            raise ValueError(f"active_set_cap must be >= 1, got {self.active_set_cap}")
+        check_int_fields(self, outer_iters=0, inner_iters=0, latent_em_iters=1,
+                         active_set_cap=1, rng_seed=0)
+        if self.inner_iters % 2 != 0:
+            raise ValueError(f"inner_iters must be even, got {self.inner_iters}")
 
 
 def pairwise_mahalanobis_sq(metric: Metric, A) -> np.ndarray:

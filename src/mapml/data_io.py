@@ -8,8 +8,6 @@ sidecar.
 
 import gzip
 import json
-import numbers
-import operator
 import re
 import struct
 import zlib
@@ -17,7 +15,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .core import Dataset, Metric, TrainConfig, check_label_names
+from .core import Dataset, Metric, TrainConfig, check_int_fields, check_label_names, \
+    check_nonneg_finite
 from .latent import TIE_TOLERANCE, LatentModel, compute_margins
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -153,7 +152,10 @@ def _is_float(cell: str) -> bool:
 
 @dataclass
 class SyntheticSpec:
-    """Parameters of the latent generative model simulator."""
+    """Parameters of the latent generative model simulator; the CLI's defaults.
+
+    Counts are integers >= 1, ``seed`` is >= 0, ``noise_sigma`` finite and >= 0.
+    """
 
     n_classes: int = 2
     latents_per_class: int = 3
@@ -164,20 +166,9 @@ class SyntheticSpec:
     true_latents: np.ndarray = None
 
     def __post_init__(self):
-        for name in ("n_classes", "latents_per_class", "dim", "samples_per_latent", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            # a Python int: products of narrow numpy integers overflow
-            setattr(self, name, operator.index(value))
-        if self.n_classes < 1 or self.latents_per_class < 1 or self.dim < 1 \
-                or self.samples_per_latent < 1:
-            raise ValueError("all synthetic counts must be >= 1")
-        sigma = self.noise_sigma
-        # written so that NaN fails it
-        if not isinstance(sigma, numbers.Real) or isinstance(sigma, bool) \
-                or not 0 <= sigma < np.inf:
-            raise ValueError(f"noise_sigma must be >= 0 and finite, got {sigma!r}")
+        check_int_fields(self, n_classes=1, latents_per_class=1, dim=1,
+                         samples_per_latent=1, seed=0)
+        check_nonneg_finite(self.noise_sigma, "noise_sigma")
 
 
 def generate_synthetic(spec: SyntheticSpec):
@@ -269,12 +260,13 @@ def load_model(path) -> ModelFile:
     Raises ``ValueError`` for a bad header (a format version below 1 or
     above the supported one, a dimension or latent count of 0), a short
     payload, bytes after the payload, a non-finite metric entry or latent,
-    and a sidecar that is not a JSON object of known fields, whose
-    ``format_version``, ``dim`` or ``m`` disagrees with the header, whose
-    ``loss_trace`` is not a list of finite numbers, or whose
-    ``label_names`` are not finite numbers in strictly increasing order,
-    one at least per latent label code. A missing sidecar is tolerated. A config ``tie_tolerance`` key, which
-    older sidecars carry, is accepted only at ``latent.TIE_TOLERANCE``.
+    and a sidecar that is not a JSON object, that has a key save_model does
+    not write, whose ``format_version``, ``dim`` or ``m`` disagrees with the
+    header, whose ``loss_trace`` is not a list of finite numbers, or whose
+    ``label_names`` are not finite numbers in strictly increasing order, one
+    at least per latent label code. A missing sidecar is tolerated. A config
+    ``tie_tolerance`` key, which older sidecars carry, is accepted only at
+    ``latent.TIE_TOLERANCE``.
     """
     with open(path, "rb") as f:
         magic = _read_exact(f, 8, "model header")
@@ -312,6 +304,10 @@ def load_model(path) -> ModelFile:
             meta = json.load(f)
         if not isinstance(meta, dict):
             raise TypeError(f"expected a JSON object, got {type(meta).__name__}")
+        unknown = meta.keys() - {"format_version", "dim", "m", "config", "loss_trace",
+                                 "label_names"}
+        if unknown:
+            raise ValueError(f"unknown field(s) {sorted(unknown)}")
         for key, value in (("format_version", version), ("dim", d), ("m", m)):
             if key in meta and (type(meta[key]) is not int or meta[key] != value):
                 raise ValueError(

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Metric, check_label_names
+from .core import Dataset, Metric, check_label_names, check_nonneg_finite
 # not called here: kept importable because perfbench/spans.py wraps this name
 from .core import pairwise_mahalanobis_sq  # noqa: F401
 
@@ -213,8 +213,7 @@ def add_gaussian_noise(data: Dataset, sigma: float, seed: int) -> Dataset:
     No clamping: clipping would bias the noise mean and break the
     zero-mean latent-example assumption. Labels are unchanged.
     """
-    if not sigma >= 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    check_nonneg_finite(sigma, "sigma")
     rng = np.random.default_rng(seed)
     noisy = data.features + rng.normal(0.0, sigma, size=data.features.shape)
     return Dataset(noisy, data.label_names[data.labels])

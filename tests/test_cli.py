@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mapml import cli, load_csv, load_model
+from mapml import SyntheticSpec, TrainConfig, cli, load_csv, load_model
 from mapml.cli import main
 
 
@@ -194,6 +194,17 @@ class TestEval:
                    "--refs", "original", "--data", synth_csv])
         assert rc == 0
         assert "refs=original" in capsys.readouterr().out
+
+    def test_k_below_one_usage_error(self, tmp_path, synth_csv, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("loaded a model or data despite --k 0")
+
+        for name in ("load_model", "_load_dataset"):
+            monkeypatch.setattr(cli, name, refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--model", str(tmp_path / "m.mapml"), "--test", synth_csv,
+                  "--k", "0"])
+        assert exc.value.code == 2
 
     def test_query_time_percentiles_printed(self, tmp_path, synth_csv, capsys):
         model_path = str(tmp_path / "model.mapml")
@@ -417,7 +428,7 @@ class TestBench:
             main(["bench", "--data", synth_csv, "--methods", "svm"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flags", [["--trials", "0"], ["--methods", ","]])
+    @pytest.mark.parametrize("flags", [["--trials", "0"], ["--methods", ","], ["--k", "0"]])
     def test_empty_sweep_usage_error(self, synth_csv, flags):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--data", synth_csv, "--methods", "euclid"] + flags)
@@ -469,13 +480,13 @@ class TestNoiseSweep:
         assert rc == 0
         assert Counter(calls) == {"train_mapml": 4, "train_random_triplet_baseline": 4}
 
-    @pytest.mark.parametrize("flags", [["--trials", "0"], ["--methods", ","]])
+    @pytest.mark.parametrize("flags", [["--trials", "0"], ["--methods", ","], ["--k", "0"]])
     def test_empty_sweep_usage_error(self, synth_csv, flags):
         with pytest.raises(SystemExit) as exc:
             main(["noise-sweep", "--data", synth_csv, "--methods", "euclid"] + flags)
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("sigmas", ["0.1,-1", "0.1,nan"])
+    @pytest.mark.parametrize("sigmas", ["0.1,-1", "0.1,nan", "0.1,inf"])
     def test_bad_sigma_fails_before_training(self, synth_csv, capsys, monkeypatch, sigmas):
         calls = count_training(monkeypatch)
         rc = main(["noise-sweep", "--data", synth_csv, "--methods", "mapml", "--trials", "1",
@@ -522,6 +533,32 @@ class TestOutputPaths:
                 else f"{argv[-1]} {str(path)!r} is a directory")
         assert (out, err) == ("", f"error: {want}\n")
         assert not (tmp_path / "missing").exists()
+
+
+class TestConfigFlags:
+    """The training and synth flags take their defaults from the config types."""
+
+    TRAIN = {"--tau": "tau", "--gamma": "gamma", "--lambda": "lam", "--delta": "delta",
+             "--outer-iters": "outer_iters", "--inner-iters": "inner_iters",
+             "--latent-em-iters": "latent_em_iters", "--seed": "rng_seed",
+             "--active-set-cap": "active_set_cap"}
+    SYNTH = {"--classes": "n_classes", "--latents-per-class": "latents_per_class",
+             "--dim": "dim", "--sigma": "noise_sigma",
+             "--samples-per-latent": "samples_per_latent", "--seed": "seed"}
+
+    @pytest.mark.parametrize("command", ["train", "bench", "noise-sweep", "synth"])
+    def test_flag_defaults_are_field_defaults(self, command):
+        flags, config = (self.SYNTH, SyntheticSpec()) if command == "synth" \
+            else (self.TRAIN, TrainConfig())
+        required = ["--out", "x"] if command in ("train", "synth") else []
+        parser = cli.build_parser()
+        defaults = parser.parse_args([command] + required)
+        for flag, field in flags.items():
+            default = getattr(defaults, field)
+            assert default == getattr(config, field) and type(default) is \
+                type(getattr(config, field)), flag
+            # the flag sets that field
+            assert getattr(parser.parse_args([command, flag, "2"] + required), field) == 2
 
 
 class TestDataDirEnv:

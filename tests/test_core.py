@@ -145,6 +145,7 @@ class TestTrainConfig:
         dict(rng_seed=True), dict(rng_seed=[1]), dict(rng_seed=np.int64(-1)),
         dict(tau=True), dict(gamma=True), dict(lam=True), dict(delta=True),
         dict(lam=np.True_), dict(tau="10"), dict(delta=None),
+        dict(gamma=float("inf")),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

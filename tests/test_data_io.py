@@ -240,7 +240,8 @@ class TestGenerateSynthetic:
     @pytest.mark.parametrize("field, value", [
         ("n_classes", 2.5), ("dim", 2.0), ("samples_per_latent", np.float64(3)),
         ("seed", 1.5), ("latents_per_class", True),
-        ("noise_sigma", np.inf), ("noise_sigma", True), ("noise_sigma", "0.1")])
+        ("noise_sigma", np.inf), ("noise_sigma", True), ("noise_sigma", "0.1"),
+        ("seed", -1), ("n_classes", 0)])
     def test_rejects_mistyped_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             SyntheticSpec(**{field: value})
@@ -457,6 +458,7 @@ class TestModelPersistence:
         '[1, 2, 3]',
         '"just a string"',
         '{"config": ',
+        '{"loss_trce": [1.0]}',
     ])
     def test_malformed_sidecar_is_value_error(self, tmp_path, sidecar):
         rng = np.random.default_rng(4)

@@ -399,6 +399,11 @@ class TestAddGaussianNoise:
         with pytest.raises(ValueError, match="sigma must be >= 0"):
             add_gaussian_noise(data, float("nan"), seed=0)
 
+    def test_infinite_sigma_raises(self):
+        data = Dataset([[0.0], [1.0]], [0, 1])
+        with pytest.raises(ValueError, match="sigma must be >= 0"):
+            add_gaussian_noise(data, float("inf"), seed=0)
+
     def test_zero_mean(self):
         rng = np.random.default_rng(7)
         data = Dataset(rng.normal(size=(1000, 1000)), rng.integers(0, 2, size=1000))
