@@ -19,6 +19,7 @@ from .data_io import SyntheticSpec, generate_synthetic, load_csv, load_idx, \
     load_model, save_model
 from .driver import train_mapml, train_random_triplet_baseline
 from .evaluation import add_gaussian_noise, evaluate
+from .latent import latents_per_class
 
 KNOWN_METHODS = ("euclid", "mapml", "mapml-o", "random-triplet")
 
@@ -119,8 +120,8 @@ def _check_out_path(path, flag):
 def cmd_train(args, parser) -> int:
     _require_data(args, parser)
     _check_out_path(args.out, "--out")
-    data = _load_dataset(args)
     cfg = _config_from_args(args)
+    data = _load_dataset(args)
     def sink(rec):
         print("k={k} loss={loss:.6f} active={active_set_size} "
               "latent_s={latent_seconds:.3f} metric_s={metric_seconds:.3f} "
@@ -230,8 +231,11 @@ def _run_trial(methods, cfg, train_data, test, k, euclid=None) -> list:
     return out
 
 
-def _sweep_inputs(args, parser):
-    """Validated (methods, train data, test data, trial seeds) of bench and noise-sweep."""
+def _sweep_inputs(args, parser, configs):
+    """Validated (methods, train data, test data, trial seeds) of bench and noise-sweep.
+
+    Refuses ``--k`` above a method's reference count under any of ``configs``.
+    """
     _require_data(args, parser)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
@@ -243,6 +247,12 @@ def _sweep_inputs(args, parser):
     _check_out_path(args.csv_out, "--csv-out")
     train_data = _load_dataset(args)
     test = _load_dataset(args, "test-") if args.test_data else train_data
+    # mapml ranks init_latents' latent count at each tau; every other method the n rows
+    sizes = np.bincount(train_data.labels).tolist()
+    refs = min([train_data.n] + [sum(latents_per_class(n_r, cfg.tau) for n_r in sizes)
+                                 for cfg in configs if "mapml" in methods])
+    if args.k > refs:
+        raise ValueError(f"k must be in [1, {refs}], got {args.k}")
     return methods, train_data, test, _trial_seeds(args.rng_seed, args.trials)
 
 
@@ -260,10 +270,10 @@ def _write_table(header, rows, csv_out):
 
 
 def cmd_bench(args, parser) -> int:
-    methods, train_data, test, seeds = _sweep_inputs(args, parser)
     taus = [float(t) for t in args.tau_sweep.split(",")] if args.tau_sweep else [args.tau]
-    # every swept config is checked before the first training run
+    # every swept config is checked before any data is read
     configs = [dataclasses.replace(_config_from_args(args), tau=tau) for tau in taus]
+    methods, train_data, test, seeds = _sweep_inputs(args, parser, configs)
     # the identity metric over the same references and test set: one score
     euclid = _run_trial(["euclid"], configs[0], train_data, test, args.k)[0] \
         if "euclid" in methods else None
@@ -294,10 +304,10 @@ def _parse_sigma(token: str) -> float:
 
 
 def cmd_noise_sweep(args, parser) -> int:
-    methods, train_data, test, seeds = _sweep_inputs(args, parser)
-    # every sigma and the config are checked before the first training run
+    # every sigma and the config are checked before any data is read
     sigmas = [_parse_sigma(t) for t in args.sigmas.split(",")]
     base = _config_from_args(args)
+    methods, train_data, test, seeds = _sweep_inputs(args, parser, [base])
 
     header = ["sigma", "method", "trials", "mean_error_pct", "std_error_pct"]
     rows = []

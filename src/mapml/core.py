@@ -8,7 +8,6 @@ double precision; there is no single-precision fast path.
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -256,36 +255,6 @@ def pairwise_mahalanobis_sq(metric: Metric, A) -> np.ndarray:
     return out
 
 
-class HingeBlock(NamedTuple):
-    """One class's slice of the latent-triplet hinge, rows sorted for search.
-
-    lo, hi       the class's latents are rows lo:hi of E; row i is anchor
-                 lo + i, and the other classes' latents are every index
-                 outside lo:hi
-    b_sorted     (m_r, m - m_r) :func:`other_class_columns` of E, each row
-                 sorted ascending
-    thresholds   (m_r, m_r - 1) t_p = (1 + margin(o)) + E[o, p] for each
-                 anchor's same-class partners p != o, in the order of
-                 :func:`partner_columns`
-    below        (m_r, m_r - 1) number of b in the row strictly below t_p,
-                 i.e. the count of q with a positive loss hinge t_p - E[o, q].
-                 This is the one definition of a violated triplet: the loss
-                 sums these hinges and the active set keeps these triplets.
-    """
-
-    lo: int
-    hi: int
-    b_sorted: np.ndarray
-    thresholds: np.ndarray
-    below: np.ndarray
-
-
-def partner_columns(m_r: int) -> np.ndarray:
-    """(m_r, m_r - 1) local partner index of each anchor: all j != i, ascending."""
-    j = np.arange(m_r - 1)
-    return j[None, :] + (j[None, :] >= np.arange(m_r)[:, None])
-
-
 def count_below(rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """(k, j) count of entries of row k strictly below keys[k, j].
 
@@ -315,58 +284,65 @@ def other_class_columns(E: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.concatenate((E[lo:hi, :lo], E[lo:hi, hi:]), axis=1)
 
 
-def hinge_blocks(E: np.ndarray, counts, margins):
-    """Yield a :class:`HingeBlock` per class, one class at a time.
+def class_bounds(counts, m: int) -> list:
+    """Rows lo:hi of each class that forms triplets, of m latents in all.
 
-    ``E`` is the pairwise latent distance matrix and ``counts`` the number
-    of latents of each class, whose rows are grouped in label order as
-    ``LatentModel.per_class_counts`` counts them. A class's rows are the
-    slice E[lo:hi], so its block needs no gather beyond one copy of its
-    other-class columns. Classes with fewer than two latents or no other
-    class contribute no triplet and are skipped.
-
-    Each anchor sorts its other-class distances once, and every
-    same-class partner's hinge boundary comes from :func:`count_below`, so
-    a block costs O(m_r m log m) time and O(m_r m) memory.
+    ``counts`` holds each class's latent count, rows grouped in label order
+    as in ``LatentModel.per_class_counts``. A class with fewer than two
+    latents or no other class forms no triplet and is left out.
     """
     ends = np.cumsum(counts).tolist()
-    for lo, hi in zip([0, *ends[:-1]], ends):
-        if 2 <= hi - lo < E.shape[0]:
-            yield _hinge_block(E, lo, hi, margins)
+    return [(lo, hi) for lo, hi in zip([0, *ends[:-1]], ends) if 2 <= hi - lo < m]
 
 
-def _hinge_block(E, lo, hi, margins) -> HingeBlock:
-    """The block of latents lo:hi, formed outside the generator so its frame holds none."""
-    thresholds = (1.0 + margins[lo:hi])[:, None] + np.take_along_axis(
-        E[lo:hi, lo:hi], partner_columns(hi - lo), axis=1)
+def hinge_block(E: np.ndarray, lo: int, hi: int, margins):
+    """One class's slice of the latent-triplet hinge, rows sorted for search.
+
+    Returns ``(b_sorted, thresholds, below)`` of the class whose latents are
+    rows lo:hi of the pairwise latent distance matrix ``E``: row i is anchor
+    o = lo + i, and every index outside lo:hi is another class's latent.
+
+    b_sorted     (m_r, m - m_r) :func:`other_class_columns` of E, each row
+                 sorted ascending
+    thresholds   (m_r, m_r - 1) t_p = (1 + margin(o)) + E[o, p] for each
+                 anchor's same-class partners p != o, ascending: partner
+                 slot pp of anchor i is latent lo + pp + (pp >= i)
+    below        (m_r, m_r - 1) number of b in the row strictly below t_p,
+                 i.e. the count of q with a positive loss hinge t_p - E[o, q].
+                 This is the one definition of a violated triplet: the loss
+                 sums these hinges and the active set keeps these triplets.
+
+    One sort per anchor and :func:`count_below` over its partners: a block
+    costs O(m_r m log m) time and O(m_r m) memory.
+    """
+    m_r = hi - lo
+    # the off-diagonal entries of the class's rows, row by row
+    partners = E[lo:hi, lo:hi][~np.eye(m_r, dtype=bool)].reshape(m_r, m_r - 1)
+    thresholds = (1.0 + margins[lo:hi])[:, None] + partners
     b = other_class_columns(E, lo, hi)
     b.sort(axis=1)
-    return HingeBlock(lo, hi, b, thresholds, count_below(b, thresholds))
+    return b, thresholds, count_below(b, thresholds)
 
 
-def decode_ranks(blk: HingeBlock, order: np.ndarray, ranks):
-    """Map violator ranks of one class block to (o, p, q) latent indices.
+def decode_ranks(lo: int, hi: int, below: np.ndarray, order: np.ndarray, ranks):
+    """Map violator ranks of the class block lo:hi to (o, p, q) latent indices.
 
-    ``order`` is ``np.argsort`` of the block's rows, taken over
-    :func:`other_class_columns` of E, and ``ranks`` are ascending ints in
-    [0, blk.below.sum()), enumerating the violators anchor by anchor,
-    partner by partner (in the order of :func:`partner_columns`), and for
-    each (o, p) by ascending E[o, q]. Since the violators of (o, p) are
-    the first below[o, p] entries of the sorted row, rank j within (o, p)
-    is the row's j-th smallest distance, read off ``order``. Which of
-    several tied distances comes first is up to ``np.argsort``; the set of
-    violators, and so the uniformity of a sample of ranks, does not
-    depend on it.
+    ``below`` is the block's count from :func:`hinge_block`, ``order`` the
+    ``np.argsort`` of its :func:`other_class_columns` rows, and ``ranks``
+    ascending ints in [0, below.sum()) that enumerate the violators anchor
+    by anchor, partner by partner (ascending), and for each (o, p) by
+    ascending E[o, q]: rank j within (o, p) is the row's j-th smallest
+    distance, read off ``order``. ``np.argsort`` orders tied distances;
+    the set of violators, and so a sample's uniformity, does not depend on it.
     """
-    counts = blk.below.ravel()
+    counts = below.ravel()
     ends = np.cumsum(counts)
     pair = np.searchsorted(ends, ranks, side="right")
     j = ranks - (ends[pair] - counts[pair])
-    m_r = blk.hi - blk.lo
-    i, pp = np.divmod(pair, m_r - 1)
-    # column c of the other-class columns is latent c below lo, c + m_r above
+    i, pp = np.divmod(pair, hi - lo - 1)
+    # column c of the other-class columns is latent c below lo, c + (hi - lo) above
     c = order[i, j]
-    return blk.lo + i, blk.lo + partner_columns(m_r)[i, pp], c + (c >= blk.lo) * m_r
+    return lo + i, lo + pp + (pp >= i), c + (c >= lo) * (hi - lo)
 
 
 def full_loss_all(metric: Metric, latent_model) -> float:
@@ -377,22 +353,20 @@ def full_loss_all(metric: Metric, latent_model) -> float:
     For anchor o and partner p with threshold t_p and k_p other-class
     distances below it, the hinges sum to k_p t_p - (sum of the k_p
     smallest), read off prefix sums of the sorted row: O(m^2 log m) time
-    over one class block at a time (see :func:`hinge_blocks`).
+    over one :func:`hinge_block` at a time, holding E plus one block.
     """
     E = pairwise_mahalanobis_sq(metric, latent_model.latents)
     if not np.isfinite(E).all():
         return float("nan")
     total = 0.0
-    # each block lives only inside _hinge_sum, so the scan holds E plus one block
-    for hinge in map(_hinge_sum, hinge_blocks(E, latent_model.per_class_counts,
-                                              latent_model.cluster_margins)):
-        total += hinge
+    for lo, hi in class_bounds(latent_model.per_class_counts, latent_model.m):
+        total += _hinge_sum(*hinge_block(E, lo, hi, latent_model.cluster_margins))
     return total
 
 
-def _hinge_sum(blk: HingeBlock) -> float:
+def _hinge_sum(b_sorted, thresholds, below) -> float:
     """Sum of one block's positive hinges, read off prefix sums of its sorted rows."""
-    prefix = np.zeros((blk.b_sorted.shape[0], blk.b_sorted.shape[1] + 1))
-    np.cumsum(blk.b_sorted, axis=1, out=prefix[:, 1:])
-    below_sum = np.take_along_axis(prefix, blk.below, axis=1)
-    return float(np.sum(blk.below * blk.thresholds - below_sum))
+    prefix = np.zeros((b_sorted.shape[0], b_sorted.shape[1] + 1))
+    np.cumsum(b_sorted, axis=1, out=prefix[:, 1:])
+    below_sum = np.take_along_axis(prefix, below, axis=1)
+    return float(np.sum(below * thresholds - below_sum))

@@ -80,8 +80,8 @@ def build_active_set(model: LatentModel, metric_prev: Metric, cap: int, seed: in
     latent indices: the (o, p, q) with label(p) = label(o), p != o,
     label(q) != label(o) whose loss hinge is strictly positive, in
     ascending (o, p, q) order. These are exactly the triplets that
-    :func:`core.full_loss_all` sums, counted per (o, p) by
-    ``HingeBlock.below``. If more than ``cap`` violate, a uniform
+    :func:`core.full_loss_all` sums, counted per (o, p) by the ``below``
+    of :func:`core.hinge_block`. If more than ``cap`` violate, a uniform
     subsample without replacement (driven by ``seed``) is retained, still
     in ascending order. An empty result is legal.
 
@@ -94,28 +94,24 @@ def build_active_set(model: LatentModel, metric_prev: Metric, cap: int, seed: in
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     E = pairwise_mahalanobis_sq(metric_prev, model.latents)
-    # keep what decode_ranks reads: the sorted rows of every block would
-    # hold a second E
-    blocks = [blk._replace(b_sorted=None, thresholds=None) for blk in
-              core.hinge_blocks(E, model.per_class_counts, model.cluster_margins)]
-    total = sum(int(blk.below.sum()) for blk in blocks)
-    if total == 0:
+    bounds = core.class_bounds(model.per_class_counts, model.m)
+    belows = [core.hinge_block(E, lo, hi, model.cluster_margins)[2] for lo, hi in bounds]
+    # violator ranks starts[r]:starts[r + 1] are block r's
+    starts = np.cumsum([0] + [int(below.sum()) for below in belows])
+    if starts[-1] == 0:
         return np.empty((0, 3), dtype=np.int64)
-    # every rank when total <= cap, else a sorted uniform sample of cap ranks
-    ranks = _sample_without_replacement(total, cap, np.random.default_rng(seed))
+    # every rank when there are <= cap, else a sorted uniform sample of cap ranks
+    ranks = _sample_without_replacement(int(starts[-1]), cap, np.random.default_rng(seed))
+    cuts = np.searchsorted(ranks, starts)
     m = model.m
     keys = []
-    base = 0
-    for blk in blocks:
-        size = int(blk.below.sum())
-        lo, hi = np.searchsorted(ranks, [base, base + size])
-        if hi > lo:
+    for (lo, hi), below, base, first, last in zip(bounds, belows, starts, cuts, cuts[1:]):
+        if last > first:
             # the block's rows re-formed from E; their argsort is gone before
             # the next block's is made
-            o, p, q = core.decode_ranks(blk, np.argsort(core.other_class_columns(
-                E, blk.lo, blk.hi), axis=1), ranks[lo:hi] - base)
+            o, p, q = core.decode_ranks(lo, hi, below, np.argsort(
+                core.other_class_columns(E, lo, hi), axis=1), ranks[first:last] - base)
             keys.append((o * m + p) * m + q)
-        base += size
     # one int64 key per row sorts the rows into ascending (o, p, q)
     o, pq = np.divmod(np.sort(np.concatenate(keys)), m * m)
     return np.column_stack([o, *np.divmod(pq, m)])

@@ -535,6 +535,38 @@ class TestOutputPaths:
         assert not (tmp_path / "missing").exists()
 
 
+class TestChecksBeforeRuns:
+    """Every flag is checked before any data is read, and --k before any training."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["train", "--gamma", "inf", "--out", "{tmp}/m.bin"], "gamma"),
+        (["noise-sweep", "--sigmas", "inf"], "sigma"),
+        (["bench", "--tau-sweep", "0"], "tau")])
+    def test_bad_flag_fails_before_data_is_read(self, tmp_path, capsys, argv, name):
+        rc = main([argv[0], "--data", str(tmp_path / "nope.csv")]
+                  + [a.format(tmp=tmp_path) for a in argv[1:]])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {name} must be")
+
+    @pytest.mark.parametrize("argv, refs", [
+        # 120 rows, two classes of 60: 6 latents each at tau 10, 3 at tau 5
+        (["bench", "--methods", "mapml", "--k", "50"], 12),
+        (["bench", "--methods", "euclid,mapml", "--tau-sweep", "10,5", "--k", "10"], 6),
+        (["noise-sweep", "--methods", "random-triplet,mapml-o", "--k", "500"], 120)])
+    def test_k_above_reference_count_fails_before_training(self, synth_csv, capsys,
+                                                           monkeypatch, argv, refs):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trained despite a bad --k")
+
+        for name in ("train_mapml", "train_random_triplet_baseline"):
+            monkeypatch.setattr(cli, name, refuse)
+        rc = main(argv[:1] + ["--data", synth_csv, "--trials", "1", "--outer-iters", "1",
+                              "--inner-iters", "100"] + argv[1:])
+        assert rc == 1
+        k = argv[-1]
+        assert capsys.readouterr() == ("", f"error: k must be in [1, {refs}], got {k}\n")
+
+
 class TestConfigFlags:
     """The training and synth flags take their defaults from the config types."""
 

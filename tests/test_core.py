@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapml import Dataset, Metric, TrainConfig, core
-from mapml.core import (count_below, full_loss_all, hinge_blocks, is_identity,
-                        other_class_columns, pairwise_mahalanobis_sq)
+from mapml.core import (class_bounds, count_below, full_loss_all, hinge_block,
+                        is_identity, other_class_columns, pairwise_mahalanobis_sq)
 from mapml.metric import build_active_set
 
 from conftest import (MatmulCounter, make_latent_model, oracle_full_loss,
@@ -357,12 +357,13 @@ class TestHingeBlockLabels:
         counts = [3, 2, 4]
         E, margins = self.instance([0] * 3 + [1] * 2 + [2] * 4)
         labels = np.repeat([0, 1, 2], counts)
-        blocks = list(hinge_blocks(E, counts, margins))
-        assert len(blocks) == 3
-        for r, blk in enumerate(blocks):
+        bounds = class_bounds(counts, len(labels))
+        assert len(bounds) == 3
+        for r, (lo, hi) in enumerate(bounds):
             same = np.flatnonzero(labels == r)
             diff = np.flatnonzero(labels != r)
-            assert (blk.lo, blk.hi) == (same[0], same[-1] + 1)
-            np.testing.assert_array_equal(blk.b_sorted, np.sort(E[np.ix_(same, diff)], axis=1))
-            np.testing.assert_array_equal(other_class_columns(E, blk.lo, blk.hi),
+            assert (lo, hi) == (same[0], same[-1] + 1)
+            b_sorted = hinge_block(E, lo, hi, margins)[0]
+            np.testing.assert_array_equal(b_sorted, np.sort(E[np.ix_(same, diff)], axis=1))
+            np.testing.assert_array_equal(other_class_columns(E, lo, hi),
                                           E[np.ix_(same, diff)])

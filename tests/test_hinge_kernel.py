@@ -69,23 +69,24 @@ def oracle_list(model, metric):
                                   model.cluster_margins)
 
 
-def block_indices(blk, m):
-    """(same, diff, partner) latent indices of a block: its class, the rest, and
-    each anchor's partners in the order of ``core.partner_columns``."""
-    same = np.arange(blk.lo, blk.hi)
-    diff = np.r_[0:blk.lo, blk.hi:m]
-    return same, diff, same[core.partner_columns(same.size)]
+def block_indices(lo, hi, m):
+    """(same, diff, partner) latent indices of the class block lo:hi: its class,
+    the rest, and each anchor's partners, every other class member ascending."""
+    same = np.arange(lo, hi)
+    diff = np.r_[0:lo, hi:m]
+    return same, diff, np.array([np.delete(same, i) for i in range(same.size)])
 
 
 def kernel_pair_counts(model, metric):
-    """{(o, p): HingeBlock.below} from the kernel, for every same-class pair."""
+    """{(o, p): below of core.hinge_block} from the kernel, for every same-class pair."""
     E = core.pairwise_mahalanobis_sq(metric, model.latents)
     out = {}
-    for blk in core.hinge_blocks(E, model.per_class_counts, model.cluster_margins):
-        same, _, partner = block_indices(blk, model.m)
+    for lo, hi in core.class_bounds(model.per_class_counts, model.m):
+        below = core.hinge_block(E, lo, hi, model.cluster_margins)[2]
+        same, _, partner = block_indices(lo, hi, model.m)
         for i, o in enumerate(same):
             for j, p in enumerate(partner[i]):
-                out[(int(o), int(p))] = int(blk.below[i, j])
+                out[(int(o), int(p))] = int(below[i, j])
     return out
 
 
@@ -93,7 +94,7 @@ class TestHingeKernel:
     @KERNEL
     @given(instances)
     def test_violator_counts_match_oracle(self, inst):
-        # HingeBlock.below is the one violation count
+        # hinge_block's below is the one violation count
         model, metric = inst
         want = Counter((o, p) for o, p, _ in oracle_list(model, metric))
         got = kernel_pair_counts(model, metric)
@@ -124,14 +125,15 @@ class TestHingeKernel:
                 p = (o + int(rng.integers(1, s))) % s
                 edge = E[o, p] + (1.0 + margins[o])
                 E[o, q] = edge + int(rng.integers(-3, 4)) * np.spacing(edge)
-        for blk in core.hinge_blocks(E, [s, n], margins):
-            same, diff, partner = block_indices(blk, m)
+        for lo, hi in core.class_bounds([s, n], m):
+            below = core.hinge_block(E, lo, hi, margins)[2]
+            same, diff, partner = block_indices(lo, hi, m)
             for i, o in enumerate(same):
                 row = E[o, diff]
                 ranked = np.sort(row)
                 for j, p in enumerate(partner[i]):
                     t = (1.0 + margins[o]) + E[o, p]
-                    k = blk.below[i, j]
+                    k = below[i, j]
                     assert k == np.sum(row < t)
                     assert np.all(t - ranked[:k] > 0)
                     assert np.all(t - ranked[k:] <= 0)
@@ -154,11 +156,12 @@ class TestHingeKernel:
         E = core.pairwise_mahalanobis_sq(metric, model.latents)
         want = Counter(oracle_list(model, metric))
         got = []
-        for blk in core.hinge_blocks(E, model.per_class_counts, model.cluster_margins):
-            counts = blk.below
-            rows = core.other_class_columns(E, blk.lo, blk.hi)
-            o, p, q = core.decode_ranks(blk, np.argsort(rows, axis=1), np.arange(counts.sum()))
-            same, _, partner = block_indices(blk, model.m)
+        for lo, hi in core.class_bounds(model.per_class_counts, model.m):
+            counts = core.hinge_block(E, lo, hi, model.cluster_margins)[2]
+            rows = core.other_class_columns(E, lo, hi)
+            o, p, q = core.decode_ranks(lo, hi, counts, np.argsort(rows, axis=1),
+                                        np.arange(counts.sum()))
+            same, _, partner = block_indices(lo, hi, model.m)
             pairs = [(a, b) for a, row in zip(same, partner) for b in row]
             assert list(zip(o, p)) == [pr for pr, c in zip(pairs, counts.ravel())
                                        for _ in range(c)]
