@@ -24,16 +24,41 @@ SYMMETRY_TOL = 1e-9
 # no m x m temporary (64 rows measured best of 16-256 at m = 500-2000, d = 64).
 PAIRWISE_ROWS = 64
 
+
+def frozen(a, dtype=None) -> np.ndarray:
+    """``a`` as a C-contiguous array over an immutable ``bytes`` buffer.
+
+    The library's one immutability rule: numpy refuses ``flags.writeable =
+    True`` on such an array and on every view of it, so no writeable view
+    of it can exist and its values never change while it lives. ``a`` is
+    returned itself when it already is one (of ``dtype``); anything else
+    is copied into a new buffer.
+    """
+    a = np.asarray(a, dtype=dtype, order="C")
+    if is_frozen(a):
+        return a
+    return np.frombuffer(a.tobytes(), dtype=a.dtype).reshape(a.shape)
+
+
+def is_frozen(a) -> bool:
+    """True when ``a`` is an ndarray whose ``.base`` chain ends in ``bytes`` (:func:`frozen`)."""
+    base = a
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return type(a) is np.ndarray and type(base) is bytes
+
+
 class Dataset:
     """Labeled feature vectors: an (n, d) matrix plus one label per row.
 
     Labels are re-indexed to 0..C-1 internally; the original label values
     are kept in ``label_names`` for reporting (``label_names[labels[i]]``
-    recovers the input label of row i).
+    recovers the input label of row i). Labels must be numbers or strings.
+    Every array is :func:`frozen`.
     """
 
     def __init__(self, features, labels):
-        features = np.array(features, dtype=np.float64, order="C")
+        features = frozen(features, np.float64)
         if features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {features.shape}")
         if features.shape[0] < 1 or features.shape[1] < 1:
@@ -46,11 +71,12 @@ class Dataset:
                 f"labels must be 1-D with one entry per row: "
                 f"{labels.shape} vs {features.shape[0]} rows"
             )
+        if labels.dtype.kind not in "biufUS":
+            raise ValueError(f"labels must be numbers or strings, got {labels.dtype}")
+        names, codes = np.unique(labels, return_inverse=True)
         self.features = features
-        self.label_names, self.labels = np.unique(labels, return_inverse=True)
-        self.labels = self.labels.astype(np.int64)
-        self.features.flags.writeable = False
-        self.labels.flags.writeable = False
+        self.label_names = frozen(names)
+        self.labels = frozen(codes, np.int64)
 
     @property
     def n(self) -> int:
@@ -96,11 +122,12 @@ class Metric:
     """A symmetric d x d matrix defining a squared Mahalanobis distance.
 
     The matrix may be indefinite mid-optimization (one-projection
-    paradigm); a finalized metric has min eigenvalue >= -1e-9.
+    paradigm); a finalized metric has min eigenvalue >= -1e-9. The matrix
+    is :func:`frozen`.
     """
 
     def __init__(self, matrix):
-        matrix = np.array(matrix, dtype=np.float64, order="C")
+        matrix = frozen(matrix, np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"metric matrix must be square, got {matrix.shape}")
         if matrix.shape[0] == 0:
@@ -114,7 +141,6 @@ class Metric:
         if asym > SYMMETRY_TOL:
             raise ValueError(f"metric matrix is asymmetric (max |M - M^T| = {asym:g})")
         self.matrix = matrix
-        self.matrix.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -123,21 +149,19 @@ class Metric:
     @classmethod
     def identity(cls, d: int) -> "Metric":
         """The d x d identity, built without the finiteness and symmetry scans."""
-        matrix = np.eye(d)
         if d == 0:
             raise ValueError("metric matrix must have dimension >= 1, got 0 x 0")
-        return cls._unchecked(matrix)
+        return cls._unchecked(np.eye(d))
 
     @classmethod
     def _unchecked(cls, matrix: np.ndarray) -> "Metric":
-        """A Metric holding ``matrix`` itself, which the caller knows is valid.
+        """A Metric holding ``matrix``, which the caller knows is valid, :func:`frozen`.
 
-        ``matrix`` must be a C-contiguous float64 d x d array (d >= 1) that
-        is finite and exactly symmetric; it is made read-only, not copied.
+        ``matrix`` must be a float64 d x d array (d >= 1) that is finite and
+        exactly symmetric; none of this is checked.
         """
         metric = cls.__new__(cls)
-        metric.matrix = matrix
-        metric.matrix.flags.writeable = False
+        metric.matrix = frozen(matrix, np.float64)
         return metric
 
     def min_eigenvalue(self) -> float:
@@ -337,8 +361,11 @@ def decode_ranks(lo: int, hi: int, below: np.ndarray, order: np.ndarray, ranks):
     """
     counts = below.ravel()
     ends = np.cumsum(counts)
-    pair = np.searchsorted(ends, ranks, side="right")
-    j = ranks - (ends[pair] - counts[pair])
+    # a rank's pair is the number of pair ends at or below it, counted by
+    # searching each end in the sorted ranks: fewer searches than one per
+    # rank (on the desk blocks, ~10k ends against ~20k ranks)
+    pair = np.cumsum(np.bincount(np.searchsorted(ranks, ends), minlength=len(ranks) + 1)[:-1])
+    j = ranks - (ends - counts)[pair]
     i, pp = np.divmod(pair, hi - lo - 1)
     # column c of the other-class columns is latent c below lo, c + (hi - lo) above
     c = order[i, j]

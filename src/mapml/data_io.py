@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .core import Dataset, Metric, TrainConfig, check_int_fields, check_label_names, \
-    check_nonneg_finite
+    check_nonneg_finite, frozen
 from .latent import TIE_TOLERANCE, LatentModel, compute_margins
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -267,6 +267,9 @@ def load_model(path) -> ModelFile:
     at least per latent label code. A missing sidecar is tolerated. A config
     ``tie_tolerance`` key, which older sidecars carry, is accepted only at
     ``latent.TIE_TOLERANCE``.
+
+    The metric matrix, the latents and the latent labels are
+    :func:`frozen`; the first two are views of the payload read.
     """
     with open(path, "rb") as f:
         magic = _read_exact(f, 8, "model header")
@@ -293,7 +296,7 @@ def load_model(path) -> ModelFile:
     if not np.isfinite(latents).all():
         raise ValueError("model latents contain non-finite entries")
     off += m * d * 8
-    labels = np.frombuffer(payload, dtype="<u4", count=m, offset=off).astype(np.int64)
+    labels = frozen(np.frombuffer(payload, dtype="<u4", count=m, offset=off), np.int64)
 
     config = None
     loss_trace = None
@@ -339,8 +342,8 @@ def load_model(path) -> ModelFile:
         raise ValueError(f"malformed model sidecar {sidecar}: {exc}") from None
     return ModelFile(
         format_version=version,
-        metric=Metric(matrix.copy()),
-        latents=latents.copy(),
+        metric=Metric(matrix),
+        latents=frozen(latents, np.float64),
         latent_labels=labels,
         config=config,
         loss_trace=loss_trace,

@@ -6,10 +6,12 @@ robustness benchmarks.
 """
 
 import time
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import Dataset, Metric, check_label_names, check_nonneg_finite
 # not called here: kept importable because perfbench/spans.py wraps this name
 from .core import pairwise_mahalanobis_sq  # noqa: F401
@@ -44,8 +46,15 @@ BLOCK_SCORES = 2 ** 18
 MIN_BLOCK_ROWS = 128
 
 
+def _check_k(k, n_refs: int) -> None:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if not 1 <= k <= n_refs:
+        raise ValueError(f"k must be in [1, {n_refs}], got {k}")
+
+
 def _references(refs_features, refs_labels, metric: Metric, k: int):
-    """R M, the quadratic forms r^T M r and the labels: what ranking needs of the refs.
+    """R, R M, the quadratic forms r^T M r and the labels: what ranking needs of the refs.
 
     Labels must be integer-valued, one per reference, and non-negative:
     ``evaluate`` marks a test row whose label the references lack with
@@ -73,29 +82,60 @@ def _references(refs_features, refs_labels, metric: Metric, k: int):
                          f"got labels of shape {refs_labels.shape}")
     if refs_labels.min() < 0:
         raise ValueError("reference labels must be non-negative")
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if not 1 <= k <= refs_features.shape[0]:
-        raise ValueError(f"k must be in [1, {refs_features.shape[0]}], got {k}")
+    _check_k(k, refs_features.shape[0])
     RM = refs_features @ metric.matrix
     rq = np.einsum("ij,ij->i", RM, refs_features)
     if not np.isfinite(rq).all():
         bad = int(np.flatnonzero(~np.isfinite(rq))[0])
         raise ValueError(f"reference {bad} has a non-finite entry or its "
                          "quadratic form r^T M r overflows")
-    return RM, rq, refs_labels
+    return refs_features, RM, rq, refs_labels
 
 
-def _knn_labels(X, refs, k: int) -> np.ndarray:
-    """k-nearest-neighbor vote for each row of X against ``_references``.
+# knn_predict's index of each live immutable reference set, keyed by the ids
+# of its features, labels and metric matrix: weak references to the three,
+# the forms rq and the int64 labels, 16 bytes per reference. The death of a
+# key array drops its entry. Reuse rests on immutability, not on comparing
+# values, which would cost a pass over the references and a held copy. An
+# entry only spares work: knn_predict scores alike with or without one.
+_INDEX = {}
 
-    Row x ranks reference r by r^T M r - 2 x^T M r, which differs from the
-    squared distance by x^T M x alone. Selection is k passes over the
-    scores, each taking every row's ``argmin`` and then setting it to inf:
-    O(k * n_refs) per row. ``argmin`` returns the first of equal minima, so
-    the picks come in ascending (score, reference index) order and equal
-    scores go to the smaller reference index by construction. Against a
-    partial selection (``argpartition``, in-process, 500 and 10k
+
+def _knn_index(refs_features, refs_labels, metric: Metric, k: int):
+    """R, the forms r^T M r and the labels, for ``knn_predict``.
+
+    Built by ``_references`` on every call, except for immutable references
+    (float64 features, labels and ``metric.matrix`` all
+    :func:`core.frozen`): their first call builds them, and later calls
+    check ``k`` against them.
+    """
+    key_arrays = (refs_features, refs_labels, metric.matrix)
+    immutable = all(map(core.is_frozen, key_arrays)) and refs_features.dtype == np.float64
+    if immutable:
+        key = tuple(map(id, key_arrays))
+        entry = _INDEX.get(key)
+        if entry is not None and all(ref() is a for ref, a in zip(entry[0], key_arrays)):
+            _check_k(k, refs_features.shape[0])
+            return refs_features, entry[1], entry[2]
+    R, _, rq, labels = _references(refs_features, refs_labels, metric, k)
+    if immutable:
+        def drop(_, key=key):
+            _INDEX.pop(key, None)
+
+        _INDEX[key] = (tuple(weakref.ref(a, drop) for a in key_arrays), rq, labels)
+    return R, rq, labels
+
+
+def _knn_labels(S, labels, k: int) -> np.ndarray:
+    """k-nearest-neighbor vote for each row of the scores S, which it overwrites.
+
+    Row i of S scores reference r by r^T M r - 2 x_i^T M r, which differs
+    from their squared distance by x_i^T M x_i alone. Selection is k passes
+    over the scores, each taking every row's ``argmin`` and then setting it
+    to inf: O(k * n_refs) per row. ``argmin`` returns the first of equal
+    minima, so the picks come in ascending (score, reference index) order
+    and equal scores go to the smaller reference index by construction.
+    Against a partial selection (``argpartition``, in-process, 500 and 10k
     references at d = 64) this was faster up to k = 10 and slower at
     k = 25, or from k = 15 against the 10k references.
 
@@ -107,9 +147,6 @@ def _knn_labels(X, refs, k: int) -> np.ndarray:
     A non-finite picked score (NaN is picked first; +inf could pick a
     reference twice) raises ``ValueError``.
     """
-    RM, rq, labels = refs
-    S = (-2.0 * X) @ RM.T  # scaling X by -2 is exact, and cheaper than scaling S
-    S += rq
     rows = np.arange(S.shape[0])
     top = np.empty((S.shape[0], k), dtype=np.intp)
     picked = np.empty((S.shape[0], k))
@@ -133,14 +170,24 @@ def knn_predict(query, refs_features, refs_labels, metric: Metric, k: int) -> in
     the tied label whose nearest member is closest. A label with a
     negative or non-integer value, a non-integer ``k``, a non-finite query
     or a non-finite reference raises ``ValueError``.
+
+    The query x scores the references as rq + R (M (-2 x)): O(n_refs * d +
+    d^2). The forms rq, with every reference check, cost O(n_refs * d^2).
+    They are built on every call, except for immutable references: float64
+    features, labels and ``metric.matrix`` all :func:`core.frozen`, as
+    ``Dataset``, ``LatentModel``, ``Metric`` and ``load_model`` hold them.
+    For those the first call builds the forms for every later call while
+    the three arrays live, and later calls check only ``k`` and the query.
     """
-    refs = _references(refs_features, refs_labels, metric, k)
+    R, rq, labels = _knn_index(refs_features, refs_labels, metric, k)
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (metric.dim,):
         raise ValueError(f"query must have shape ({metric.dim},), got {query.shape}")
     if not np.isfinite(query).all():
         raise ValueError("query contains non-finite entries")
-    return int(_knn_labels(query[None, :], refs, k)[0])
+    scores = R @ (metric.matrix @ (-2.0 * query))
+    scores += rq
+    return int(_knn_labels(scores[None, :], labels, k)[0])
 
 
 def evaluate(test: Dataset, refs_features, refs_labels, metric: Metric,
@@ -149,7 +196,8 @@ def evaluate(test: Dataset, refs_features, refs_labels, metric: Metric,
     """Error rate of kNN classification over a whole test set.
 
     ``_references`` (R M, the reference quadratic forms and the labels)
-    is built once up front and is not timed. The test rows are then ranked
+    is built once per call, up front, and is not timed; ``evaluate`` keeps
+    nothing between calls. The test rows are then ranked
     in blocks of ``max(MIN_BLOCK_ROWS, BLOCK_SCORES // n_refs)`` rows, one
     matrix product per block, and the k nearest of each row are picked by
     k ``argmin`` passes over the block's scores, with the same tie rules
@@ -171,8 +219,7 @@ def evaluate(test: Dataset, refs_features, refs_labels, metric: Metric,
     and strictly increasing, or fewer than the largest reference label
     + 1, raise ``ValueError``.
     """
-    refs = _references(refs_features, refs_labels, metric, k)
-    labels = refs[2]
+    _, RM, rq, labels = _references(refs_features, refs_labels, metric, k)
     if test.n < 1:
         raise ValueError("test set is empty")
     if test.d != metric.dim:
@@ -191,7 +238,13 @@ def evaluate(test: Dataset, refs_features, refs_labels, metric: Metric,
     block_times = []
     for lo in range(0, test.n, block):
         t0 = time.perf_counter()
-        pred = _knn_labels(test.features[lo:lo + block], refs, k)
+        # scaling the rows by -2 is exact, and cheaper than scaling S
+        S = (-2.0 * test.features[lo:lo + block]) @ RM.T
+        S += rq
+        pred = _knn_labels(S, labels, k)
+        # freed before the next block's scores exist: a second live block
+        # cost page faults and 13-20% of a pass against 10k references
+        del S
         block_times.append(time.perf_counter() - t0)
         errors += int(np.count_nonzero(pred != targets[lo:lo + block]))
     sizes = np.minimum(block, test.n - np.arange(0, test.n, block))

@@ -38,13 +38,15 @@ class LatentModel:
                      rows after those of classes 0..r-1
     latent_labels    (m,) class of each latent row, derived from
                      ``per_class_counts``
+
+    Every array is :func:`core.frozen`.
     """
 
     def __init__(self, latents, membership, cluster_margins, per_class_counts):
-        self.latents = np.array(latents, dtype=np.float64, order="C")
-        self.membership = np.array(membership, dtype=np.int64)
-        self.cluster_margins = np.array(cluster_margins, dtype=np.float64)
-        self.per_class_counts = np.array(per_class_counts, dtype=np.int64)
+        self.latents = core.frozen(latents, np.float64)
+        self.membership = core.frozen(membership, np.int64)
+        self.cluster_margins = core.frozen(cluster_margins, np.float64)
+        self.per_class_counts = core.frozen(per_class_counts, np.int64)
         m = self.latents.shape[0]
         if self.cluster_margins.shape != (m,):
             raise ValueError("cluster_margins must have one entry per latent")
@@ -56,11 +58,8 @@ class LatentModel:
             raise ValueError("cluster margins must be nonnegative")
         if self.membership.min(initial=0) < 0 or self.membership.max(initial=-1) >= m:
             raise IndexError("membership index out of range")
-        self.latent_labels = np.repeat(np.arange(self.per_class_counts.size),
-                                       self.per_class_counts)
-        for arr in (self.latents, self.latent_labels, self.membership,
-                    self.cluster_margins, self.per_class_counts):
-            arr.flags.writeable = False
+        self.latent_labels = core.frozen(np.repeat(np.arange(self.per_class_counts.size),
+                                                   self.per_class_counts))
         # (data, M) of the _ClassBlocks this membership was assigned from on
         # these latents, set by _assign; None when made elsewhere
         self._assigned_under = None
@@ -164,8 +163,9 @@ def _assigned_from(model: LatentModel, blocks: _ClassBlocks) -> bool:
     """True when ``model`` is what ``_assign(model, blocks)`` returns.
 
     That holds when :func:`_assign` made it on these latents from the same
-    data under an equal metric matrix; arrays in both are read-only, so
-    the equal inputs give the same assignment bit for bit.
+    data under an equal metric matrix; arrays in both are
+    :func:`core.frozen`, so the equal inputs give the same assignment bit
+    for bit.
     """
     if model._assigned_under is None:
         return False

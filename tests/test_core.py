@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mapml import Dataset, Metric, TrainConfig, core
 from mapml.core import (class_bounds, count_below, full_loss_all, hinge_block,
                         is_identity, other_class_columns, pairwise_mahalanobis_sq)
+from mapml.data_io import load_model, save_model
 from mapml.metric import build_active_set
 
 from conftest import (MatmulCounter, make_latent_model, oracle_full_loss,
@@ -107,6 +108,79 @@ def near_identity(d, index, value):
     M = np.eye(d)
     M[index] = value
     return M
+
+
+def model_file_arrays(tmp_path):
+    """The arrays of a model as ``load_model`` reads it back."""
+    model = make_latent_model([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]], [2, 1],
+                              membership=np.array([0, 2]))
+    result = SimpleNamespace(metric=Metric([[2.0, 1.0], [1.0, 3.0]]), latent_model=model,
+                             loss_trace=np.array([1.0]), config=None,
+                             label_names=np.array([3.0, 7.0]))
+    save_model(tmp_path / "m.bin", result)
+    loaded = load_model(tmp_path / "m.bin")
+    return [loaded.metric.matrix, loaded.latents, loaded.latent_labels]
+
+
+class TestImmutability:
+    """Every array of the library's value types is frozen: no writeable view can exist.
+
+    ``knn_predict`` reuses the reference forms of such arrays, and
+    ``latent._assigned_from`` reuses an assignment on ``data is blocks.data``.
+    """
+
+    @pytest.mark.parametrize("arrays", [
+        lambda _: vars(Dataset([[1.0, 2.0], [3.0, 4.0]], [7, 3])).values(),
+        lambda _: vars(Dataset([[1.0]], ["a"])).values(),
+        lambda _: [Metric([[2.0, 1.0], [1.0, 3.0]]).matrix],
+        lambda _: [Metric.identity(3).matrix],
+        lambda _: [Metric._unchecked(np.eye(2)).matrix],
+        lambda _: [v for v in vars(make_latent_model(
+            [[0.0], [1.0], [2.0]], [2, 1], membership=np.array([0, 2]))).values()
+            if isinstance(v, np.ndarray)],
+        model_file_arrays,
+    ], ids=["dataset", "dataset-str", "metric", "identity", "unchecked", "latent-model",
+            "load-model"])
+    def test_writeable_refused(self, arrays, tmp_path):
+        arrays = list(arrays(tmp_path))
+        assert arrays
+        for arr in arrays:
+            assert core.is_frozen(arr)
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+            view = arr[:1]
+            with pytest.raises(ValueError):
+                view.flags.writeable = True
+
+    def test_frozen_copies_a_mutable_array_and_keeps_a_frozen_one(self):
+        a = np.arange(6.0).reshape(2, 3)
+        f = core.frozen(a)
+        a[0, 0] = 9.0  # the copy does not see its source change
+        assert f[0, 0] == 0.0 and f.shape == (2, 3)
+        assert core.frozen(f) is f
+        assert core.frozen(f, np.int64).dtype == np.int64
+        # a non-contiguous view of a frozen array gets its own C-contiguous buffer
+        t = core.frozen(f.T)
+        assert t.flags.c_contiguous and core.is_frozen(t)
+        np.testing.assert_array_equal(t, np.arange(6.0).reshape(2, 3).T)
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.zeros(3),
+        lambda: np.zeros(3)[:2].view(),
+        lambda: np.frombuffer(bytearray(24)),
+        lambda: np.frombuffer(memoryview(bytes(24))),
+        lambda: bytes(24),
+        lambda: [0.0, 0.0],
+    ], ids=["writeable", "view", "bytearray", "memoryview", "bytes", "list"])
+    def test_is_frozen_refuses_other_arrays(self, make):
+        arr = make()
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False  # read-only is not immutable
+        assert not core.is_frozen(arr)
+
+    def test_dataset_refuses_object_labels(self):
+        with pytest.raises(ValueError, match="numbers or strings"):
+            Dataset([[0.0], [1.0]], np.array([1, 2], dtype=object))
 
 
 class TestIsIdentity:

@@ -1,9 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapml import Dataset, Metric, add_gaussian_noise, evaluate, evaluation, knn_predict
+from mapml import Dataset, Metric, add_gaussian_noise, core, evaluate, evaluation, knn_predict
 
 from conftest import oracle_knn_euclidean, random_psd
 
@@ -379,6 +381,124 @@ class TestReferenceValidation:
     def test_non_finite_query(self, bad):
         with pytest.raises(ValueError, match="finite"):
             knn_predict([bad], [[1.0], [2.0]], [0, 1], Metric.identity(1), k=1)
+
+
+def count_builds(monkeypatch):
+    """The list that each ``_references`` call (a validated index build) appends to."""
+    calls = []
+    build = evaluation._references
+
+    def spy(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(evaluation, "_references", spy)
+    return calls
+
+
+class TestReferenceIndex:
+    """``knn_predict`` builds an immutable reference set's forms once; nothing else changes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_reuse_answers_as_the_first_call_and_a_writeable_copy(self, data):
+        n = data.draw(st.integers(1, 10))
+        d = data.draw(st.integers(1, 3))
+        grid = data.draw(st.booleans())
+        # small integer coordinates give exact scores and dense ties
+        coords = (st.integers(-2, 2).map(float) if grid
+                  else st.floats(-10, 10, allow_nan=False, allow_subnormal=False))
+        refs = np.array(data.draw(st.lists(coords, min_size=n * d, max_size=n * d)))
+        queries = np.array(data.draw(st.lists(coords, min_size=3 * d, max_size=3 * d)))
+        refs, queries = refs.reshape(n, d), queries.reshape(3, d)
+        labels = np.array(data.draw(st.lists(st.sampled_from([0, 1, 7, 2 ** 40]),
+                                             min_size=n, max_size=n)))
+        diag = data.draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
+        M = Metric(np.diag(np.array(diag, dtype=float)))
+        frozen_refs, frozen_labels = core.frozen(refs), core.frozen(labels)
+        for k in range(1, n + 1):
+            first = [knn_predict(x, frozen_refs, frozen_labels, M, k) for x in queries]
+            assert [knn_predict(x, frozen_refs, frozen_labels, M, k) for x in queries] == first
+            assert [knn_predict(x, refs.copy(), labels.copy(), M, k) for x in queries] == first
+            if grid:
+                assert first == [oracle_knn_euclidean(x, refs, labels, k, M.matrix)
+                                 for x in queries]
+
+    def test_immutable_refs_build_once(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        train = Dataset(rng.normal(size=(50, 3)), rng.integers(0, 3, size=50))
+        M = Metric(random_psd(rng, 3))
+        builds = count_builds(monkeypatch)
+        queries = rng.normal(size=(20, 3))
+        got = [knn_predict(x, train.features, train.labels, M, 3) for x in queries]
+        assert len(builds) == 1
+        # a Metric over the same frozen matrix shares it; another matrix, or
+        # mutable copies of the same values, build again
+        knn_predict(queries[0], train.features, train.labels, Metric(M.matrix), 3)
+        assert len(builds) == 1
+        knn_predict(queries[0], train.features, train.labels, Metric(M.matrix.copy()), 3)
+        assert len(builds) == 2
+        assert [knn_predict(x, np.array(train.features), train.labels, M, 3)
+                for x in queries] == got
+        assert len(builds) == 22
+
+    @pytest.mark.parametrize("kind", ["writeable", "read-only-view", "bytearray", "labels"])
+    def test_mutated_refs_give_the_mutated_answer(self, kind):
+        # the query 1.0 is nearest reference 0 until it moves to 20.0
+        base = np.array([[0.0], [10.0]])
+        refs, labels = base, core.frozen([0, 1])
+        if kind == "read-only-view":
+            refs = base.view()
+            refs.flags.writeable = False
+        elif kind == "bytearray":
+            buf = bytearray(base.tobytes())
+            refs = np.frombuffer(buf).reshape(2, 1)
+            refs.flags.writeable = False
+        elif kind == "labels":
+            refs, labels = core.frozen(base), np.array([0, 1])
+        M = Metric.identity(1)
+        assert knn_predict([1.0], refs, labels, M, 1) == 0
+        if kind == "labels":
+            labels[0] = 1
+        elif kind == "bytearray":
+            buf[:8] = np.float64(20.0).tobytes()
+        else:
+            base[0, 0] = 20.0
+        assert knn_predict([1.0], refs, labels, M, 1) == 1
+
+    def test_checks_hold_on_a_reused_index(self, monkeypatch):
+        train = Dataset([[0.0], [1.0], [5.0]], [0, 0, 1])
+        M = Metric.identity(1)
+        builds = count_builds(monkeypatch)
+        assert knn_predict([0.4], train.features, train.labels, M, 3) == 0
+        for query, k, match in [([0.4], 4, r"k must be in \[1, 3\]"),
+                                ([0.4], 0, "k must be in"),
+                                ([0.4], 2.0, "k must be an integer"),
+                                ([0.4], True, "k must be an integer"),
+                                ([0.4, 0.1], 1, "query must have shape"),
+                                ([[0.4]], 1, "query must have shape"),
+                                ([np.nan], 1, "finite"),
+                                ([np.inf], 1, "finite")]:
+            with pytest.raises(ValueError, match=match):
+                knn_predict(query, train.features, train.labels, M, k)
+        assert knn_predict([4.0], train.features, train.labels, M, 1) == 1
+        assert len(builds) == 1
+
+    def test_no_entry_outlives_its_references(self):
+        rng = np.random.default_rng(14)
+        before = len(evaluation._INDEX)
+        for _ in range(200):
+            train = Dataset(rng.normal(size=(6, 2)), [0, 1, 0, 1, 2, 2])
+            M = Metric(random_psd(rng, 2))
+            knn_predict(rng.normal(size=2), train.features, train.labels, M, 2)
+        # one live reference set under 200 metrics holds one entry, the live metric's
+        for _ in range(200):
+            M = Metric(random_psd(rng, 2))
+            knn_predict(rng.normal(size=2), train.features, train.labels, M, 2)
+        assert len(evaluation._INDEX) == before + 1
+        del train, M
+        gc.collect()
+        assert len(evaluation._INDEX) == before
 
 
 class TestAddGaussianNoise:
