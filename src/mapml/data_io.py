@@ -3,11 +3,13 @@
 IDX is the de-facto MNIST layout (big-endian headers, raw uint8 payload,
 optionally gzip-wrapped). CSV carries precomputed feature vectors. Model
 files are a little-endian binary payload plus a human-readable JSON
-sidecar.
+sidecar. A binary file is read once; each header and payload is a slice
+of what was read, bounds checked first, and the payload must end the file.
 """
 
 import gzip
 import json
+import math
 import re
 import struct
 import zlib
@@ -26,10 +28,8 @@ MODEL_MAGIC = b"MAPMLBIN"
 MODEL_FORMAT_VERSION = 1
 
 
-def _open_binary(path):
-    """Open a file for reading, transparently unwrapping gzip (by magic bytes)."""
-    import io
-
+def _read_bytes(path) -> bytes:
+    """The bytes of the file at ``path``, gzip unwrapped (recognised by its magic bytes)."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:2] == b"\x1f\x8b":
@@ -37,18 +37,31 @@ def _open_binary(path):
             raw = gzip.decompress(raw)
         except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
             raise ValueError(f"{path}: corrupt gzip data ({exc})") from exc
-    return io.BytesIO(raw)
+    return raw
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    """The next ``n`` bytes of seekable ``f``; a header size past the end allocates nothing."""
-    pos = f.tell()
-    left = f.seek(0, 2) - pos
-    f.seek(pos)
+def _take(raw: bytes, off: int, n: int, what: str, last: bool = False) -> memoryview:
+    """``raw[off:off + n]``, a view checked before use; a ``last`` section must end ``raw``."""
+    left = len(raw) - off
     if n > left:
         raise ValueError(f"{what} truncated: unexpected end of payload, "
                          f"expected {n} bytes, got {left}")
-    return f.read(n)
+    if last and left > n:
+        raise ValueError(f"{left - n} trailing byte(s) after the {what}")
+    return memoryview(raw)[off:off + n]
+
+
+def _idx_section(path, magic: int, n_dims: int, what: str):
+    """``(dims, payload)`` of an IDX file: u32 magic, ``n_dims`` u32 sizes, prod(sizes) bytes.
+
+    Big-endian; any other magic, a short section or bytes after the payload raise.
+    """
+    raw = _read_bytes(path)
+    head = 4 + 4 * n_dims
+    got, *dims = struct.unpack(f">{1 + n_dims}I", _take(raw, 0, head, f"{what} header"))
+    if got != magic:
+        raise ValueError(f"{what} magic mismatch: expected {magic:#010x}, got {got:#010x}")
+    return dims, _take(raw, head, math.prod(dims), f"{what} payload", last=True)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
@@ -56,21 +69,11 @@ def load_idx(images_path, labels_path) -> Dataset:
 
     Image layout (big-endian): u32 magic 0x00000803, u32 count, u32 rows,
     u32 cols, then count*rows*cols uint8 pixels row-major. Label layout:
-    u32 magic 0x00000801, u32 count, then count uint8 labels. Pixels are
-    scaled into [0, 1].
+    u32 magic 0x00000801, u32 count, then count uint8 labels. Each file,
+    gzipped or not, ends with its payload. Pixels are scaled into [0, 1].
     """
-    with _open_binary(images_path) as f:
-        magic, count, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, "images header"))
-        if magic != IDX_IMAGES_MAGIC:
-            raise ValueError(
-                f"images magic mismatch: expected {IDX_IMAGES_MAGIC:#010x}, got {magic:#010x}")
-        payload = _read_exact(f, count * rows * cols, "images payload")
-    with _open_binary(labels_path) as f:
-        magic, label_count = struct.unpack(">II", _read_exact(f, 8, "labels header"))
-        if magic != IDX_LABELS_MAGIC:
-            raise ValueError(
-                f"labels magic mismatch: expected {IDX_LABELS_MAGIC:#010x}, got {magic:#010x}")
-        label_payload = _read_exact(f, label_count, "labels payload")
+    (count, rows, cols), payload = _idx_section(images_path, IDX_IMAGES_MAGIC, 3, "images")
+    (label_count,), label_payload = _idx_section(labels_path, IDX_LABELS_MAGIC, 1, "labels")
     if label_count != count:
         raise ValueError(f"count mismatch: {count} images but {label_count} labels")
     features = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols) / 255.0
@@ -86,11 +89,11 @@ def load_csv(path, label_column="label") -> Dataset:
     "-1") is an index. A header row is auto-detected when the first row
     fails numeric parsing; a named label column requires one. All cells
     must be numeric; ragged rows, non-numeric cells and non-finite labels
-    are hard errors naming the (1-based) row.
+    are hard errors naming the (1-based) row. A UTF-8 byte-order mark is skipped.
     """
     import csv as _csv
 
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         rows = [row for row in _csv.reader(f) if row]
     if not rows:
         raise ValueError(f"{path}: empty file")
@@ -268,35 +271,30 @@ def load_model(path) -> ModelFile:
     ``tie_tolerance`` key, which older sidecars carry, is accepted only at
     ``latent.TIE_TOLERANCE``.
 
-    The metric matrix, the latents and the latent labels are
-    :func:`frozen`; the first two are views of the payload read.
+    The file is read once, header then payload. The metric matrix, the
+    latents and the labels are :func:`frozen`; the first two are views of the payload.
     """
     with open(path, "rb") as f:
-        magic = _read_exact(f, 8, "model header")
-        if magic != MODEL_MAGIC:
-            raise ValueError(f"model magic mismatch: expected {MODEL_MAGIC!r}, got {magic!r}")
-        version, d, m = struct.unpack("<III", _read_exact(f, 12, "model header"))
-        if version < 1:
-            raise ValueError(f"model format version {version} is invalid; versions start at 1")
-        if version > MODEL_FORMAT_VERSION:
-            raise ValueError(
-                f"model format version {version} is newer than supported "
-                f"version {MODEL_FORMAT_VERSION}")
-        if d == 0 or m == 0:
-            raise ValueError(f"model header has dim {d} and {m} latents; "
-                             f"a model has at least one of each")
-        payload = _read_exact(f, d * d * 8 + m * d * 8 + m * 4, "model payload")
-        extra = len(f.read())
-        if extra:
-            raise ValueError(f"{extra} trailing byte(s) after the model payload")
-    off = 0
-    matrix = np.frombuffer(payload, dtype="<f8", count=d * d, offset=off).reshape(d, d)
-    off += d * d * 8
-    latents = np.frombuffer(payload, dtype="<f8", count=m * d, offset=off).reshape(m, d)
+        header, payload = f.read(20), f.read()
+    magic = bytes(_take(header, 0, 8, "model header"))
+    if magic != MODEL_MAGIC:
+        raise ValueError(f"model magic mismatch: expected {MODEL_MAGIC!r}, got {magic!r}")
+    version, d, m = struct.unpack("<III", _take(header, 8, 12, "model header"))
+    if version < 1:
+        raise ValueError(f"model format version {version} is invalid; versions start at 1")
+    if version > MODEL_FORMAT_VERSION:
+        raise ValueError(f"model format version {version} is newer than supported "
+                         f"version {MODEL_FORMAT_VERSION}")
+    if d == 0 or m == 0:
+        raise ValueError(f"model header has dim {d} and {m} latents; "
+                         f"a model has at least one of each")
+    _take(payload, 0, (d + m) * d * 8 + m * 4, "model payload", last=True)
+    # views of the payload's own bytes: frozen, and aligned (offset 20 of one read is not)
+    matrix = np.frombuffer(payload, dtype="<f8", count=d * d).reshape(d, d)
+    latents = np.frombuffer(payload, dtype="<f8", count=m * d, offset=d * d * 8).reshape(m, d)
     if not np.isfinite(latents).all():
         raise ValueError("model latents contain non-finite entries")
-    off += m * d * 8
-    labels = frozen(np.frombuffer(payload, dtype="<u4", count=m, offset=off), np.int64)
+    labels = frozen(np.frombuffer(payload, dtype="<u4", offset=len(payload) - 4 * m), np.int64)
 
     config = None
     loss_trace = None

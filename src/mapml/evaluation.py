@@ -54,7 +54,7 @@ def _check_k(k, n_refs: int) -> None:
 
 
 def _references(refs_features, refs_labels, metric: Metric, k: int):
-    """R, R M, the quadratic forms r^T M r and the labels: what ranking needs of the refs.
+    """R, R M (R at an exact identity), the forms r^T M r and the labels, for ranking.
 
     Labels must be integer-valued, one per reference, and non-negative:
     ``evaluate`` marks a test row whose label the references lack with
@@ -83,7 +83,7 @@ def _references(refs_features, refs_labels, metric: Metric, k: int):
     if refs_labels.min() < 0:
         raise ValueError("reference labels must be non-negative")
     _check_k(k, refs_features.shape[0])
-    RM = refs_features @ metric.matrix
+    RM = refs_features if core.is_identity(metric.matrix) else refs_features @ metric.matrix
     rq = np.einsum("ij,ij->i", RM, refs_features)
     if not np.isfinite(rq).all():
         bad = int(np.flatnonzero(~np.isfinite(rq))[0])

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from mapml import (Metric, SyntheticSpec, TrainConfig, generate_synthetic,
@@ -89,6 +91,15 @@ class TestLoadIdx:
         ip, _ = write_idx_pair(tmp_path / "a", np.zeros((2, 1, 1)), [0, 1])
         _, lp = write_idx_pair(tmp_path / "b", np.zeros((3, 1, 1)), [0, 1, 2])
         with pytest.raises(ValueError, match="count mismatch"):
+            load_idx(ip, lp)
+
+    @pytest.mark.parametrize("which,extra", [("images", 8), ("labels", 2)])
+    def test_trailing_bytes_refused(self, tmp_path, which, extra):
+        ip, lp = write_idx_pair(tmp_path, np.zeros((1, 1, 2)), [0])
+        with open(ip if which == "images" else lp, "ab") as f:
+            f.write(b"\xab" * extra)
+        with pytest.raises(ValueError,
+                           match=rf"{extra} trailing byte\(s\) after the {which} payload"):
             load_idx(ip, lp)
 
 
@@ -178,6 +189,21 @@ class TestLoadCsv:
         p.write_text(f"x,y,label\n1.0,2.0,0\n3.0,4.0,1\n5.0,6.0,{label}\n")
         with pytest.raises(ValueError, match="non-finite label .* row 4"):
             load_csv(str(p), label_column="label")
+
+    def test_byte_order_mark_headerless(self, tmp_path):
+        # with the mark, the first data row would read as a header
+        p = tmp_path / "d.csv"
+        p.write_text("1.0,2.0,0\n3.0,4.0,1\n5.0,6.0,0\n", encoding="utf-8-sig")
+        data = load_csv(str(p), label_column="2")
+        assert data.n == 3 and data.d == 2
+        np.testing.assert_array_equal(data.features, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("f0,f1,label\n0,2.0,0\n1,4.0,1\n", encoding="utf-8-sig")
+        data = load_csv(str(p), label_column="f0")
+        assert list(data.label_names) == [0.0, 1.0]
+        np.testing.assert_array_equal(data.features, [[2.0, 0.0], [4.0, 1.0]])
 
 
 class TestGenerateSynthetic:
@@ -467,3 +493,62 @@ class TestModelPersistence:
         (tmp_path / "model.mapml.meta").write_text(sidecar)
         with pytest.raises(ValueError, match="model.mapml.meta"):
             load_model(path)
+
+
+def model_result(rng, d, m):
+    """A saved-model stand-in of dimension d with m latents in one class."""
+    M = rng.normal(size=(d, d))
+    model = LatentModel(latents=rng.normal(size=(m, d)), membership=np.zeros(1, dtype=np.int64),
+                        cluster_margins=np.zeros(m), per_class_counts=np.array([m]))
+    return TrainResult(metric=Metric(0.5 * (M + M.T)), latent_model=model,
+                       loss_trace=np.ones(1), history=[], config=None)
+
+
+# each example writes its own files into the one tmp_path
+FILES = settings(max_examples=30, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestReaderProperties:
+    """Each binary reader refuses every cut of a valid file, and bytes past its end."""
+
+    @FILES
+    @given(shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+           gz=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def test_idx_cuts_and_trailing_bytes_refused(self, tmp_path, shape, gz, seed):
+        pixels = np.random.default_rng(seed).integers(0, 256, size=shape)
+        ip, lp = write_idx_pair(tmp_path, pixels, list(range(shape[0])), gz=gz)
+        for which, path in (("images", Path(ip)), ("labels", Path(lp))):
+            raw = path.read_bytes()
+            for cut in range(len(raw)):
+                path.write_bytes(raw[:cut])
+                with pytest.raises(ValueError, match="header|payload|gzip"):
+                    load_idx(ip, lp)
+            body = gzip.decompress(raw) if gz else raw
+            for extra in (1, 2, 3):
+                longer = body + bytes(extra)
+                path.write_bytes(gzip.compress(longer) if gz else longer)
+                with pytest.raises(ValueError,
+                                   match=rf"{extra} trailing byte\(s\) after the {which}"):
+                    load_idx(ip, lp)
+            path.write_bytes(raw)
+        assert load_idx(ip, lp).n == shape[0]
+
+    @FILES
+    @given(d=st.integers(1, 3), m=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+    def test_model_cuts_and_trailing_bytes_refused(self, tmp_path, d, m, seed):
+        path = tmp_path / "model.mapml"
+        save_model(str(path), model_result(np.random.default_rng(seed), d, m))
+        loaded = load_model(str(path))
+        # views of the payload read, at float64 alignment: unaligned ones slow every product
+        assert loaded.metric.matrix.flags.aligned and loaded.latents.flags.aligned
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match="model header|model payload"):
+                load_model(str(path))
+        for extra in (1, 2, 3):
+            path.write_bytes(raw + bytes(extra))
+            with pytest.raises(ValueError,
+                               match=rf"{extra} trailing byte\(s\) after the model payload"):
+                load_model(str(path))

@@ -1,4 +1,5 @@
 import gc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from mapml import Dataset, Metric, add_gaussian_noise, core, evaluate, evaluation, knn_predict
 
-from conftest import oracle_knn_euclidean, random_psd
+from conftest import MatmulCounter, oracle_knn_euclidean, random_psd
 
 
 class TestKnnPredict:
@@ -209,6 +210,37 @@ def spy_block_rows(monkeypatch):
 
     monkeypatch.setattr(evaluation, "_knn_labels", spy)
     return blocks
+
+
+class TestEvaluateAtIdentity:
+    """At an exact identity R M is R: no product with the metric, the same predictions."""
+
+    @pytest.mark.parametrize("grid", [False, True])  # integer coordinates tie densely
+    def test_no_product_and_equal_to_the_product_path(self, monkeypatch, grid):
+        rng = np.random.default_rng(21)
+        refs, rows = rng.normal(size=(300, 20)), rng.normal(size=(200, 20))
+        if grid:
+            refs, rows = np.round(refs), np.round(rows)
+        labels = rng.integers(0, 4, size=300)
+        test = Dataset(rows, rng.integers(0, 4, size=200))
+        preds = []
+        vote = evaluation._knn_labels
+
+        def spy(S, labels, k):
+            preds.append(vote(S, labels, k))
+            return preds[-1]
+
+        monkeypatch.setattr(evaluation, "_knn_labels", spy)
+        MatmulCounter.matmuls = 0
+        counted = SimpleNamespace(dim=20, matrix=np.eye(20).view(MatmulCounter))
+        got = evaluate(test, refs, labels, counted, k=5)
+        assert MatmulCounter.matmuls == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "is_identity", lambda matrix: False)
+            want = evaluate(test, refs, labels, Metric.identity(20), k=5)
+        assert 0 < got.error_rate == want.error_rate
+        assert len(preds) == 2  # one block each
+        np.testing.assert_array_equal(preds[0], preds[1])
 
 
 class TestTieRules:
