@@ -26,13 +26,13 @@ PAIRWISE_ROWS = 64
 
 
 def frozen(a, dtype=None) -> np.ndarray:
-    """``a`` as a C-contiguous array over an immutable ``bytes`` buffer.
+    """``a`` as an aligned, C-contiguous array over an immutable ``bytes`` buffer.
 
     The library's one immutability rule: numpy refuses ``flags.writeable =
     True`` on such an array and on every view of it, so no writeable view
     of it can exist and its values never change while it lives. ``a`` is
-    returned itself when it already is one (of ``dtype``); anything else
-    is copied into a new buffer.
+    returned itself when it already is one (of ``dtype``); anything else,
+    an unaligned view of ``bytes`` too, is copied into a new buffer.
     """
     a = np.asarray(a, dtype=dtype, order="C")
     if is_frozen(a):
@@ -41,11 +41,14 @@ def frozen(a, dtype=None) -> np.ndarray:
 
 
 def is_frozen(a) -> bool:
-    """True when ``a`` is an ndarray whose ``.base`` chain ends in ``bytes`` (:func:`frozen`)."""
+    """True when ``a`` is an aligned ndarray whose ``.base`` chain ends in ``bytes`` (:func:`frozen`).
+
+    An unaligned array is refused: every product would copy it first.
+    """
     base = a
     while isinstance(base, np.ndarray):
         base = base.base
-    return type(a) is np.ndarray and type(base) is bytes
+    return type(a) is np.ndarray and type(base) is bytes and a.flags.aligned
 
 
 class Dataset:

@@ -54,7 +54,7 @@ def _check_k(k, n_refs: int) -> None:
 
 
 def _references(refs_features, refs_labels, metric: Metric, k: int):
-    """R, R M (R at an exact identity), the forms r^T M r and the labels, for ranking.
+    """R M (R at an exact identity), the forms r^T M r and the labels, for ranking.
 
     Labels must be integer-valued, one per reference, and non-negative:
     ``evaluate`` marks a test row whose label the references lack with
@@ -89,25 +89,28 @@ def _references(refs_features, refs_labels, metric: Metric, k: int):
         bad = int(np.flatnonzero(~np.isfinite(rq))[0])
         raise ValueError(f"reference {bad} has a non-finite entry or its "
                          "quadratic form r^T M r overflows")
-    return refs_features, RM, rq, refs_labels
+    return RM, rq, refs_labels
 
 
-# knn_predict's index of each live immutable reference set, keyed by the ids
-# of its features, labels and metric matrix: weak references to the three,
-# the forms rq and the int64 labels, 16 bytes per reference. The death of a
-# key array drops its entry. Reuse rests on immutability, not on comparing
+# The kNN index of each live immutable reference set, keyed by the ids of
+# its features, labels and metric matrix: weak references to the three,
+# then R M, the forms rq and the int64 labels, (d + 2) x 8 bytes per
+# reference. The death of a key array drops its entry, so an entry holds
+# no key array: where the build returns one (R M = R at an exact identity,
+# labels already int64), it stores None and a hit reads the call's own
+# argument, the same object. Reuse rests on immutability, not on comparing
 # values, which would cost a pass over the references and a held copy. An
-# entry only spares work: knn_predict scores alike with or without one.
+# entry only spares work: a call scores alike with or without one.
 _INDEX = {}
 
 
 def _knn_index(refs_features, refs_labels, metric: Metric, k: int):
-    """R, the forms r^T M r and the labels, for ``knn_predict``.
+    """R M, the forms r^T M r and the labels, for ``evaluate`` and ``knn_predict``.
 
     Built by ``_references`` on every call, except for immutable references
     (float64 features, labels and ``metric.matrix`` all
-    :func:`core.frozen`): their first call builds them, and later calls
-    check ``k`` against them.
+    :func:`core.frozen`): their first call, from either function, builds
+    them, and later calls check ``k`` against them.
     """
     key_arrays = (refs_features, refs_labels, metric.matrix)
     immutable = all(map(core.is_frozen, key_arrays)) and refs_features.dtype == np.float64
@@ -116,14 +119,19 @@ def _knn_index(refs_features, refs_labels, metric: Metric, k: int):
         entry = _INDEX.get(key)
         if entry is not None and all(ref() is a for ref, a in zip(entry[0], key_arrays)):
             _check_k(k, refs_features.shape[0])
-            return refs_features, entry[1], entry[2]
-    R, _, rq, labels = _references(refs_features, refs_labels, metric, k)
+            _, RM, rq, labels = entry
+            RM = refs_features if RM is None else RM
+            labels = refs_labels if labels is None else labels
+            return RM, rq, labels
+    RM, rq, labels = _references(refs_features, refs_labels, metric, k)
     if immutable:
         def drop(_, key=key):
             _INDEX.pop(key, None)
 
-        _INDEX[key] = (tuple(weakref.ref(a, drop) for a in key_arrays), rq, labels)
-    return R, rq, labels
+        _INDEX[key] = (tuple(weakref.ref(a, drop) for a in key_arrays),
+                       None if RM is refs_features else RM, rq,
+                       None if labels is refs_labels else labels)
+    return RM, rq, labels
 
 
 def _knn_labels(S, labels, k: int) -> np.ndarray:
@@ -171,21 +179,22 @@ def knn_predict(query, refs_features, refs_labels, metric: Metric, k: int) -> in
     negative or non-integer value, a non-integer ``k``, a non-finite query
     or a non-finite reference raises ``ValueError``.
 
-    The query x scores the references as rq + R (M (-2 x)): O(n_refs * d +
-    d^2). The forms rq, with every reference check, cost O(n_refs * d^2).
-    They are built on every call, except for immutable references: float64
-    features, labels and ``metric.matrix`` all :func:`core.frozen`, as
-    ``Dataset``, ``LatentModel``, ``Metric`` and ``load_model`` hold them.
-    For those the first call builds the forms for every later call while
-    the three arrays live, and later calls check only ``k`` and the query.
+    The query x scores the references as rq + (R M)(-2 x): one O(n_refs *
+    d) pass. R M and the forms rq, with every reference check, cost
+    O(n_refs * d^2). They are built on every call, except for immutable
+    references: float64 features, labels and ``metric.matrix`` all
+    :func:`core.frozen`, as ``Dataset``, ``LatentModel``, ``Metric`` and
+    ``load_model`` hold them. For those the first call, or an ``evaluate``
+    pass, builds them for every later call while the three arrays live,
+    and later calls check only ``k`` and the query.
     """
-    R, rq, labels = _knn_index(refs_features, refs_labels, metric, k)
+    RM, rq, labels = _knn_index(refs_features, refs_labels, metric, k)
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (metric.dim,):
         raise ValueError(f"query must have shape ({metric.dim},), got {query.shape}")
     if not np.isfinite(query).all():
         raise ValueError("query contains non-finite entries")
-    scores = R @ (metric.matrix @ (-2.0 * query))
+    scores = RM @ (-2.0 * query)
     scores += rq
     return int(_knn_labels(scores[None, :], labels, k)[0])
 
@@ -195,9 +204,12 @@ def evaluate(test: Dataset, refs_features, refs_labels, metric: Metric,
              refs_label_names=None) -> EvalReport:
     """Error rate of kNN classification over a whole test set.
 
-    ``_references`` (R M, the reference quadratic forms and the labels)
-    is built once per call, up front, and is not timed; ``evaluate`` keeps
-    nothing between calls. The test rows are then ranked
+    The kNN index (R M, the reference quadratic forms and the labels) is
+    taken up front and is not timed. It is built on every call, except for
+    immutable references, whose index ``knn_predict`` shares: the first
+    ``evaluate`` pass or ``knn_predict`` call builds it, and later ones
+    reuse it while the references and the metric matrix live (see
+    ``knn_predict``). The test rows are then ranked
     in blocks of ``max(MIN_BLOCK_ROWS, BLOCK_SCORES // n_refs)`` rows, one
     matrix product per block, and the k nearest of each row are picked by
     k ``argmin`` passes over the block's scores, with the same tie rules
@@ -219,7 +231,7 @@ def evaluate(test: Dataset, refs_features, refs_labels, metric: Metric,
     and strictly increasing, or fewer than the largest reference label
     + 1, raise ``ValueError``.
     """
-    _, RM, rq, labels = _references(refs_features, refs_labels, metric, k)
+    RM, rq, labels = _knn_index(refs_features, refs_labels, metric, k)
     if test.n < 1:
         raise ValueError("test set is empty")
     if test.d != metric.dim:

@@ -125,7 +125,7 @@ def model_file_arrays(tmp_path):
 class TestImmutability:
     """Every array of the library's value types is frozen: no writeable view can exist.
 
-    ``knn_predict`` reuses the reference forms of such arrays, and
+    ``evaluate`` and ``knn_predict`` reuse the kNN index of such arrays, and
     ``latent._assigned_from`` reuses an assignment on ``data is blocks.data``.
     """
 
@@ -171,12 +171,23 @@ class TestImmutability:
         lambda: np.frombuffer(memoryview(bytes(24))),
         lambda: bytes(24),
         lambda: [0.0, 0.0],
-    ], ids=["writeable", "view", "bytearray", "memoryview", "bytes", "list"])
+        lambda: np.frombuffer(bytes(28), offset=4),
+    ], ids=["writeable", "view", "bytearray", "memoryview", "bytes", "list", "unaligned"])
     def test_is_frozen_refuses_other_arrays(self, make):
         arr = make()
         if isinstance(arr, np.ndarray):
             arr.flags.writeable = False  # read-only is not immutable
         assert not core.is_frozen(arr)
+
+    def test_frozen_aligns_an_unaligned_buffer(self):
+        # an unaligned float64 view of bytes: every product would copy it
+        x = np.arange(6.0)
+        raw = np.frombuffer(bytes(4) + x.tobytes(), "<f8", offset=4).reshape(2, 3)
+        assert not raw.flags.aligned
+        f = core.frozen(raw)
+        assert f is not raw and f.flags.aligned and core.is_frozen(f)
+        np.testing.assert_array_equal(f, x.reshape(2, 3))
+        assert Dataset(raw, [0, 1]).features.flags.aligned
 
     def test_dataset_refuses_object_labels(self):
         with pytest.raises(ValueError, match="numbers or strings"):

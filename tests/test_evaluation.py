@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -429,7 +430,10 @@ def count_builds(monkeypatch):
 
 
 class TestReferenceIndex:
-    """``knn_predict`` builds an immutable reference set's forms once; nothing else changes."""
+    """``evaluate`` and ``knn_predict`` build an immutable reference set's index once.
+
+    Nothing else changes: every answer is the one a writeable copy gives.
+    """
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -473,6 +477,79 @@ class TestReferenceIndex:
         assert [knn_predict(x, np.array(train.features), train.labels, M, 3)
                 for x in queries] == got
         assert len(builds) == 22
+
+    def test_evaluate_and_knn_predict_share_one_build(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        train = Dataset(rng.normal(size=(60, 4)), rng.integers(0, 3, size=60))
+        test = Dataset(rng.normal(size=(30, 4)), rng.integers(0, 3, size=30))
+        M = Metric(random_psd(rng, 4))
+        builds = count_builds(monkeypatch)
+        rates = {evaluate(test, train.features, train.labels, M, k=3).error_rate
+                 for _ in range(3)}
+        got = [knn_predict(x, train.features, train.labels, M, 3) for x in test.features]
+        assert len(builds) == 1 and len(rates) == 1
+        assert rates.pop() == np.count_nonzero(np.array(got) != test.labels) / test.n
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_evaluate_answers_as_a_writeable_copy_and_knn_predict(self, data):
+        n = data.draw(st.integers(1, 10))
+        d = data.draw(st.integers(1, 3))
+        q = data.draw(st.integers(1, 6))
+        grid = data.draw(st.booleans())
+        # small integer coordinates give exact scores and dense ties
+        coords = (st.integers(-2, 2).map(float) if grid
+                  else st.floats(-10, 10, allow_nan=False, allow_subnormal=False))
+        refs = np.array(data.draw(st.lists(coords, min_size=n * d, max_size=n * d)))
+        rows = np.array(data.draw(st.lists(coords, min_size=q * d, max_size=q * d)))
+        refs, rows = refs.reshape(n, d), rows.reshape(q, d)
+        labels = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        test = Dataset(rows, data.draw(st.lists(st.integers(0, 3), min_size=q, max_size=q)))
+        diag = data.draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
+        M = Metric(np.diag(np.array(diag, dtype=float)))
+        frozen_refs, frozen_labels = core.frozen(refs), core.frozen(labels)
+        for k in range(1, n + 1):
+            rate = evaluate(test, frozen_refs, frozen_labels, M, k=k).error_rate
+            assert evaluate(test, frozen_refs, frozen_labels, M, k=k).error_rate == rate
+            assert evaluate(test, refs.copy(), labels.copy(), M, k=k).error_rate == rate
+            want = [knn_predict(x, frozen_refs, frozen_labels, M, k) for x in rows]
+            assert agrees_row_by_row(rows, want, frozen_refs, frozen_labels, M, k)
+
+    @pytest.mark.parametrize("kind", ["writeable", "read-only-view", "bytearray"])
+    def test_mutated_refs_give_the_mutated_evaluate_answer(self, kind):
+        # the test row 1.0, labelled 0, is nearest reference 0 until it moves to 20.0
+        base = np.array([[0.0], [10.0]])
+        refs, labels = base, core.frozen([0, 1])
+        if kind == "read-only-view":
+            refs = base.view()
+            refs.flags.writeable = False
+        elif kind == "bytearray":
+            buf = bytearray(base.tobytes())
+            refs = np.frombuffer(buf).reshape(2, 1)
+            refs.flags.writeable = False
+        test, M = Dataset([[1.0]], [0]), Metric.identity(1)
+        assert evaluate(test, refs, labels, M, k=1).error_rate == 0.0
+        if kind == "bytearray":
+            buf[:8] = np.float64(20.0).tobytes()
+        else:
+            base[0, 0] = 20.0
+        assert evaluate(test, refs, labels, M, k=1).error_rate == 1.0
+
+    def test_second_evaluate_allocates_no_second_rm(self):
+        rng = np.random.default_rng(16)
+        n_refs, d = 2000, 256
+        train = Dataset(rng.normal(size=(n_refs, d)), rng.integers(0, 5, size=n_refs))
+        test = Dataset(rng.normal(size=(50, d)), rng.integers(0, 5, size=50))
+        M = Metric(random_psd(rng, d))
+        first = evaluate(test, train.features, train.labels, M, k=3)
+        tracemalloc.start()
+        try:
+            second = evaluate(test, train.features, train.labels, M, k=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert second.error_rate == first.error_rate
+        assert peak < n_refs * d * 8
 
     @pytest.mark.parametrize("kind", ["writeable", "read-only-view", "bytearray", "labels"])
     def test_mutated_refs_give_the_mutated_answer(self, kind):
@@ -529,6 +606,36 @@ class TestReferenceIndex:
             knn_predict(rng.normal(size=2), train.features, train.labels, M, 2)
         assert len(evaluation._INDEX) == before + 1
         del train, M
+        gc.collect()
+        assert len(evaluation._INDEX) == before
+
+    def test_no_entry_holds_frozen_int64_labels(self):
+        # labels already frozen int64 are the build's own labels: an entry
+        # that stored them would keep its key alive
+        rng = np.random.default_rng(17)
+        train = Dataset(rng.normal(size=(6, 2)), [0, 1, 0, 1, 2, 2])
+        M = Metric(random_psd(rng, 2))
+        gc.collect()  # so that no older entry drops during the count
+        before = len(evaluation._INDEX)
+        for _ in range(200):
+            labels = core.frozen(rng.integers(0, 3, size=6), np.int64)
+            knn_predict(rng.normal(size=2), train.features, labels, M, 2)
+            del labels
+        gc.collect()
+        assert len(evaluation._INDEX) == before
+
+    def test_no_entry_holds_the_references_at_the_identity(self):
+        # at an exact identity R M is R itself: an entry that stored it
+        # would keep its key alive while the labels and the metric live
+        rng = np.random.default_rng(18)
+        M = Metric.identity(64)
+        labels = core.frozen(rng.integers(0, 3, size=20), np.int64)
+        gc.collect()  # so that no older entry drops during the count
+        before = len(evaluation._INDEX)
+        for _ in range(200):
+            refs = core.frozen(rng.normal(size=(20, 64)))
+            knn_predict(rng.normal(size=64), refs, labels, M, 2)
+            del refs
         gc.collect()
         assert len(evaluation._INDEX) == before
 
