@@ -5,6 +5,7 @@ original training data. Includes the Gaussian-noise harness used by the
 robustness benchmarks.
 """
 
+import math
 import time
 import weakref
 from dataclasses import dataclass
@@ -94,14 +95,22 @@ def _references(refs_features, refs_labels, metric: Metric, k: int):
 
 # The kNN index of each live immutable reference set, keyed by the ids of
 # its features, labels and metric matrix: weak references to the three,
-# then R M, the forms rq and the int64 labels, (d + 2) x 8 bytes per
-# reference. The death of a key array drops its entry, so an entry holds
-# no key array: where the build returns one (R M = R at an exact identity,
-# labels already int64), it stores None and a hit reads the call's own
-# argument, the same object. Reuse rests on immutability, not on comparing
-# values, which would cost a pass over the references and a held copy. An
-# entry only spares work: a call scores alike with or without one.
+# their layouts (shape, strides, dtype), then R M, the forms rq and the
+# int64 labels, (d + 2) x 8 bytes per reference. The death of a key array
+# drops its entry, so an entry holds no key array: where the build returns
+# one (R M = R at an exact identity, labels already int64), it stores None
+# and a hit reads the call's own argument, the same object. Reuse rests on
+# immutability, not on comparing values, which would cost a pass over the
+# references and a held copy. A frozen array's buffer, type and ``.base``
+# chain cannot change, but numpy lets its shape and dtype be assigned in
+# place (and, with a warning, its strides), so a hit also requires the
+# recorded layouts. An entry only spares work: a call scores alike with or
+# without one.
 _INDEX = {}
+
+
+def _layout(a):
+    return a.shape, a.strides, a.dtype
 
 
 def _knn_index(refs_features, refs_labels, metric: Metric, k: int):
@@ -110,25 +119,30 @@ def _knn_index(refs_features, refs_labels, metric: Metric, k: int):
     Built by ``_references`` on every call, except for immutable references
     (float64 features, labels and ``metric.matrix`` all
     :func:`core.frozen`): their first call, from either function, builds
-    them, and later calls check ``k`` against them.
+    them, and later calls check ``k`` against them. A hit is the call's own
+    three arrays under their recorded layouts, found by id before any
+    :func:`core.is_frozen` walk; a miss checks immutability before it
+    inserts.
     """
     key_arrays = (refs_features, refs_labels, metric.matrix)
-    immutable = all(map(core.is_frozen, key_arrays)) and refs_features.dtype == np.float64
-    if immutable:
-        key = tuple(map(id, key_arrays))
-        entry = _INDEX.get(key)
-        if entry is not None and all(ref() is a for ref, a in zip(entry[0], key_arrays)):
+    key = tuple(map(id, key_arrays))
+    entry = _INDEX.get(key)
+    if entry is not None:
+        refs, layouts, RM, rq, labels = entry
+        # ``ref() is a`` first: only then is ``a`` known to be an ndarray
+        if all(ref() is a and _layout(a) == layout
+               for ref, layout, a in zip(refs, layouts, key_arrays)):
             _check_k(k, refs_features.shape[0])
-            _, RM, rq, labels = entry
             RM = refs_features if RM is None else RM
             labels = refs_labels if labels is None else labels
             return RM, rq, labels
     RM, rq, labels = _references(refs_features, refs_labels, metric, k)
-    if immutable:
+    if all(map(core.is_frozen, key_arrays)) and refs_features.dtype == np.float64:
         def drop(_, key=key):
             _INDEX.pop(key, None)
 
         _INDEX[key] = (tuple(weakref.ref(a, drop) for a in key_arrays),
+                       tuple(map(_layout, key_arrays)),
                        None if RM is refs_features else RM, rq,
                        None if labels is refs_labels else labels)
     return RM, rq, labels
@@ -136,6 +150,9 @@ def _knn_index(refs_features, refs_labels, metric: Metric, k: int):
 
 def _knn_labels(S, labels, k: int) -> np.ndarray:
     """k-nearest-neighbor vote for each row of the scores S, which it overwrites.
+
+    The block path of ``evaluate``; ``knn_predict`` ranks its one row with
+    :func:`_knn_label`, under the same tie rules.
 
     Row i of S scores reference r by r^T M r - 2 x_i^T M r, which differs
     from their squared distance by x_i^T M x_i alone. Selection is k passes
@@ -171,32 +188,64 @@ def _knn_labels(S, labels, k: int) -> np.ndarray:
     return L[rows, (votes == votes.max(axis=1, keepdims=True)).argmax(axis=1)]
 
 
+def _knn_label(scores, labels, k: int) -> int:
+    """k-nearest-neighbor vote of one query's score row, which it overwrites.
+
+    The one-row form of :func:`_knn_labels`, with its tie rules: k passes
+    of ``argmin``, each setting its pick to inf, so equal scores go to the
+    smaller reference index, and a vote over the k picked labels in which
+    a tie goes to the tied label picked first. A non-finite pick raises the
+    same ``ValueError``. Its few scalar steps per pick replace the block
+    path's array bookkeeping, which cost a one-row call several times its
+    score pass.
+    """
+    picks = []
+    for _ in range(k):
+        i = scores.argmin()
+        if not math.isfinite(scores[i]):
+            raise ValueError("a query's scores against its nearest references overflow")
+        picks.append(i)
+        scores[i] = np.inf
+    votes = {}
+    for label in labels[picks].tolist():
+        votes[label] = votes.get(label, 0) + 1
+    # dicts keep insertion order, so max keeps the first label picked
+    return max(votes, key=votes.__getitem__)
+
+
 def knn_predict(query, refs_features, refs_labels, metric: Metric, k: int) -> int:
     """Label of ``query`` by k-nearest-neighbor vote among the references.
 
     Equal distances go to the smaller reference index; equal votes go to
     the tied label whose nearest member is closest. A label with a
     negative or non-integer value, a non-integer ``k``, a non-finite query
-    or a non-finite reference raises ``ValueError``.
+    or a non-finite reference raises ``ValueError``; the query is checked
+    first, so a malformed one costs no index build.
 
     The query x scores the references as rq + (R M)(-2 x): one O(n_refs *
-    d) pass. R M and the forms rq, with every reference check, cost
-    O(n_refs * d^2). They are built on every call, except for immutable
-    references: float64 features, labels and ``metric.matrix`` all
-    :func:`core.frozen`, as ``Dataset``, ``LatentModel``, ``Metric`` and
-    ``load_model`` hold them. For those the first call, or an ``evaluate``
-    pass, builds them for every later call while the three arrays live,
-    and later calls check only ``k`` and the query.
+    d) pass, ranked by :func:`_knn_label`. R M and the forms rq, with every
+    reference check, cost O(n_refs * d^2). They are built on every call,
+    except for immutable references: float64 features, labels and
+    ``metric.matrix`` all :func:`core.frozen`, as ``Dataset``,
+    ``LatentModel``, ``Metric`` and ``load_model`` hold them. For those the
+    first call, or an ``evaluate`` pass, builds them for every later call
+    while the three arrays live, and later calls check only ``k`` and the
+    query.
+
+    This scores one row with a matrix-vector product, and ``evaluate`` a
+    block of rows with a matrix product. The two round their sums
+    differently, so a near-tie between two references can rank
+    differently in the two.
     """
-    RM, rq, labels = _knn_index(refs_features, refs_labels, metric, k)
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (metric.dim,):
         raise ValueError(f"query must have shape ({metric.dim},), got {query.shape}")
     if not np.isfinite(query).all():
         raise ValueError("query contains non-finite entries")
+    RM, rq, labels = _knn_index(refs_features, refs_labels, metric, k)
     scores = RM @ (-2.0 * query)
     scores += rq
-    return int(_knn_labels(scores[None, :], labels, k)[0])
+    return _knn_label(scores, labels, k)
 
 
 def evaluate(test: Dataset, refs_features, refs_labels, metric: Metric,
@@ -212,8 +261,11 @@ def evaluate(test: Dataset, refs_features, refs_labels, metric: Metric,
     ``knn_predict``). The test rows are then ranked
     in blocks of ``max(MIN_BLOCK_ROWS, BLOCK_SCORES // n_refs)`` rows, one
     matrix product per block, and the k nearest of each row are picked by
-    k ``argmin`` passes over the block's scores, with the same tie rules
-    as ``knn_predict``; each query costs O(n_refs * (d + k)). The row floor
+    k ``argmin`` passes over the block's scores (:func:`_knn_labels`), with
+    the same tie rules as ``knn_predict``; each query costs O(n_refs *
+    (d + k)). A block's matrix product rounds its sums differently from
+    ``knn_predict``'s matrix-vector product, so a near-tie between two
+    references can rank differently in the two. The row floor
     exists because each product repacks the whole reference panel, which
     a short block cannot amortise; it bounds a block's scores by
     max(2 MiB, MIN_BLOCK_ROWS x n_refs x 8 bytes), 10 MB at 10k

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -416,6 +417,58 @@ class TestReferenceValidation:
             knn_predict([bad], [[1.0], [2.0]], [0, 1], Metric.identity(1), k=1)
 
 
+class TestOneRowVote:
+    """``knn_predict``'s one-row ``_knn_label`` ranks as ``evaluate``'s block ``_knn_labels``."""
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_equals_the_block_path_for_every_k(self, data):
+        # integer-valued scores tie densely at every rank
+        n = data.draw(st.integers(1, 12))
+        scores = np.array(data.draw(st.lists(st.integers(-3, 3).map(float),
+                                             min_size=n, max_size=n)))
+        labels = np.array(data.draw(st.lists(st.sampled_from([0, 1, 7, 2 ** 40]),
+                                             min_size=n, max_size=n)), dtype=np.int64)
+        for k in range(1, n + 1):
+            got = evaluation._knn_label(scores.copy(), labels, k)
+            assert type(got) is int
+            assert got == evaluation._knn_labels(scores[None].copy(), labels, k)[0]
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_non_finite_picks_raise_in_both(self, data):
+        n = data.draw(st.integers(1, 12))
+        values = st.one_of(st.integers(-3, 3).map(float),
+                           st.sampled_from([np.nan, np.inf, -np.inf]))
+        scores = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+        labels = np.array(data.draw(st.lists(st.sampled_from([0, 1, 7, 2 ** 40]),
+                                             min_size=n, max_size=n)), dtype=np.int64)
+        # NaN and -inf are picked first; +inf once the finite scores run out
+        first_bad = (1 if (np.isnan(scores) | (scores == -np.inf)).any()
+                     else np.count_nonzero(np.isfinite(scores)) + 1)
+        for k in range(1, n + 1):
+            if k < first_bad:
+                assert (evaluation._knn_label(scores.copy(), labels, k)
+                        == evaluation._knn_labels(scores[None].copy(), labels, k)[0])
+                continue
+            with pytest.raises(ValueError, match="overflow"):
+                evaluation._knn_label(scores.copy(), labels, k)
+            with pytest.raises(ValueError, match="overflow"):
+                evaluation._knn_labels(scores[None].copy(), labels, k)
+
+    def test_knn_predict_makes_no_block_call(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        refs, labels = rng.normal(size=(40, 3)), rng.integers(0, 3, size=40)
+        M = Metric(random_psd(rng, 3))
+        queries = rng.normal(size=(10, 3))
+        want = [knn_predict(x, refs, labels, M, 5) for x in queries]
+        blocks = spy_block_rows(monkeypatch)
+        assert [knn_predict(x, refs, labels, M, 5) for x in queries] == want
+        assert blocks == []
+        evaluate(Dataset(queries, want), refs, labels, M, k=5)  # the spy sees a block
+        assert blocks == [10]
+
+
 def count_builds(monkeypatch):
     """The list that each ``_references`` call (a validated index build) appends to."""
     calls = []
@@ -427,6 +480,16 @@ def count_builds(monkeypatch):
 
     monkeypatch.setattr(evaluation, "_references", spy)
     return calls
+
+
+def assign_in_place(a, name, value):
+    """Set ``a.<name>``, under numpy's deprecation of doing so; skip where numpy refuses."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            setattr(a, name, value)
+        except AttributeError:
+            pytest.skip(f"numpy no longer assigns an array's {name} in place")
 
 
 class TestReferenceIndex:
@@ -592,6 +655,58 @@ class TestReferenceIndex:
                 knn_predict(query, train.features, train.labels, M, k)
         assert knn_predict([4.0], train.features, train.labels, M, 1) == 1
         assert len(builds) == 1
+
+    @pytest.mark.parametrize("query, match", [([np.nan, 0.0], "finite"),
+                                              ([0.0, 0.0, 0.0], "query must have shape")])
+    def test_malformed_query_raises_before_a_build(self, monkeypatch, query, match):
+        refs, labels = np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([0, 1])
+        builds = count_builds(monkeypatch)
+        with pytest.raises(ValueError, match=match):
+            knn_predict(query, refs, labels, Metric.identity(2), 1)
+        assert builds == []
+
+    def test_hit_skips_the_immutability_walk(self, monkeypatch):
+        train = Dataset([[0.0], [1.0], [5.0]], [0, 0, 1])
+        M = Metric.identity(1)
+        knn_predict([0.4], train.features, train.labels, M, 1)
+        walks = []
+        is_frozen = core.is_frozen
+        monkeypatch.setattr(core, "is_frozen", lambda a: walks.append(1) or is_frozen(a))
+        assert knn_predict([4.0], train.features, train.labels, M, 1) == 1
+        assert walks == []
+
+    # numpy lets a frozen array's shape and dtype be assigned in place (and
+    # its strides, with a warning): a hit must then answer as a fresh build
+    def test_reshaped_refs_answer_as_a_fresh_build(self):
+        refs = core.frozen(np.arange(8.0).reshape(4, 2))
+        labels, M = core.frozen([0, 1, 0, 1]), Metric.identity(2)
+        assert knn_predict([2.0, 3.0], refs, labels, M, 1) == 1
+        assign_in_place(refs, "shape", (2, 4))
+        with pytest.raises(ValueError, match="4 columns"):
+            knn_predict([2.0, 3.0], np.array(refs), labels, M, 1)
+        with pytest.raises(ValueError, match="4 columns"):
+            knn_predict([2.0, 3.0], refs, labels, M, 1)
+
+    def test_retyped_labels_answer_as_a_fresh_build(self):
+        refs, M = core.frozen([[0.0], [1.0]]), Metric.identity(1)
+        labels = core.frozen([0, 1], np.int64)
+        assert knn_predict([0.1], refs, labels, M, 1) == 0
+        assign_in_place(labels, "dtype", np.float64)
+        with pytest.raises(ValueError, match="integers"):
+            knn_predict([0.1], refs, np.array(labels), M, 1)
+        with pytest.raises(ValueError, match="integers"):
+            knn_predict([0.1], refs, labels, M, 1)
+
+    def test_restrided_refs_answer_as_a_fresh_build(self):
+        # the query 0 is reference 0 until the transposing strides make
+        # the references [[0, 1], [0, 0]]
+        refs = core.frozen([[0.0, 0.0], [1.0, 0.0]])
+        labels, M = core.frozen([0, 1]), Metric.identity(2)
+        assert knn_predict([0.0, 0.0], refs, labels, M, 1) == 0
+        assign_in_place(refs, "strides", refs.strides[::-1])
+        assert core.is_frozen(refs)
+        assert knn_predict([0.0, 0.0], np.array(refs), labels, M, 1) == 1
+        assert knn_predict([0.0, 0.0], refs, labels, M, 1) == 1
 
     def test_no_entry_outlives_its_references(self):
         rng = np.random.default_rng(14)
