@@ -55,7 +55,7 @@ def _check_k(k, n_refs: int) -> None:
 
 
 def _references(refs_features, refs_labels, metric: Metric, k: int):
-    """R M (R at an exact identity), the forms r^T M r and the labels, for ranking.
+    """New arrays R M (a copy of R at an exact identity), r^T M r and int64 labels.
 
     Labels must be integer-valued, one per reference, and non-negative:
     ``evaluate`` marks a test row whose label the references lack with
@@ -64,7 +64,7 @@ def _references(refs_features, refs_labels, metric: Metric, k: int):
     bool will not). A reference with a non-finite entry has a non-finite
     form (each of its terms is inf or NaN), so checking the n_refs forms
     refuses it, and a form that overflows, without an n_refs x d scan.
-    Each fault raises ``ValueError``.
+    Each fault raises ``ValueError``. None of the three is an argument.
     """
     refs_features = np.asarray(refs_features, dtype=np.float64)
     refs_labels = np.asarray(refs_labels)
@@ -72,7 +72,7 @@ def _references(refs_features, refs_labels, metric: Metric, k: int):
         values = refs_labels.astype(np.float64)
         if not (np.isfinite(values) & (values == np.trunc(values))).all():
             raise ValueError("reference labels must be integers")
-    refs_labels = refs_labels.astype(np.int64, copy=False)
+    refs_labels = refs_labels.astype(np.int64)
     if refs_features.ndim != 2 or refs_features.shape[0] == 0:
         raise ValueError("reference set must be a non-empty 2-D array")
     if refs_features.shape[1] != metric.dim:
@@ -84,7 +84,8 @@ def _references(refs_features, refs_labels, metric: Metric, k: int):
     if refs_labels.min() < 0:
         raise ValueError("reference labels must be non-negative")
     _check_k(k, refs_features.shape[0])
-    RM = refs_features if core.is_identity(metric.matrix) else refs_features @ metric.matrix
+    # the copy costs O(n_refs * d), the product it skips O(n_refs * d^2)
+    RM = refs_features.copy() if core.is_identity(metric.matrix) else refs_features @ metric.matrix
     rq = np.einsum("ij,ij->i", RM, refs_features)
     if not np.isfinite(rq).all():
         bad = int(np.flatnonzero(~np.isfinite(rq))[0])
@@ -95,11 +96,10 @@ def _references(refs_features, refs_labels, metric: Metric, k: int):
 
 # The kNN index of each live immutable reference set, keyed by the ids of
 # its features, labels and metric matrix: weak references to the three,
-# their layouts (shape, strides, dtype), then R M, the forms rq and the
-# int64 labels, (d + 2) x 8 bytes per reference. The death of a key array
-# drops its entry, so an entry holds no key array: where the build returns
-# one (R M = R at an exact identity, labels already int64), it stores None
-# and a hit reads the call's own argument, the same object. Reuse rests on
+# their layouts (shape, strides, dtype), then the index ``_references``
+# built, R M, the forms rq and the int64 labels, (d + 2) x 8 bytes per
+# reference. The build makes every array of an index, so an entry holds no
+# key array, and the death of a key array drops it. Reuse rests on
 # immutability, not on comparing values, which would cost a pass over the
 # references and a held copy. A frozen array's buffer, type and ``.base``
 # chain cannot change, but numpy lets its shape and dtype be assigned in
@@ -117,35 +117,31 @@ def _knn_index(refs_features, refs_labels, metric: Metric, k: int):
     """R M, the forms r^T M r and the labels, for ``evaluate`` and ``knn_predict``.
 
     Built by ``_references`` on every call, except for immutable references
-    (float64 features, labels and ``metric.matrix`` all
+    (features of any dtype, labels and ``metric.matrix`` all
     :func:`core.frozen`): their first call, from either function, builds
-    them, and later calls check ``k`` against them. A hit is the call's own
-    three arrays under their recorded layouts, found by id before any
-    :func:`core.is_frozen` walk; a miss checks immutability before it
-    inserts.
+    them, and later calls check ``k`` and get that build's arrays. A hit
+    is the call's own three arrays under their recorded layouts, found by
+    id before any :func:`core.is_frozen` walk; a miss checks immutability
+    before it inserts.
     """
     key_arrays = (refs_features, refs_labels, metric.matrix)
     key = tuple(map(id, key_arrays))
     entry = _INDEX.get(key)
     if entry is not None:
-        refs, layouts, RM, rq, labels = entry
+        refs, layouts, index = entry
         # ``ref() is a`` first: only then is ``a`` known to be an ndarray
         if all(ref() is a and _layout(a) == layout
                for ref, layout, a in zip(refs, layouts, key_arrays)):
             _check_k(k, refs_features.shape[0])
-            RM = refs_features if RM is None else RM
-            labels = refs_labels if labels is None else labels
-            return RM, rq, labels
-    RM, rq, labels = _references(refs_features, refs_labels, metric, k)
-    if all(map(core.is_frozen, key_arrays)) and refs_features.dtype == np.float64:
+            return index
+    index = _references(refs_features, refs_labels, metric, k)
+    if all(map(core.is_frozen, key_arrays)):
         def drop(_, key=key):
             _INDEX.pop(key, None)
 
         _INDEX[key] = (tuple(weakref.ref(a, drop) for a in key_arrays),
-                       tuple(map(_layout, key_arrays)),
-                       None if RM is refs_features else RM, rq,
-                       None if labels is refs_labels else labels)
-    return RM, rq, labels
+                       tuple(map(_layout, key_arrays)), index)
+    return index
 
 
 def _knn_labels(S, labels, k: int) -> np.ndarray:
@@ -225,12 +221,12 @@ def knn_predict(query, refs_features, refs_labels, metric: Metric, k: int) -> in
     The query x scores the references as rq + (R M)(-2 x): one O(n_refs *
     d) pass, ranked by :func:`_knn_label`. R M and the forms rq, with every
     reference check, cost O(n_refs * d^2). They are built on every call,
-    except for immutable references: float64 features, labels and
-    ``metric.matrix`` all :func:`core.frozen`, as ``Dataset``,
-    ``LatentModel``, ``Metric`` and ``load_model`` hold them. For those the
-    first call, or an ``evaluate`` pass, builds them for every later call
-    while the three arrays live, and later calls check only ``k`` and the
-    query.
+    except for immutable references: features, labels and
+    ``metric.matrix`` all :func:`core.frozen`, of any dtype, as
+    ``Dataset``, ``LatentModel``, ``Metric`` and ``load_model`` hold them.
+    For those the first call, or an ``evaluate`` pass, builds them for
+    every later call while the three arrays live, and later calls check
+    only ``k`` and the query.
 
     This scores one row with a matrix-vector product, and ``evaluate`` a
     block of rows with a matrix product. The two round their sums
@@ -254,11 +250,11 @@ def evaluate(test: Dataset, refs_features, refs_labels, metric: Metric,
     """Error rate of kNN classification over a whole test set.
 
     The kNN index (R M, the reference quadratic forms and the labels) is
-    taken up front and is not timed. It is built on every call, except for
-    immutable references, whose index ``knn_predict`` shares: the first
-    ``evaluate`` pass or ``knn_predict`` call builds it, and later ones
-    reuse it while the references and the metric matrix live (see
-    ``knn_predict``). The test rows are then ranked
+    taken after the test rows' width is checked, and is not timed. It is
+    built on every call, except for immutable references, whose index
+    ``knn_predict`` shares: the first ``evaluate`` pass or ``knn_predict``
+    call builds it, and later ones reuse it while the references and the
+    metric matrix live (see ``knn_predict``). The test rows are then ranked
     in blocks of ``max(MIN_BLOCK_ROWS, BLOCK_SCORES // n_refs)`` rows, one
     matrix product per block, and the k nearest of each row are picked by
     k ``argmin`` passes over the block's scores (:func:`_knn_labels`), with
@@ -283,12 +279,10 @@ def evaluate(test: Dataset, refs_features, refs_labels, metric: Metric,
     and strictly increasing, or fewer than the largest reference label
     + 1, raise ``ValueError``.
     """
-    RM, rq, labels = _knn_index(refs_features, refs_labels, metric, k)
-    if test.n < 1:
-        raise ValueError("test set is empty")
     if test.d != metric.dim:
         raise ValueError(f"test rows have {test.d} columns, "
                          f"the metric has dimension {metric.dim}")
+    RM, rq, labels = _knn_index(refs_features, refs_labels, metric, k)
     if refs_label_names is None:
         targets = test.labels
     else:

@@ -665,6 +665,31 @@ class TestReferenceIndex:
             knn_predict(query, refs, labels, Metric.identity(2), 1)
         assert builds == []
 
+    def test_evaluate_checks_the_test_width_before_a_build(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        train = Dataset(rng.normal(size=(50, 3)), rng.integers(0, 3, size=50))
+        test = Dataset(rng.normal(size=(5, 4)), rng.integers(0, 3, size=5))
+        builds = count_builds(monkeypatch)
+        gc.collect()  # so that no older entry drops during the count
+        before = len(evaluation._INDEX)
+        with pytest.raises(ValueError, match="test rows have 4 columns, the metric has dimension 3"):
+            evaluate(test, train.features, train.labels, Metric(random_psd(rng, 3)))
+        assert builds == [] and len(evaluation._INDEX) == before
+
+    @pytest.mark.parametrize("identity", [False, True])
+    def test_frozen_float32_refs_build_once(self, monkeypatch, identity):
+        # an entry holds the float64 R M its build made, whatever the features' dtype
+        rng = np.random.default_rng(20)
+        refs = core.frozen(rng.normal(size=(30, 3)), np.float32)
+        labels = core.frozen(rng.integers(0, 3, size=30))
+        M = Metric.identity(3) if identity else Metric(random_psd(rng, 3))
+        queries = rng.normal(size=(5, 3))
+        builds = count_builds(monkeypatch)
+        got = [knn_predict(x, refs, labels, M, 3) for x in queries]
+        assert len(builds) == 1
+        assert got == [knn_predict(x, refs.astype(np.float64), labels.copy(), M, 3)
+                       for x in queries]
+
     def test_hit_skips_the_immutability_walk(self, monkeypatch):
         train = Dataset([[0.0], [1.0], [5.0]], [0, 0, 1])
         M = Metric.identity(1)
@@ -710,6 +735,7 @@ class TestReferenceIndex:
 
     def test_no_entry_outlives_its_references(self):
         rng = np.random.default_rng(14)
+        gc.collect()  # so that no older entry drops during the count
         before = len(evaluation._INDEX)
         for _ in range(200):
             train = Dataset(rng.normal(size=(6, 2)), [0, 1, 0, 1, 2, 2])
