@@ -37,12 +37,15 @@ class EvalReport:
     p99_query_time: float
 
 
-# Score entries per ranked block of test rows: 2**18 float64 scores (2 MiB),
-# but never fewer than MIN_BLOCK_ROWS rows, because each block's product
-# repacks the whole n_refs x d reference panel: against 10k references,
-# 26-row blocks ran the GEMM at about half its speed at 128 rows. So a block's
-# scores take at most max(2 MiB, MIN_BLOCK_ROWS x n_refs x 8 bytes),
-# 10 MB at 10k references.
+# Score entries per ranked block of test rows: 2**18 float64 scores (2 MiB)
+# for every 64 columns of d begun, but never fewer than MIN_BLOCK_ROWS rows,
+# because each block's product repacks the whole n_refs x d reference
+# panel: against 10k x 64 references, 26-row blocks ran the GEMM at about
+# half its speed at 128 rows and 512-row blocks 30-45% slower, while against
+# 3200 x 784 references one 800-row block took 92-96 us per query and
+# 128-row blocks 112 (in process, one BLAS thread). So a block's scores take
+# at most max(2 MiB x ceil(d / 64), MIN_BLOCK_ROWS x n_refs x 8 bytes):
+# 10 MB against 10k x 64 references, 26 MiB at d = 784.
 BLOCK_SCORES = 2 ** 18
 MIN_BLOCK_ROWS = 128
 
@@ -55,7 +58,11 @@ def _check_k(k, n_refs: int) -> None:
 
 
 def _references(refs_features, refs_labels, metric: Metric, k: int):
-    """New arrays R M (a copy of R at an exact identity), r^T M r and int64 labels.
+    """New arrays -2 R M (-2 R at an exact identity), r^T M r and int64 labels.
+
+    The rows are stored doubled and negated so that a query x scores the
+    references as rq + (-2 R M) x with no scaled copy of x; scaling by -2
+    is exact, so the scores are those of rq - 2 (R M) x bit for bit.
 
     Labels must be integer-valued, one per reference, and non-negative:
     ``evaluate`` marks a test row whose label the references lack with
@@ -63,8 +70,11 @@ def _references(refs_features, refs_labels, metric: Metric, k: int):
     ``k`` must be an integer in [1, n_refs] (a numpy integer will do, a
     bool will not). A reference with a non-finite entry has a non-finite
     form (each of its terms is inf or NaN), so checking the n_refs forms
-    refuses it, and a form that overflows, without an n_refs x d scan.
-    Each fault raises ``ValueError``. None of the three is an argument.
+    refuses it, and a form that overflows, without an n_refs x d scan. A
+    reference whose row of R M holds an entry beyond DBL_MAX / 2 cannot be
+    doubled, and the doubling itself reports that overflow, so it costs no
+    scan either. Each fault raises ``ValueError``. None of the three
+    returned arrays is an argument.
     """
     refs_features = np.asarray(refs_features, dtype=np.float64)
     refs_labels = np.asarray(refs_labels)
@@ -91,13 +101,20 @@ def _references(refs_features, refs_labels, metric: Metric, k: int):
         bad = int(np.flatnonzero(~np.isfinite(rq))[0])
         raise ValueError(f"reference {bad} has a non-finite entry or its "
                          "quadratic form r^T M r overflows")
+    try:
+        with np.errstate(over="raise"):
+            RM *= -2.0
+    except FloatingPointError:
+        bad = int(np.flatnonzero(np.isinf(RM).any(axis=1))[0])
+        raise ValueError(f"reference {bad} has an entry of R M beyond DBL_MAX / 2, "
+                         "which overflows when doubled") from None
     return RM, rq, refs_labels
 
 
 # The kNN index of each live immutable reference set, keyed by the ids of
 # its features, labels and metric matrix: weak references to the three,
 # their layouts (shape, strides, dtype), then the index ``_references``
-# built, R M, the forms rq and the int64 labels, (d + 2) x 8 bytes per
+# built, -2 R M, the forms rq and the int64 labels, (d + 2) x 8 bytes per
 # reference. The build makes every array of an index, so an entry holds no
 # key array, and the death of a key array drops it. Reuse rests on
 # immutability, not on comparing values, which would cost a pass over the
@@ -114,7 +131,7 @@ def _layout(a):
 
 
 def _knn_index(refs_features, refs_labels, metric: Metric, k: int):
-    """R M, the forms r^T M r and the labels, for ``evaluate`` and ``knn_predict``.
+    """-2 R M, the forms r^T M r and the labels, for ``evaluate`` and ``knn_predict``.
 
     Built by ``_references`` on every call, except for immutable references
     (features of any dtype, labels and ``metric.matrix`` all
@@ -213,15 +230,17 @@ def knn_predict(query, refs_features, refs_labels, metric: Metric, k: int) -> in
     """Label of ``query`` by k-nearest-neighbor vote among the references.
 
     Equal distances go to the smaller reference index; equal votes go to
-    the tied label whose nearest member is closest. A label with a
-    negative or non-integer value, a non-integer ``k``, a non-finite query
-    or a non-finite reference raises ``ValueError``; the query is checked
+    the tied label whose nearest member is closest. ``ValueError`` is
+    raised for a label with a negative or non-integer value, a non-integer
+    ``k``, a non-finite query, and a reference that is non-finite, whose
+    quadratic form overflows, or whose row of R M holds an entry beyond
+    DBL_MAX / 2 (the index stores the row doubled). The query is checked
     first, so a malformed one costs no index build.
 
-    The query x scores the references as rq + (R M)(-2 x): one O(n_refs *
-    d) pass, ranked by :func:`_knn_label`. R M and the forms rq, with every
-    reference check, cost O(n_refs * d^2). They are built on every call,
-    except for immutable references: features, labels and
+    The query x scores the references as rq + (-2 R M) x: one O(n_refs *
+    d) pass, ranked by :func:`_knn_label`. -2 R M and the forms rq, with
+    every reference check, cost O(n_refs * d^2). They are built on every
+    call, except for immutable references: features, labels and
     ``metric.matrix`` all :func:`core.frozen`, of any dtype, as
     ``Dataset``, ``LatentModel``, ``Metric`` and ``load_model`` hold them.
     For those the first call, or an ``evaluate`` pass, builds them for
@@ -239,7 +258,7 @@ def knn_predict(query, refs_features, refs_labels, metric: Metric, k: int) -> in
     if not np.isfinite(query).all():
         raise ValueError("query contains non-finite entries")
     RM, rq, labels = _knn_index(refs_features, refs_labels, metric, k)
-    scores = RM @ (-2.0 * query)
+    scores = RM @ query
     scores += rq
     return _knn_label(scores, labels, k)
 
@@ -249,26 +268,27 @@ def evaluate(test: Dataset, refs_features, refs_labels, metric: Metric,
              refs_label_names=None) -> EvalReport:
     """Error rate of kNN classification over a whole test set.
 
-    The kNN index (R M, the reference quadratic forms and the labels) is
+    The kNN index (-2 R M, the reference quadratic forms and the labels) is
     taken after the test rows' width is checked, and is not timed. It is
     built on every call, except for immutable references, whose index
     ``knn_predict`` shares: the first ``evaluate`` pass or ``knn_predict``
     call builds it, and later ones reuse it while the references and the
     metric matrix live (see ``knn_predict``). The test rows are then ranked
-    in blocks of ``max(MIN_BLOCK_ROWS, BLOCK_SCORES // n_refs)`` rows, one
-    matrix product per block, and the k nearest of each row are picked by
+    in blocks of ``max(MIN_BLOCK_ROWS, BLOCK_SCORES * ceil(d / 64) //
+    n_refs)`` rows, one matrix product X (-2 R M)^T + rq per block with no
+    scaled copy of the rows X, and the k nearest of each row are picked by
     k ``argmin`` passes over the block's scores (:func:`_knn_labels`), with
     the same tie rules as ``knn_predict``; each query costs O(n_refs *
     (d + k)). A block's matrix product rounds its sums differently from
     ``knn_predict``'s matrix-vector product, so a near-tie between two
-    references can rank differently in the two. The row floor
-    exists because each product repacks the whole reference panel, which
-    a short block cannot amortise; it bounds a block's scores by
-    max(2 MiB, MIN_BLOCK_ROWS x n_refs x 8 bytes), 10 MB at 10k
-    references. A non-finite reference or a non-integer ``k`` raises
-    ``ValueError``, as in ``knn_predict``. Each row's query time is its
-    share of its block's timed work; the report gives their mean, p50
-    and p99.
+    references can rank differently in the two. Blocks grow with d and
+    have a row floor because each product repacks the whole n_refs x d
+    reference panel, which a short block cannot amortise; a block's scores
+    take at most max(2 MiB x ceil(d / 64), MIN_BLOCK_ROWS x n_refs x 8
+    bytes), 10 MB against 10k x 64 references. A reference that
+    ``knn_predict`` refuses, or a non-integer ``k``, raises
+    ``ValueError``. Each row's query time is its share of its block's
+    timed work; the report gives their mean, p50 and p99.
 
     By default ``refs_labels`` are assumed to live in the same internal
     0..C-1 space as ``test.labels``. Pass ``refs_label_names`` (the
@@ -291,13 +311,12 @@ def evaluate(test: Dataset, refs_features, refs_labels, metric: Metric,
         values = test.label_names[test.labels]
         pos = np.clip(np.searchsorted(names, values), 0, len(names) - 1)
         targets = np.where(names[pos] == values, pos, -1)
-    block = max(MIN_BLOCK_ROWS, BLOCK_SCORES // len(labels))
+    block = max(MIN_BLOCK_ROWS, BLOCK_SCORES * math.ceil(test.d / 64) // len(labels))
     errors = 0
     block_times = []
     for lo in range(0, test.n, block):
         t0 = time.perf_counter()
-        # scaling the rows by -2 is exact, and cheaper than scaling S
-        S = (-2.0 * test.features[lo:lo + block]) @ RM.T
+        S = test.features[lo:lo + block] @ RM.T
         S += rq
         pred = _knn_labels(S, labels, k)
         # freed before the next block's scores exist: a second live block

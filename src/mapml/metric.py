@@ -89,7 +89,7 @@ def build_active_set(model: LatentModel, metric_prev: Metric, cap: int, seed: in
     ``below``; after sampling, a block that holds a retained rank is
     re-formed from E and ranked by one ``np.argsort`` for
     :func:`core.decode_ranks`. Time is O(m^2 log m + retained); memory is
-    E plus one block plus the sample.
+    E plus one block plus the sample and its keys, then the output.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
@@ -111,10 +111,16 @@ def build_active_set(model: LatentModel, metric_prev: Metric, cap: int, seed: in
             # the next block's is made
             o, p, q = core.decode_ranks(lo, hi, below, np.argsort(
                 core.other_class_columns(E, lo, hi), axis=1), ranks[first:last] - base)
-            keys.append((o * m + p) * m + q)
-    # one int64 key per row sorts the rows into ascending (o, p, q)
-    o, pq = np.divmod(np.sort(np.concatenate(keys)), m * m)
-    return np.column_stack([o, *np.divmod(pq, m)])
+            # a block's ranks come in ascending (o, p); sorting one int64 key
+            # per row puts each pair's q in ascending order too
+            keys.append((first, np.sort((o * m + p) * m + q)))
+    # blocks come in ascending o, so each fills the next rows of the output,
+    # which is made only once the blocks are gone
+    out = np.empty((len(ranks), 3), dtype=np.int64)
+    for first, key in keys:
+        o, pq = np.divmod(key, m * m)
+        out[first:first + len(key)] = np.column_stack([o, *np.divmod(pq, m)])
+    return out
 
 
 def psd_project(M: np.ndarray, span=None) -> Metric:

@@ -245,6 +245,78 @@ class TestEvaluateAtIdentity:
         np.testing.assert_array_equal(preds[0], preds[1])
 
 
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestStoredIndex:
+    """The index stores -2 R M exactly, and ``evaluate``'s blocks do not change an answer."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_rows_are_r_m_times_minus_two_bit_for_bit(self, data):
+        n, d = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        refs = rng.normal(scale=data.draw(st.sampled_from([1e-3, 1.0, 1e3])), size=(n, d))
+        labels = rng.integers(0, 3, size=n)
+        identity = data.draw(st.booleans())
+        M = Metric.identity(d) if identity else Metric(random_psd(rng, d))
+        if data.draw(st.booleans()):
+            refs, labels = core.frozen(refs, np.float64), core.frozen(labels, np.int64)
+        RM = refs if identity else refs @ M.matrix
+        for _ in range(2):  # the build, then a hit for frozen references
+            rows, rq, _ = evaluation._knn_index(refs, labels, M, 1)
+            np.testing.assert_array_equal(bits(rows), bits(-2.0 * RM))
+            np.testing.assert_array_equal(bits(rq), bits(np.einsum("ij,ij->i", RM, refs)))
+
+    @pytest.mark.parametrize("d", [3, 200])
+    def test_block_sizes_change_no_prediction(self, monkeypatch, d):
+        # integer data and metric: exact scores, dense ties, in any block
+        rng = np.random.default_rng(d)
+        refs = rng.integers(-2, 3, size=(40, d)).astype(float)
+        labels = rng.integers(0, 4, size=40)
+        test = Dataset(rng.integers(-2, 3, size=(23, d)).astype(float),
+                       rng.integers(0, 4, size=23))
+        A = rng.integers(-1, 2, size=(d, d)).astype(float)
+        sizes = {"1-row": (0, 1), "7-row": (0, 7), "one block": (10 ** 9, 1)}
+        for M in (Metric.identity(d), Metric(A @ A.T + np.eye(d))):
+            runs = {}
+            for name, (scores, floor) in sizes.items():
+                with monkeypatch.context() as patch:
+                    patch.setattr(evaluation, "BLOCK_SCORES", scores)
+                    patch.setattr(evaluation, "MIN_BLOCK_ROWS", floor)
+                    preds, blocks, vote = [], [], evaluation._knn_labels
+
+                    def spy(S, labels, k):
+                        blocks.append(S.shape[0])
+                        preds.append(vote(S, labels, k))
+                        return preds[-1]
+
+                    patch.setattr(evaluation, "_knn_labels", spy)
+                    rate = evaluate(test, refs, labels, M, k=5).error_rate
+                runs[name] = rate, np.concatenate(preds)
+                assert blocks == {"1-row": [1] * 23, "7-row": [7, 7, 7, 2],
+                                  "one block": [23]}[name]
+            rates = {rate for rate, _ in runs.values()}
+            assert len(rates) == 1
+            for _, preds in runs.values():
+                np.testing.assert_array_equal(preds, runs["one block"][1])
+
+    @pytest.mark.parametrize("n_refs, d, rows", [
+        # at d = 64 the floor holds: 2**18 // 10k = 26 rows
+        (10_000, 64, [128, 128, 44]),
+        # 2**18 scores per 64 columns begun: 2**18 * 4 // 4000 = 262 rows
+        (4_000, 200, [262, 38]),
+    ])
+    def test_block_rows_grow_with_d(self, monkeypatch, n_refs, d, rows):
+        rng = np.random.default_rng(d)
+        refs, labels = rng.normal(size=(n_refs, d)), rng.integers(0, 4, size=n_refs)
+        test = Dataset(rng.normal(size=(300, d)), rng.integers(0, 4, size=300))
+        blocks = spy_block_rows(monkeypatch)
+        evaluate(test, refs, labels, Metric.identity(d), k=3)
+        assert blocks == rows
+
+
 class TestTieRules:
     @pytest.mark.parametrize("refs, labels, k, want", [
         # squared distances 4, 4, 1, 1: argpartition alone keeps index 3
@@ -359,6 +431,26 @@ class TestReferenceValidation:
             knn_predict([1e154], refs, labels, M, k=2)
         with pytest.raises(ValueError, match="overflow"):
             evaluate(Dataset([[1e154]], [0]), refs, labels, M, k=2)
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("entry, refused", [(8.9e307, False), (9.0e307, True)])
+    def test_rows_of_r_m_must_double_without_overflow(self, frozen, entry, refused):
+        # the index stores -2 R M: an entry beyond DBL_MAX / 2 (8.99e307)
+        # cannot be doubled, though its form r^T M r is finite
+        assert 8.9e307 < np.finfo(np.float64).max / 2 < 9.0e307
+        refs, labels = np.eye(2)[::-1].copy(), np.array([0, 1])  # reference 1 is e_0
+        if frozen:
+            refs, labels = core.frozen(refs, np.float64), core.frozen(labels, np.int64)
+        M, x = Metric(np.diag([entry, 1.0])), [0.5, 0.5]
+        if not refused:
+            assert knn_predict(x, refs, labels, M, k=1) == 0
+            assert evaluate(Dataset([x], [0]), refs, labels, M, k=1).error_rate == 0.0
+            return
+        match = "reference 1 has an entry of R M beyond DBL_MAX / 2"
+        with pytest.raises(ValueError, match=match):
+            knn_predict(x, refs, labels, M, k=1)
+        with pytest.raises(ValueError, match=match):
+            evaluate(Dataset([x], [0]), refs, labels, M, k=1)
 
     @pytest.mark.parametrize("k", [2.0, True, np.float64(2), "2", None],
                              ids=["float", "bool", "numpy-float", "str", "none"])

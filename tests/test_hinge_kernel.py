@@ -255,3 +255,16 @@ def test_triplet_scans_hold_little_beyond_the_distance_matrix(desk_surrogate):
     assert loss <= bound, f"full_loss_all peak {loss / 2**20:.1f} MiB"
     # the loss scan keeps no block once it is summed: E plus one block
     assert loss <= 1.3 * model.m * model.m * 8, f"full_loss_all peak {loss / 2**20:.1f} MiB"
+
+
+def test_active_set_assembly_holds_no_key_copies(desk_surrogate):
+    # at m = 1001 (desk-train's shape) the 200k-row sample and the (T, 3)
+    # output dominate the peak: about 2.3 E when each block's keys fill
+    # the output, about 3 E (22.5 MiB) when all keys are sorted at once,
+    # split by two divmods and stacked
+    train, _ = desk_surrogate
+    model = init_latents(train, 10.0, seed=0)
+    assert model.m == 1001
+    identity = Metric.identity(train.d)
+    active = traced_peak(lambda: build_active_set(model, identity, cap=200_000, seed=0))
+    assert active <= 2.5 * model.m * model.m * 8, f"build_active_set peak {active / 2**20:.1f} MiB"
